@@ -1,10 +1,13 @@
 """Batch pipeline driver: parse -> mutate -> TCE -> symbolic generation ->
 kill matrix -> minimization -> report.
 
-One binary with per-stage subcommands (`mutate`, `tce`, `gen`, `matrix`,
-`minimize`, `report`) plus `all` for the whole pipeline.  Configuration is a
-key=value file; unknown keys are rejected.  Identical manifests (including
-the RNG seed) produce byte-identical output files.
+One binary with a subcommand per stage (`mutate`, `tce`, `gen`, `matrix`,
+`minimize`, `report`) plus `all`, an alias of `report`.  Each subcommand runs
+the one stage chain through its stage and writes the files of every stage it
+ran; `matrix` and `minimize` replay the seeds plus a test file instead of
+generating tests.  Configuration is a key=value file; unknown keys are
+rejected.  Identical manifests (including the RNG seed) produce
+byte-identical output files.
 """
 
 from __future__ import annotations
@@ -37,41 +40,11 @@ class RunManifest:
     program: str
     out_dir: str
     seeds: Optional[str] = None
-    mode: str = "semu"
     config: symex.Config = field(default_factory=symex.Config)
     operators: Tuple[str, ...] = DEFAULT_OPERATORS
     solver: str = "bounded"
     external_solver_cmd: Optional[str] = None
     step_budget: int = interp.DEFAULT_STEP_BUDGET
-
-
-@dataclass(frozen=True)
-class Report:
-    generated: int
-    tce_equivalent: int
-    tce_duplicate: int
-    explored: int
-    surviving: int
-    killed: int
-    minimized_size: int
-    per_mutant: Tuple[Tuple[int, str], ...]  # id -> killed | survived
-    stats_text: str
-
-    def as_text(self) -> str:
-        lines = [
-            f"mutants_generated={self.generated}",
-            f"tce_equivalent={self.tce_equivalent}",
-            f"tce_duplicate={self.tce_duplicate}",
-            f"mutants_explored={self.explored}",
-            f"mutants_surviving={self.surviving}",
-            f"mutants_killed={self.killed}",
-            f"minimized_suite_size={self.minimized_size}",
-        ]
-        for mid, outcome in self.per_mutant:
-            lines.append(f"mutant_{mid}={outcome}")
-        lines.append("")
-        lines.append(self.stats_text.rstrip("\n"))
-        return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +115,7 @@ def parse_config(text: str, program: str = "", out_dir: str = "",
     except ValueError as e:
         raise ConfigError(str(e)) from None
     return RunManifest(program=program, out_dir=out_dir, seeds=seeds,
-                       mode=config.mode, config=config, operators=operators,
-                       step_budget=step_budget)
+                       config=config, operators=operators, step_budget=step_budget)
 
 
 def _parse_bool(value: str) -> bool:
@@ -188,28 +160,32 @@ def format_tests(tests: Sequence[symex.GeneratedTest]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def read_tests(text: str) -> List[Dict[str, int]]:
-    return read_seeds(text)
-
-
 # ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
 
 
-def _stage(name):
-    def wrap(fn, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except Exception as e:  # tag the failing stage for the caller
-            raise StageError(name, e) from e
-    return wrap
+STAGES = ("mutate", "tce", "gen", "matrix", "minimize", "report")
+
+
+def _stage(name: str, fn, *args):
+    try:
+        return fn(*args)
+    except Exception as e:  # tag the failing stage for the caller
+        raise StageError(name, e) from e
 
 
 def _load_program(path: str) -> L.Lts:
     with open(path, encoding="utf-8") as f:
         text = f.read()
     return L.lower_to_lts(P.parse_program(P.SourceProgram(text, path)))
+
+
+def _read_valuations(path: Optional[str]) -> List[Dict[str, int]]:
+    if not path:
+        return []
+    with open(path, encoding="utf-8") as f:
+        return read_seeds(f.read())
 
 
 def _make_handle(manifest: RunManifest, lts: L.Lts) -> S.SolverHandle:
@@ -227,52 +203,70 @@ def _write(out_dir: str, name: str, content: str) -> None:
         f.write(content)
 
 
-def run_pipeline(manifest: RunManifest) -> Report:
-    lts = _stage("parse")(_load_program, manifest.program)
-    mutants = _stage("mutate")(mutation.generate_mutants, lts, manifest.operators)
-    _write(manifest.out_dir, "mutants.tsv", mutation.mutants_tsv(mutants))
+def run_pipeline(manifest: RunManifest, stop: str = "report",
+                 tests_file: Optional[str] = None) -> str:
+    """Run the stage chain through `stop` (one of STAGES), write the files
+    of every stage it runs, and return the summary of the last one; for
+    `report` that is the text of report.txt.
 
-    tce = _stage("tce")(mutation.tce_filter, lts, mutants)
-    _write(manifest.out_dir, "tce.tsv", mutation.tce_tsv(tce, mutants))
+    `matrix` and `minimize` do not run `gen`: they replay the seeds plus the
+    tests in `tests_file`.  The full chain replays the seeds plus the
+    generated tests."""
+    out = manifest.out_dir
+    lts = _stage("parse", _load_program, manifest.program)
+    mutants = _stage("mutate", mutation.generate_mutants, lts, manifest.operators)
+    _write(out, "mutants.tsv", mutation.mutants_tsv(mutants))
+    if stop == "mutate":
+        return f"generated {len(mutants)} mutants -> {out}/mutants.tsv\n"
+
+    tce = _stage("tce", mutation.tce_filter, lts, mutants)
+    _write(out, "tce.tsv", mutation.tce_tsv(tce, mutants))
+    duplicates = sum(len(g) for g in tce.duplicate_groups)
+    if stop == "tce":
+        return (f"equivalent={len(tce.equivalent)} duplicates={duplicates} "
+                f"surviving={len(tce.surviving)} -> {out}/tce.tsv\n")
     kept = tce.kept()
 
-    meta = _stage("meta")(mutation.build_meta_mutant, lts, mutants)
-    seeds: List[Dict[str, int]] = []
-    if manifest.seeds:
-        with open(manifest.seeds, encoding="utf-8") as f:
-            seeds = read_seeds(f.read())
+    meta = _stage("meta", mutation.build_meta_mutant, lts, mutants)
+    seeds = _read_valuations(manifest.seeds)
+    if stop in ("matrix", "minimize"):
+        suite = seeds + _read_valuations(tests_file)
+    else:
+        handle = _make_handle(manifest, lts)
+        tests, stats = _stage("gen", symex.explore, meta, set(kept), seeds,
+                              manifest.config, handle)
+        _write(out, "tests.txt", format_tests(tests))
+        _write(out, "stats.txt", stats.as_text())
+        if stop == "gen":
+            return f"generated {len(tests)} tests -> {out}/tests.txt\n"
+        suite = seeds + [t.valuation() for t in tests]
 
-    cfg = dataclasses.replace(manifest.config, mode=manifest.mode)
-    handle = _make_handle(manifest, lts)
-    tests, stats = _stage("gen")(symex.explore, meta, set(kept), seeds, cfg, handle)
-    _write(manifest.out_dir, "tests.txt", format_tests(tests))
-    _write(manifest.out_dir, "stats.txt", stats.as_text())
+    km = _stage("matrix", interp.compute_kill_matrix, meta, kept, suite,
+                manifest.step_budget)
+    _write(out, "matrix.csv", interp.matrix_csv(km))
+    if stop == "matrix":
+        return (f"{len(km.tests)} tests x {len(km.mutant_ids)} mutants -> "
+                f"{out}/matrix.csv\n")
 
-    suite = seeds + [t.valuation() for t in tests]
-    km = _stage("matrix")(interp.compute_kill_matrix, meta, kept, suite,
-                          manifest.step_budget)
-    _write(manifest.out_dir, "matrix.csv", interp.matrix_csv(km))
-
-    chosen = _stage("minimize")(interp.greedy_minimize, km)
-    minimized = "\n".join(
-        interp.format_valuation(dict(km.tests[i])) for i in chosen)
-    _write(manifest.out_dir, "minimized.txt", minimized + ("\n" if minimized else ""))
+    chosen = _stage("minimize", interp.greedy_minimize, km)
+    minimized = "".join(interp.format_valuation(dict(km.tests[i])) + "\n" for i in chosen)
+    _write(out, "minimized.txt", minimized)
+    if stop == "minimize":
+        return f"minimized suite: {len(chosen)} tests -> {out}/minimized.txt\n"
 
     surviving = interp.surviving_mutants(km)
-    per_mutant = tuple(
-        (m, "survived" if m in surviving else "killed") for m in kept)
-    report = Report(
-        generated=len(mutants),
-        tce_equivalent=len(tce.equivalent),
-        tce_duplicate=sum(len(g) for g in tce.duplicate_groups),
-        explored=len(kept),
-        surviving=len(surviving),
-        killed=len(kept) - len(surviving),
-        minimized_size=len(chosen),
-        per_mutant=per_mutant,
-        stats_text=stats.as_text(),
-    )
-    _write(manifest.out_dir, "report.txt", report.as_text())
+    lines = [
+        f"mutants_generated={len(mutants)}",
+        f"tce_equivalent={len(tce.equivalent)}",
+        f"tce_duplicate={duplicates}",
+        f"mutants_explored={len(kept)}",
+        f"mutants_surviving={len(surviving)}",
+        f"mutants_killed={len(kept) - len(surviving)}",
+        f"minimized_suite_size={len(chosen)}",
+    ]
+    lines += [f"mutant_{m}={'survived' if m in surviving else 'killed'}" for m in kept]
+    report = "\n".join(lines) + "\n\n" + stats.as_text()
+    _write(out, "report.txt", report)
     return report
 
 
@@ -294,7 +288,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--external-solver-cmd", default=None)
     p.add_argument("--operators", default=None,
                    help="comma-separated operator subset")
-    p.add_argument("--tests", help="generated-test file (matrix/minimize/report)")
+    p.add_argument("--tests", help="test file replayed by matrix and minimize")
 
 
 def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
@@ -315,97 +309,8 @@ def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
     if args.operators:
         operators = tuple(op.strip() for op in args.operators.split(",") if op.strip())
     return dataclasses.replace(
-        manifest, mode=cfg.mode, config=cfg, operators=operators,
+        manifest, config=cfg, operators=operators,
         solver=args.solver, external_solver_cmd=args.external_solver_cmd)
-
-
-def _cmd_mutate(manifest: RunManifest, args) -> int:
-    lts = _stage("parse")(_load_program, manifest.program)
-    mutants = _stage("mutate")(mutation.generate_mutants, lts, manifest.operators)
-    _write(manifest.out_dir, "mutants.tsv", mutation.mutants_tsv(mutants))
-    print(f"generated {len(mutants)} mutants -> {manifest.out_dir}/mutants.tsv")
-    return 0
-
-
-def _cmd_tce(manifest: RunManifest, args) -> int:
-    lts = _stage("parse")(_load_program, manifest.program)
-    mutants = _stage("mutate")(mutation.generate_mutants, lts, manifest.operators)
-    tce = _stage("tce")(mutation.tce_filter, lts, mutants)
-    _write(manifest.out_dir, "tce.tsv", mutation.tce_tsv(tce, mutants))
-    print(f"equivalent={len(tce.equivalent)} duplicates="
-          f"{sum(len(g) for g in tce.duplicate_groups)} "
-          f"surviving={len(tce.surviving)} -> {manifest.out_dir}/tce.tsv")
-    return 0
-
-
-def _cmd_gen(manifest: RunManifest, args) -> int:
-    lts = _stage("parse")(_load_program, manifest.program)
-    mutants = _stage("mutate")(mutation.generate_mutants, lts, manifest.operators)
-    tce = _stage("tce")(mutation.tce_filter, lts, mutants)
-    meta = _stage("meta")(mutation.build_meta_mutant, lts, mutants)
-    seeds: List[Dict[str, int]] = []
-    if manifest.seeds:
-        with open(manifest.seeds, encoding="utf-8") as f:
-            seeds = read_seeds(f.read())
-    cfg = dataclasses.replace(manifest.config, mode=manifest.mode)
-    handle = _make_handle(manifest, lts)
-    tests, stats = _stage("gen")(symex.explore, meta, set(tce.kept()), seeds,
-                                 cfg, handle)
-    _write(manifest.out_dir, "tests.txt", format_tests(tests))
-    _write(manifest.out_dir, "stats.txt", stats.as_text())
-    print(f"generated {len(tests)} tests -> {manifest.out_dir}/tests.txt")
-    return 0
-
-
-def _matrix_for_args(manifest: RunManifest, args):
-    lts = _stage("parse")(_load_program, manifest.program)
-    mutants = _stage("mutate")(mutation.generate_mutants, lts, manifest.operators)
-    tce = _stage("tce")(mutation.tce_filter, lts, mutants)
-    meta = _stage("meta")(mutation.build_meta_mutant, lts, mutants)
-    suite: List[Dict[str, int]] = []
-    if manifest.seeds:
-        with open(manifest.seeds, encoding="utf-8") as f:
-            suite += read_seeds(f.read())
-    if args.tests:
-        with open(args.tests, encoding="utf-8") as f:
-            suite += read_tests(f.read())
-    km = _stage("matrix")(interp.compute_kill_matrix, meta, tce.kept(), suite,
-                          manifest.step_budget)
-    return km
-
-
-def _cmd_matrix(manifest: RunManifest, args) -> int:
-    km = _matrix_for_args(manifest, args)
-    _write(manifest.out_dir, "matrix.csv", interp.matrix_csv(km))
-    print(f"{len(km.tests)} tests x {len(km.mutant_ids)} mutants -> "
-          f"{manifest.out_dir}/matrix.csv")
-    return 0
-
-
-def _cmd_minimize(manifest: RunManifest, args) -> int:
-    km = _matrix_for_args(manifest, args)
-    chosen = interp.greedy_minimize(km)
-    content = "\n".join(interp.format_valuation(dict(km.tests[i])) for i in chosen)
-    _write(manifest.out_dir, "minimized.txt", content + ("\n" if content else ""))
-    print(f"minimized suite: {len(chosen)} tests -> {manifest.out_dir}/minimized.txt")
-    return 0
-
-
-def _cmd_all(manifest: RunManifest, args) -> int:
-    report = run_pipeline(manifest)
-    print(report.as_text(), end="")
-    return 0
-
-
-_COMMANDS = {
-    "mutate": _cmd_mutate,
-    "tce": _cmd_tce,
-    "gen": _cmd_gen,
-    "matrix": _cmd_matrix,
-    "minimize": _cmd_minimize,
-    "report": _cmd_all,
-    "all": _cmd_all,
-}
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -413,18 +318,20 @@ def build_arg_parser() -> argparse.ArgumentParser:
         prog="mutkill",
         description="mutation-based test generation over MiniImp programs")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in STAGES + ("all",):
         _add_common(sub.add_parser(name))
     return ap
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
+    stop = "report" if args.command == "all" else args.command
     try:
-        return _COMMANDS[args.command](_manifest_from_args(args), args)
+        print(run_pipeline(_manifest_from_args(args), stop, args.tests), end="")
     except (StageError, ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -130,22 +130,23 @@ class KillMatrix:
         return {m for m in self.mutant_ids if self.kill_set(m)}
 
 
+def outcome_cell(base: Trace, mutant: Trace) -> str:
+    """The kill-matrix verdict of one mutant run against the original's run
+    on the same test: K (killed), S (survived) or T (timed out)."""
+    if mutant.status == TIMEOUT and base.status == TIMEOUT:
+        return "T"
+    # a one-sided timeout differs from every other outcome
+    return "K" if mutant.outcome() != base.outcome() else "S"
+
+
 def compute_kill_matrix(meta: MetaMutant, mutant_ids: Sequence[int],
                         tests: Sequence[Dict[str, int]],
                         step_budget: int = DEFAULT_STEP_BUDGET) -> KillMatrix:
     rows: List[Tuple[str, ...]] = []
     for test in tests:
         base = run_concrete(meta, 0, test, step_budget)
-        row = []
-        for m in mutant_ids:
-            tr = run_concrete(meta, m, test, step_budget)
-            if tr.status == TIMEOUT and base.status == TIMEOUT:
-                row.append("T")
-            elif tr.outcome() != base.outcome():
-                row.append("K")
-            else:
-                row.append("T" if tr.status == TIMEOUT else "S")
-        rows.append(tuple(row))
+        rows.append(tuple(outcome_cell(base, run_concrete(meta, m, test, step_budget))
+                          for m in mutant_ids))
     return KillMatrix(
         tests=tuple(tuple(sorted(t.items())) for t in tests),
         mutant_ids=tuple(mutant_ids),
@@ -218,10 +219,7 @@ def killable_mutants(meta: MetaMutant, mutant_ids: Sequence[int],
             break
         base = run_concrete(meta, 0, test, step_budget)
         for m in list(alive):
-            tr = run_concrete(meta, m, test, step_budget)
-            if tr.status == TIMEOUT and base.status == TIMEOUT:
-                continue
-            if tr.outcome() != base.outcome():
+            if outcome_cell(base, run_concrete(meta, m, test, step_budget)) == "K":
                 killable.add(m)
                 alive.discard(m)
     return killable

@@ -25,8 +25,6 @@ from . import parser as P
 from . import terms as T
 from .terms import And, Bin, BoolLit, BoolTerm, Cmp, IntTerm, Lit, Neg, Not, Or, Var
 
-INF = None  # distance sentinel for locations that cannot reach a terminal
-
 MUT_ID = "mutId"  # selector variable added by the meta-mutant builder
 
 
@@ -50,9 +48,6 @@ class GuardedCommand:
     guard: BoolTerm = T.TRUE
     update: Tuple[Tuple[str, IntTerm], ...] = ()
     emit: Optional[IntTerm] = None
-
-    def update_map(self) -> Dict[str, IntTerm]:
-        return dict(self.update)
 
 
 Transition = Tuple[int, GuardedCommand, int]
@@ -98,9 +93,6 @@ class Lts:
         for t in self.transitions:
             out[t[0]].append(t)
         return out
-
-    def is_branching(self, loc: int) -> bool:
-        return len(self.outgoing(loc)) >= 2 and loc not in self.terminals
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +189,6 @@ class _Lowerer:
         return entry, pending
 
     def _lower_stmt(self, s, rename: Dict[str, str], depth: int, emit):
-        text_indent = ""
         if isinstance(s, P.SVarDecl):
             name = rename.get(s.name, s.name)
             self.add_var(name)
@@ -265,7 +256,7 @@ class _Lowerer:
             src, gc, _ = self.transitions[i_bind]
             self.transitions[i_bind] = (src, gc, body_entry)
             return loc, body_pending
-        raise LoweringError(f"unsupported statement: {s!r}{text_indent}")
+        raise LoweringError(f"unsupported statement: {s!r}")
 
 
 def _declared_locals(stmts) -> tuple:

@@ -21,7 +21,7 @@ import itertools
 import shlex
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import terms as T
@@ -85,18 +85,6 @@ class SolverHandle:
         return dict(self.domains)
 
 
-@dataclass
-class SolverStats:
-    queries: int = 0
-    sat: int = 0
-    unsat: int = 0
-    unknown: int = 0
-
-    def record(self, result: SolverResult):
-        self.queries += 1
-        setattr(self, result.status, getattr(self, result.status) + 1)
-
-
 def simplify(c: BoolTerm) -> BoolTerm:
     """Equisatisfiable normalization: constant folding, identity elimination,
     double negation removal, and/or flattening.  Idempotent."""
@@ -113,9 +101,12 @@ def _query_domains(c: BoolTerm, h: SolverHandle) -> List[Tuple[str, Tuple[int, i
     return out
 
 
-def enumerate_models(c: BoolTerm, h: SolverHandle) -> Iterator[Dict[str, int]]:
+def enumerate_models(c: BoolTerm, h: SolverHandle,
+                     deadline: Optional[float] = None) -> Iterator[Optional[Dict[str, int]]]:
     """All satisfying valuations in deterministic order (lexicographic symbol
-    names, ascending values).  Complete over the declared domains."""
+    names, ascending values).  Complete over the declared domains.  With a
+    `deadline` (a `time.monotonic()` value), yields None and stops once it
+    has passed: the enumeration is then incomplete."""
     doms = _query_domains(c, h)
     total = 1
     for _, (lo, hi) in doms:
@@ -127,6 +118,9 @@ def enumerate_models(c: BoolTerm, h: SolverHandle) -> Iterator[Dict[str, int]]:
         env = dict(zip(names, values))
         if T.holds(c, env):
             yield env
+        elif deadline is not None and time.monotonic() > deadline:
+            yield None
+            return
 
 
 def is_satisfiable(c: BoolTerm, h: SolverHandle) -> SolverResult:
@@ -134,26 +128,11 @@ def is_satisfiable(c: BoolTerm, h: SolverHandle) -> SolverResult:
     over the declared domains; the external backend defers to the tool."""
     if h.backend == "external":
         return _solve_external(c, h)
-    simplified = simplify(c)
-    if simplified == T.FALSE:
+    if simplify(c) == T.FALSE:
         return SolverResult(UNSAT)
-    if not T.variables(c):
-        return SolverResult(SAT, {}) if T.holds(c, {}) else SolverResult(UNSAT)
-    deadline = time.monotonic() + h.timeout
     # enumerate over the original constraint's symbols so the model is total
-    doms = _query_domains(c, h)
-    total = 1
-    for _, (lo, hi) in doms:
-        total *= hi - lo + 1
-    if total > h.max_points:
-        raise SolverFailure(f"domain too large for enumeration: {total} points")
-    names = [n for n, _ in doms]
-    for values in itertools.product(*(range(lo, hi + 1) for _, (lo, hi) in doms)):
-        env = dict(zip(names, values))
-        if T.holds(c, env):
-            return SolverResult(SAT, env)
-        if time.monotonic() > deadline:
-            return SolverResult(UNKNOWN)
+    for model in enumerate_models(c, h, time.monotonic() + h.timeout):
+        return SolverResult(SAT, model) if model is not None else SolverResult(UNKNOWN)
     return SolverResult(UNSAT)
 
 
@@ -182,23 +161,6 @@ def _smt_int(t) -> str:
     raise SolverFailure(f"not an integer term: {t!r}")
 
 
-def _divisors(t) -> List:
-    """Every divisor/modulus subterm, in evaluation order, deduplicated."""
-    out: List = []
-
-    def walk(n):
-        if isinstance(n, Neg):
-            walk(n.operand)
-        elif isinstance(n, Bin):
-            walk(n.left)
-            walk(n.right)
-            if n.op in ("/", "%") and n.right not in out:
-                out.append(n.right)
-
-    walk(t)
-    return out
-
-
 def _smt_bool(t) -> str:
     if isinstance(t, BoolLit):
         return "true" if t.value else "false"
@@ -214,7 +176,7 @@ def _smt_bool(t) -> str:
         # divisor must be pinned nonzero inside the atom, not outside the
         # enclosing negation
         guards = [f"(not (= {_smt_int(d)} 0))"
-                  for d in _divisors(t.left) + _divisors(t.right)]
+                  for d in T.divisors(t)]
         if guards:
             return "(and " + " ".join(dict.fromkeys(guards)) + f" {core})"
         return core

@@ -22,12 +22,12 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import solver as S
 from . import terms as T
 from .interp import run_lts
-from .lts import Lts, MUT_ID, distance_to_output
+from .lts import GuardedCommand, Lts, MUT_ID, Transition, distance_to_output
 from .mutation import MetaMutant
 from .terms import BoolTerm, Cmp, IntTerm, Lit, Var
 
@@ -234,37 +234,77 @@ def apply_precondition(state: SymbolicState, seeds: Sequence[Dict[str, int]],
     return PRUNE
 
 
+Sat = Callable[[BoolTerm], S.SolverResult]  # a satisfiability query
+
+
 def infection_check(mutant_state: SymbolicState, paired_original: SymbolicState,
-                    handle: S.SolverHandle) -> str:
+                    sat: Sat) -> str:
     """keep iff SAT(phiM and phiP and state difference)."""
     if mutant_state.depth != paired_original.depth:
         raise DepthMismatch(f"{mutant_state.depth} != {paired_original.depth}")
     c = T.conj([mutant_state.path, paired_original.path,
                 state_difference(mutant_state, paired_original)])
-    return KEEP if S.is_satisfiable(c, handle).is_sat else PRUNE
+    return KEEP if sat(c).is_sat else PRUNE
 
 
 def pair_states(mutant_state: SymbolicState,
                 originals_at_depth: Sequence[SymbolicState],
-                handle: S.SolverHandle) -> Optional[SymbolicState]:
+                sat: Sat) -> Optional[SymbolicState]:
     """First original (frontier order) sharing the mutant's pre-fork prefix
     with jointly satisfiable path conditions."""
     prefix = mutant_state.fork_trail or ()
     for o in originals_at_depth:
         if o.mut_id != 0 or o.trail[: len(prefix)] != prefix:
             continue
-        if S.is_satisfiable(T.conj([o.path, mutant_state.path]), handle).is_sat:
+        if sat(T.conj([o.path, mutant_state.path])).is_sat:
             return o
     return None
 
 
 # ---------------------------------------------------------------------------
-# Expansion
+# The symbolic step
 # ---------------------------------------------------------------------------
 
 
-def _resolve(term, mut_id: int, store: Dict[str, IntTerm]):
-    return T.subst(T.subst(term, {MUT_ID: Lit(mut_id)}), store)
+def initial_state(lts: Lts, mut_id: int = 0) -> SymbolicState:
+    """The entry state: inputs symbolic, every other program variable 0."""
+    dom = dict(lts.inputs)
+    store = tuple((v, Var(v) if v in dom else Lit(0))
+                  for v in lts.variables if v != MUT_ID)
+    return SymbolicState(path=T.TRUE, store=store, out=(), loc=lts.entry,
+                         mut_id=mut_id, depth=0)
+
+
+def step(s: SymbolicState, i: int, transition: Transition
+         ) -> Optional[Tuple[SymbolicState, GuardedCommand]]:
+    """The successor of `s` along `transition`, the i-th transition out of
+    its location, together with the transition's label with the mutant
+    selector and the store substituted but not normalized, so that its
+    divisors are the ones a concrete run evaluates.  None when the guard is
+    false for the state's mutant (a selector branch of another mutant)."""
+    _, gc, dst = transition
+    store = s.store_map()
+    selector = {MUT_ID: Lit(s.mut_id)}
+
+    def resolve(term):
+        return T.subst(T.subst(term, selector), store)
+
+    guard = resolve(gc.guard)
+    g = T.normalize_bool(guard)
+    if g == T.FALSE:
+        return None
+    update = tuple((name, resolve(term)) for name, term in gc.update)
+    emit = resolve(gc.emit) if gc.emit is not None else None
+    new_store = dict(store)
+    for name, term in update:
+        new_store[name] = T.normalize_int(term)
+    nxt = replace(
+        s, path=T.conj([s.path] + ([] if g == T.TRUE else [g])),
+        store=tuple(sorted(new_store.items())),
+        out=s.out + (T.normalize_int(emit),) if emit is not None else s.out,
+        loc=dst, depth=s.depth + 1, trail=s.trail + (i,),
+    )
+    return nxt, GuardedCommand(guard, update, emit)
 
 
 def enumerate_terminals(meta: MetaMutant, mut_id: int, max_depth: int,
@@ -274,39 +314,21 @@ def enumerate_terminals(meta: MetaMutant, mut_id: int, max_depth: int,
     analyses; `through` restricts to paths visiting that location."""
     lts = meta.lts
     succ = lts.successors()
-    init = SymbolicState(
-        path=T.TRUE,
-        store=tuple((v, Var(v) if v in dict(lts.inputs) else Lit(0))
-                    for v in lts.variables if v != MUT_ID),
-        out=(), loc=lts.entry, mut_id=mut_id, depth=0,
-    )
-    frontier = [(init, lts.entry == (through if through is not None else lts.entry))]
+    frontier = [(initial_state(lts, mut_id), through in (None, lts.entry))]
     done: List[SymbolicState] = []
     while frontier:
         nxt = []
         for s, visited in frontier:
             if s.loc in lts.terminals:
-                if through is None or visited:
+                if visited:
                     done.append(replace(s, status="terminal"))
                 continue
             if s.depth >= max_depth:
                 continue
-            store = s.store_map()
-            for i, (_, gc, dst) in enumerate(succ[s.loc]):
-                g = T.normalize_bool(_resolve(gc.guard, mut_id, store))
-                if g == T.FALSE:
-                    continue  # inapplicable mutant-selector branch
-                new_store = dict(store)
-                for name, term in gc.update:
-                    new_store[name] = T.normalize_int(_resolve(term, mut_id, store))
-                new_out = s.out
-                if gc.emit is not None:
-                    new_out = s.out + (T.normalize_int(_resolve(gc.emit, mut_id, store)),)
-                pc = T.conj([s.path] + ([] if g == T.TRUE else [g]))
-                nxt.append((replace(
-                    s, path=pc, store=tuple(sorted(new_store.items())), out=new_out,
-                    loc=dst, depth=s.depth + 1, trail=s.trail + (i,),
-                ), visited or dst == through))
+            for i, transition in enumerate(succ[s.loc]):
+                stepped = step(s, i, transition)
+                if stepped is not None:
+                    nxt.append((stepped[0], visited or transition[2] == through))
         frontier = nxt
     return done
 
@@ -396,49 +418,32 @@ class _Engine:
 
     # -- state construction ------------------------------------------------
 
-    def initial_state(self) -> SymbolicState:
-        dom = dict(self.lts.inputs)
-        store = tuple((v, Var(v) if v in dom else Lit(0))
-                      for v in self.lts.variables if v != MUT_ID)
-        seeded = self.cfg.use_precondition and bool(self.seeds)
-        self.stats.states_created += 1
-        return SymbolicState(
-            path=T.TRUE, store=store, out=(), loc=self.lts.entry, mut_id=0,
-            depth=0, seed_following=bool(seeded),
-            compatible_seeds=tuple(range(len(self.seeds))) if seeded else (),
-            uid=next(self.uids),
-        )
-
     def expand(self, s: SymbolicState) -> List[SymbolicState]:
         """Successors of one live state; infeasible and seed-incompatible
         branches pruned, division-by-zero branches finished as errors."""
-        store = s.store_map()
-        outs = self.succ[s.loc]
         branching = s.loc in self.branch_locs
         results: List[SymbolicState] = []
         error_keys: Set[str] = set()
-        for i, (_, gc, dst) in enumerate(outs):
-            guard = _resolve(gc.guard, s.mut_id, store)
-            g = T.normalize_bool(guard)
-            if g == T.FALSE:
+        for i, transition in enumerate(self.succ[s.loc]):
+            stepped = step(s, i, transition)
+            if stepped is None:
                 continue  # selector branch for a different mutant
-            upd = {name: _resolve(term, s.mut_id, store) for name, term in gc.update}
-            emit = _resolve(gc.emit, s.mut_id, store) if gc.emit is not None else None
+            nxt, label = stepped
             # division safety: split off error paths, guard the main path
-            guard_divs = [d for d in T.divisors(guard)]
-            later_divs = [d for name in upd for d in T.divisors(upd[name])]
-            if emit is not None:
-                later_divs += T.divisors(emit)
-            nonzero = [Cmp("!=", d, Lit(0)) for d in guard_divs + later_divs]
-            for j, d in enumerate(guard_divs + later_divs):
+            guard_divs = T.divisors(label.guard)
+            divs = guard_divs + [d for _, term in label.update for d in T.divisors(term)]
+            if label.emit is not None:
+                divs += T.divisors(label.emit)
+            nonzero = [Cmp("!=", d, Lit(0)) for d in divs]
+            for j, d in enumerate(divs):
                 key = repr(T.normalize_int(d))
                 in_guard = j < len(guard_divs)
                 if in_guard and key in error_keys:
                     continue  # complementary guard shares the same divisors
-                parts = [s.path] + nonzero[:j] + [Cmp("==", d, Lit(0))]
-                if not in_guard:
-                    parts.insert(1, g)
-                err_pc = T.conj(parts)
+                # a guard divisor errors before the guard is decided; a later
+                # one errors on the taken branch
+                err_pc = T.conj([s.path if in_guard else nxt.path]
+                                + nonzero[:j] + [Cmp("==", d, Lit(0))])
                 if T.normalize_bool(err_pc) == T.FALSE:
                     continue
                 if in_guard:
@@ -451,17 +456,12 @@ class _Engine:
                     self.stats.states_created += 1
                     (self.finished_orig if s.mut_id == 0 else
                      self.finished_mut).append(err)
-            pc = T.conj([s.path] + ([] if g == T.TRUE else [g]) + nonzero)
+            pc = T.conj([nxt.path] + nonzero)
             if T.normalize_bool(pc) == T.FALSE:
                 self.stats.pruned_infeasible += 1
                 continue
-            new_store = dict(store)
-            for name, term in upd.items():
-                new_store[name] = T.normalize_int(term)
-            new_out = s.out + (T.normalize_int(emit),) if emit is not None else s.out
             nxt = replace(
-                s, path=pc, store=tuple(sorted(new_store.items())), out=new_out,
-                loc=dst, depth=s.depth + 1, trail=s.trail + (i,),
+                nxt, path=pc,
                 branch_count=s.branch_count + (1 if branching and s.mut_id else 0),
                 uid=next(self.uids), parent_uid=s.uid,
             )
@@ -514,7 +514,7 @@ class _Engine:
             return
         if pruned.checkpoints_passed < self.cfg.mpd:
             return
-        paired = pair_states(pruned, originals, self.handle)
+        paired = pair_states(pruned, originals, self.sat)
         if paired is None:
             return
         c = build_partial_kill(paired, pruned, self.cfg)
@@ -562,7 +562,12 @@ class _Engine:
         if self.cfg.max_states == 0:
             self.stats.wall_clock = time.monotonic() - start
             return [], self.stats
-        frontier: List[SymbolicState] = [self.initial_state()]
+        seeded = self.cfg.use_precondition and bool(self.seeds)
+        self.stats.states_created += 1
+        frontier: List[SymbolicState] = [replace(
+            initial_state(self.lts), seed_following=seeded,
+            compatible_seeds=tuple(range(len(self.seeds))) if seeded else (),
+            uid=next(self.uids))]
         while frontier and self.budget_left():
             if frontier[0].depth >= self.cfg.max_depth:
                 break
@@ -606,8 +611,7 @@ class _Engine:
                     if paired:
                         infected = False
                         for o in paired:
-                            self.stats.solver_calls += 1
-                            if infection_check(k, o, self.handle) == KEEP:
+                            if infection_check(k, o, self.sat) == KEEP:
                                 infected = True
                                 break
                     if not infected:

@@ -510,6 +510,18 @@ def normalize_int(t: IntTerm) -> IntTerm:
 
 @functools.lru_cache(maxsize=1 << 16)
 def _normalize_cmp(op: str, left: IntTerm, right: IntTerm) -> BoolTerm:
+    core = _normalize_cmp_shape(op, left, right)
+    if not (has_division(left) or has_division(right)):
+        return core
+    # a division that cancels out or folds away (x/y - x/y, 0 * (x/y)) still
+    # makes the comparison false where its divisor is zero: keep that guard
+    kept = set(divisors(core))
+    guards = [Cmp("!=", d, Lit(0)) for d in dict.fromkeys(
+        normalize_int(d) for d in divisors(left) + divisors(right)) if d not in kept]
+    return normalize_bool(conj(guards + [core])) if guards else core
+
+
+def _normalize_cmp_shape(op: str, left: IntTerm, right: IntTerm) -> BoolTerm:
     diff = _to_poly(left) - _to_poly(right)
     c = diff.constant_value()
     # Deciding a comparison outright is only sound when no division can occur
@@ -519,9 +531,9 @@ def _normalize_cmp(op: str, left: IntTerm, right: IntTerm) -> BoolTerm:
         return BoolLit(_cmp(op, c, 0))
     # canonical shape: p < 0, p == 0 or p != 0
     if op == ">":
-        return _normalize_cmp("<", right, left)
+        return _normalize_cmp_shape("<", right, left)
     if op == ">=":
-        return _normalize_cmp("<=", right, left)
+        return _normalize_cmp_shape("<=", right, left)
     if op == "<=":
         diff = diff - _Poly.const(1)  # p <= 0  <=>  p - 1 < 0 over integers
         op = "<"

@@ -28,39 +28,12 @@ def _verdict(n: int, ok: bool, detail: str = ""):
 
 def _frontier_at(meta, mut_id, depth):
     """Symbolic states after exactly `depth` meta transitions (no pruning)."""
-    lts = meta.lts
-    succ = lts.successors()
-    states = [X.SymbolicState(
-        path=T.TRUE,
-        store=tuple((v, Var(v) if v in dict(lts.inputs) else Lit(0))
-                    for v in lts.variables if v != L.MUT_ID),
-        out=(), loc=lts.entry, mut_id=mut_id, depth=0)]
+    succ = meta.lts.successors()
+    states = [X.initial_state(meta.lts, mut_id)]
     for _ in range(depth):
-        nxt = []
-        for s in states:
-            if s.loc in lts.terminals:
-                continue
-            store = s.store_map()
-            for _, gc, dst in succ[s.loc]:
-                g = T.normalize_bool(
-                    T.subst(T.subst(gc.guard, {L.MUT_ID: Lit(mut_id)}), store))
-                if g == T.FALSE:
-                    continue
-                new_store = {
-                    **store,
-                    **{n: T.normalize_int(T.subst(
-                        T.subst(e, {L.MUT_ID: Lit(mut_id)}), store))
-                       for n, e in gc.update},
-                }
-                out = s.out
-                if gc.emit is not None:
-                    out = out + (T.normalize_int(T.subst(
-                        T.subst(gc.emit, {L.MUT_ID: Lit(mut_id)}), store)),)
-                nxt.append(X.SymbolicState(
-                    path=T.conj([s.path] + ([] if g == T.TRUE else [g])),
-                    store=tuple(sorted(new_store.items())), out=out, loc=dst,
-                    mut_id=mut_id, depth=s.depth + 1))
-        states = nxt
+        stepped = (X.step(s, i, t) for s in states if s.loc not in meta.lts.terminals
+                   for i, t in enumerate(succ[s.loc]))
+        states = [r[0] for r in stepped if r is not None]
     return states
 
 

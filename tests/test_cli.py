@@ -41,7 +41,7 @@ class TestParseConfig:
         cfg = m.config
         assert (cfg.pl, cfg.cw, cfg.pp, cfg.pss, cfg.mpd, cfg.nsd, cfg.ntpm) \
             == ("SMD2MS", 2, 0.5, "MDO", 1, True, 3)
-        assert cfg.mode == "vanilla" and m.mode == "vanilla"
+        assert cfg.mode == "vanilla"
         assert (cfg.budget_seconds, cfg.max_states, cfg.max_depth,
                 cfg.rng_seed, cfg.use_precondition) == (2.5, 100, 50, 9, False)
         assert m.operators == ("SDL", "ROR")
@@ -81,7 +81,7 @@ class TestValuations:
                                  site="terminal", k=4)]
         text = cli.format_tests(tests)
         assert text.splitlines()[0] == "# mutant=7 site=terminal k=4"
-        assert cli.read_tests(text) == [{"x": -3}]
+        assert cli.read_seeds(text) == [{"x": -3}]
 
 
 @pytest.fixture
@@ -151,10 +151,19 @@ class TestPipeline:
         rc = run_main(["gen", "--program", str(prog), "--config", cfg,
                        "--out", str(out), "--mode", "vanilla"])
         assert rc == 0
-        tests = cli.read_tests((out / "tests.txt").read_text())
+        tests = cli.read_seeds((out / "tests.txt").read_text())
         assert tests == [{"x": -8}]
         header = (out / "tests.txt").read_text().splitlines()[0]
         assert header.startswith("# mutant=0 site=terminal")
+
+    def test_config_mode_is_the_mode_that_runs(self, tmp_path):
+        manifest = cli.RunManifest(
+            program=C.corpus_path("abs"), out_dir=str(tmp_path),
+            config=X.Config(mode="vanilla", max_states=300, budget_seconds=10))
+        cli.run_pipeline(manifest)
+        headers = [line for line in (tmp_path / "tests.txt").read_text().splitlines()
+                   if line.startswith("#")]
+        assert headers and all("mutant=0 " in h for h in headers)
 
     def test_stage_subcommands_chain(self, workdir):
         tmp, cfg = workdir
@@ -174,7 +183,7 @@ class TestPipeline:
                          "--tests", str(out / "tests.txt")]) == 0
         matrix = (out / "matrix.csv").read_text().splitlines()
         assert matrix[0].startswith("test,")
-        assert len(matrix) == 1 + len(cli.read_tests(
+        assert len(matrix) == 1 + len(cli.read_seeds(
             (out / "tests.txt").read_text()))
 
     def test_operator_subset_flag(self, workdir):
@@ -196,7 +205,7 @@ class TestPipeline:
                        "--solver", "external",
                        "--external-solver-cmd", f"{sys.executable} {C.STUB}"])
         assert rc == 0
-        assert cli.read_tests((out / "tests.txt").read_text())
+        assert cli.read_seeds((out / "tests.txt").read_text())
 
 
 class TestErrors:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mutkill import solver as S
 from mutkill import terms as T
@@ -119,6 +119,10 @@ class TestBackendAgreement:
     EXT = EXT
 
     @given(bool_constraints())
+    # x/y cancels out of the comparison but still errors at y = 0
+    @example(Not(And((Cmp("<", Lit(0), Lit(1)),
+                      Cmp("<=", Bin("/", Var("x"), Var("y")),
+                          Bin("/", Var("x"), Var("y")))))))
     @settings(max_examples=40, deadline=None)
     def test_verdicts_agree(self, c):
         b = S.is_satisfiable(c, H)

@@ -13,6 +13,10 @@ import conftest as C
 H = S.SolverHandle.bounded({"x": (-8, 7)})
 
 
+def sat(c):
+    return S.is_satisfiable(c, H)
+
+
 def state(**kw):
     base = dict(path=T.TRUE, store=(("x", Var("x")),), out=(), loc=1,
                 mut_id=0, depth=0)
@@ -167,18 +171,18 @@ class TestPairing:
         unsat_with = state(trail=(0, 0), depth=2,
                            path=Cmp("<", Var("x"), Lit(0)))
         good = state(trail=(0, 1), depth=2, path=Cmp(">", Var("x"), Lit(2)))
-        assert X.pair_states(m, [wrong_prefix, unsat_with, good], H) is good
+        assert X.pair_states(m, [wrong_prefix, unsat_with, good], sat) is good
 
     def test_none_when_no_candidate(self):
         m = state(mut_id=1, fork_trail=(0,), trail=(0,), depth=1)
-        assert X.pair_states(m, [state(trail=(1,), depth=1)], H) is None
+        assert X.pair_states(m, [state(trail=(1,), depth=1)], sat) is None
 
     def test_infection_check(self):
         o = state(out=(Var("x"),), depth=1)
         same = state(mut_id=1, out=(Var("x"),), depth=1)
         diff = state(mut_id=1, out=(T.Bin("+", Var("x"), Lit(1)),), depth=1)
-        assert X.infection_check(same, o, H) == X.PRUNE
-        assert X.infection_check(diff, o, H) == X.KEEP
+        assert X.infection_check(same, o, sat) == X.PRUNE
+        assert X.infection_check(diff, o, sat) == X.KEEP
 
 
 class TestEnumerateTerminals:
@@ -283,6 +287,21 @@ class TestEngine:
         _, stats = run(meta, [m1.id], seeds=seeds)
         # some branch off the seed path must have been pruned pre-release
         assert stats.pruned_seed > 0
+
+    def test_solver_calls_counts_every_query(self, fig1, monkeypatch):
+        _, _, tce, meta = fig1
+        queries = []
+        real = S.is_satisfiable
+
+        def counted(c, h):
+            queries.append(c)
+            return real(c, h)
+
+        monkeypatch.setattr(S, "is_satisfiable", counted)
+        # MPD=0 with PP<1 pairs pruned checkpoint states with originals
+        _, stats = run(meta, list(tce.kept())[:20], mpd=0, pp=0.25,
+                       max_states=1000)
+        assert queries and len(queries) == stats.solver_calls
 
     def test_stats_text_contains_counters(self, fig1):
         _, mutants, _, meta = fig1

@@ -151,6 +151,15 @@ class TestNormalizeBool:
         assert normalize_bool(And((one, two))) == T.FALSE
         assert normalize_bool(And((one, Cmp("!=", m, Lit(1))))) == T.FALSE
 
+    def test_cancelled_division_keeps_its_divisor_guard(self):
+        # the comparison is false wherever evaluating x/y divides by zero,
+        # even when x/y cancels out of the difference of its sides
+        q = Bin("/", Var("x"), Var("y"))
+        for t in (Cmp("<=", q, q), Cmp("<=", Bin("+", q, Var("z")), q)):
+            n = normalize_bool(t)
+            assert not holds(n, {"x": 3, "y": 0, "z": -1})
+            assert holds(n, {"x": 3, "y": 2, "z": -1})
+
     @given(bool_terms(), envs)
     @settings(max_examples=150)
     def test_normalization_preserves_models(self, t, env):
