@@ -11,12 +11,13 @@ two timeouts compare as survived because no difference was witnessed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
 
 from . import terms as T
-from .lts import Lts, MUT_ID
+from .lts import GuardedCommand, Lts
 from .mutation import MetaMutant
 
 DEFAULT_STEP_BUDGET = 100_000
@@ -32,10 +33,17 @@ class DomainViolation(Exception):
 
 @dataclass(frozen=True)
 class Trace:
-    couples: Tuple[Tuple[Tuple[Tuple[str, int], ...], int], ...]
+    names: Tuple[str, ...]  # the program's variables, sorted
+    states: Tuple[Tuple[Tuple[int, ...], int], ...]  # (values of `names`, location)
     output: Tuple[int, ...]
     status: str  # terminal | error | timeout
     steps: int
+
+    @property
+    def couples(self) -> Tuple[Tuple[Tuple[Tuple[str, int], ...], int], ...]:
+        """Every (valuation, location) couple, the valuation as sorted
+        (name, value) pairs."""
+        return tuple((tuple(zip(self.names, values)), loc) for values, loc in self.states)
 
     def outcome(self) -> tuple:
         """Comparison key for kill decisions."""
@@ -55,56 +63,128 @@ def _check_domains(lts: Lts, test: Dict[str, int]) -> None:
         raise DomainViolation(f"unknown inputs: {sorted(extra)}")
 
 
-def run_lts(lts: Lts, test: Dict[str, int], extra: Optional[Dict[str, int]] = None,
+# ---------------------------------------------------------------------------
+# Compiled transitions
+# ---------------------------------------------------------------------------
+#
+# Replay runs each transition as generated Python rather than walking its
+# terms: a guard becomes `guard(e)` and the update and emit together
+# `fire(e, out)`, both over the valuation dict `e`.
+
+# CPython's parser allows 200 nested parentheses; each term node opens at
+# most one, so a subterm deeper than this gets a function of its own
+_MAX_NESTING = 50
+
+
+class _Source:
+    """Python source of functions over the valuation `e`."""
+
+    def __init__(self) -> None:
+        self.defs: List[str] = []
+        self.subterms = itertools.count()
+
+    def define(self, head: str, body: Sequence[str]) -> None:
+        self.defs.append(f"def {head}:\n" + "".join(f"    {line}\n" for line in body))
+
+    def expr(self, t, depth: int = 0) -> str:
+        """An expression with the value, evaluation order, short-circuiting
+        and EvalError of `T.eval_int`/`T.eval_bool` on `t`."""
+        if depth > _MAX_NESTING:
+            name = f"_sub{next(self.subterms)}"
+            self.define(f"{name}(e)", [f"return {self.expr(t)}"])
+            return f"{name}(e)"
+        d = depth + 1
+        if isinstance(t, (T.Lit, T.BoolLit)):
+            return f"({t.value!r})"
+        if isinstance(t, T.Var):
+            return f"e[{t.name!r}]"
+        if isinstance(t, T.Neg):
+            return f"(-{self.expr(t.operand, d)})"
+        if isinstance(t, T.Not):
+            return f"(not {self.expr(t.operand, d)})"
+        if isinstance(t, T.Bin) and t.op in ("/", "%"):
+            fn = "_div" if t.op == "/" else "_mod"
+            return f"{fn}({self.expr(t.left, d)}, {self.expr(t.right, d)})"
+        if isinstance(t, (T.Bin, T.Cmp)):
+            return f"({self.expr(t.left, d)} {t.op} {self.expr(t.right, d)})"
+        if isinstance(t, (T.And, T.Or)):
+            if not t.items:
+                return repr(isinstance(t, T.And))
+            joint = " and " if isinstance(t, T.And) else " or "
+            return "(" + joint.join(self.expr(x, d) for x in t.items) + ")"
+        raise TypeError(f"not a term: {t!r}")
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def compile_command(gc: GuardedCommand) -> Tuple[Callable, Callable]:
+    """`(guard, fire)` for one transition label.  `guard(e)` is
+    `T.eval_bool(gc.guard, e)`; `fire(e, out)` evaluates the update terms in
+    order, then appends the emitted value to `out`, then assigns the updated
+    variables of `e`.  Equal labels share one compiled pair."""
+    src = _Source()
+    src.define("guard(e)", [f"return {src.expr(gc.guard)}"])
+    body = [f"v{i} = {src.expr(term)}" for i, (_, term) in enumerate(gc.update)]
+    if gc.emit is not None:
+        body.append(f"out.append({src.expr(gc.emit)})")
+    body += [f"e[{name!r}] = v{i}" for i, (name, _) in enumerate(gc.update)]
+    src.define("fire(e, out)", body or ["pass"])
+    scope = {"_div": T.trunc_div, "_mod": T.trunc_mod}
+    exec(compile("".join(src.defs), "<mutkill transition>", "exec"), scope)
+    return scope["guard"], scope["fire"]
+
+
+def _step_table(lts: Lts) -> Dict[int, List[tuple]]:
+    """Location -> [(guard, fire, destination)] in transition order, built on
+    first use and kept in the Lts instance's dict: not a field, so equality
+    and `dataclasses.replace` ignore it."""
+    table = vars(lts).get("_step_table")
+    if table is None:
+        table = vars(lts)["_step_table"] = {
+            loc: [compile_command(gc) + (dst,) for _, gc, dst in outs]
+            for loc, outs in lts.successors.items()}
+    return table
+
+
+def run_lts(lts: Lts, test: Dict[str, int],
             step_budget: int = DEFAULT_STEP_BUDGET) -> Trace:
     """Deterministic execution from the entry location.  Non-input variables
-    start at 0; `extra` overlays hidden variables such as the mutant
-    selector."""
+    start at 0."""
     _check_domains(lts, test)
-    env: Dict[str, int] = {v: 0 for v in lts.variables}
+    table = _step_table(lts)
+    names = tuple(sorted(lts.variables))
+    # the inputs are among the variables, so the dict keeps this key order
+    # and its values() are the snapshot in `names` order
+    env: Dict[str, int] = dict.fromkeys(names, 0)
     env.update(test)
-    if extra:
-        env.update(extra)
-    hidden = set(extra or ())
-
-    def snap() -> Tuple[Tuple[str, int], ...]:
-        return tuple((k, env[k]) for k in sorted(env) if k not in hidden)
-
-    succ = lts.successors()
     loc = lts.entry
-    couples = [(snap(), loc)]
+    states = [(tuple(env.values()), loc)]
     output: List[int] = []
     steps = 0
     while loc not in lts.terminals:
         if steps >= step_budget:
-            return Trace(tuple(couples), tuple(output), TIMEOUT, steps)
-        taken = None
+            return Trace(names, tuple(states), tuple(output), TIMEOUT, steps)
         try:
-            for t in succ[loc]:
-                if T.eval_bool(t[1].guard, env):
-                    taken = t
+            for guard, fire, dst in table[loc]:
+                if guard(env):
                     break
-            if taken is None:
+            else:
                 raise AssertionError(f"no enabled transition at location {loc}")
-            _, gc, dst = taken
-            updates = {name: T.eval_int(term, env) for name, term in gc.update}
-            if gc.emit is not None:
-                output.append(T.eval_int(gc.emit, env))
+            fire(env, output)
         except T.EvalError:
-            return Trace(tuple(couples), tuple(output), ERROR, steps + 1)
-        env.update(updates)
+            return Trace(names, tuple(states), tuple(output), ERROR, steps + 1)
         loc = dst
         steps += 1
-        couples.append((snap(), loc))
-    return Trace(tuple(couples), tuple(output), OK, steps)
+        states.append((tuple(env.values()), loc))
+    return Trace(names, tuple(states), tuple(output), OK, steps)
 
 
 def run_concrete(meta: MetaMutant, mut_id: int, test: Dict[str, int],
                  step_budget: int = DEFAULT_STEP_BUDGET) -> Trace:
-    """Execute the meta-mutant under the given selector (0 = original)."""
+    """Execute the meta-mutant under the given selector (0 = original), as
+    the selector-free program `meta.program(mut_id)`."""
     if mut_id != 0 and mut_id not in meta.mutants:
         raise DomainViolation(f"unknown mutant id {mut_id}")
-    return run_lts(meta.lts, test, extra={MUT_ID: mut_id}, step_budget=step_budget)
+    return run_lts(meta.program(mut_id), test, step_budget=step_budget)
 
 
 # ---------------------------------------------------------------------------

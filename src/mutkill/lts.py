@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from . import parser as P
@@ -75,7 +76,11 @@ class Lts:
         return dict(self.inputs)
 
     def info(self, loc: int) -> LocInfo:
-        return dict(self.loc_info)[loc]
+        return self._loc_info[loc]
+
+    @cached_property
+    def _loc_info(self) -> Dict[int, LocInfo]:
+        return dict(self.loc_info)
 
     def outgoing(self, loc: int) -> List[Transition]:
         return [t for t in self.transitions if t[0] == loc]
@@ -88,7 +93,9 @@ class Lts:
             bounds.append(Cmp("<=", Var(name), Lit(hi)))
         return T.conj(bounds)
 
+    @cached_property
     def successors(self) -> Dict[int, List[Transition]]:
+        """Outgoing transitions per location, in transition order."""
         out: Dict[int, List[Transition]] = {loc: [] for loc in self.locations}
         for t in self.transitions:
             out[t[0]].append(t)
@@ -338,7 +345,7 @@ def validate_lts(lts: Lts, max_fanout: Optional[int] = 2) -> None:
         raise LtsInvariantError("entry location missing")
     if not lts.terminals <= locset:
         raise LtsInvariantError("terminal location missing")
-    succ = lts.successors()
+    succ = lts.successors
     varset = set(lts.variables)
     # reachability from entry
     seen = {lts.entry}

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import terms as T
@@ -58,16 +59,40 @@ class MetaMutant:
     index: Tuple[Tuple[int, Mutant], ...]
     points: Tuple[Tuple[int, Tuple[int, ...]], ...]  # location -> mutant IDs
 
-    @property
+    @cached_property
     def mutants(self) -> Dict[int, Mutant]:
         return dict(self.index)
 
-    @property
+    @cached_property
     def mutation_points(self) -> Dict[int, Tuple[int, ...]]:
         return dict(self.points)
 
     def mutant_ids(self) -> Tuple[int, ...]:
         return tuple(i for i, _ in self.index)
+
+    @cached_property
+    def _programs(self) -> Dict[int, Lts]:
+        return {}
+
+    @cached_property
+    def _original_transitions(self) -> List[Optional[Transition]]:
+        """The meta transitions under `mutId := 0` (None where dropped)."""
+        return [_select(t, 0) for t in self.lts.transitions]
+
+    def program(self, mut_id: int) -> Lts:
+        """The selector-free program that the meta-mutant runs under
+        `mutId == mut_id`: the base program's variables and locations, and
+        the meta transitions with the selector folded away (cached)."""
+        prog = self._programs.get(mut_id)
+        if prog is None:
+            # only the mutant's own mutation point compares the selector
+            # with its ID; everywhere else it selects as for the original
+            at = self.mutants[mut_id].loc if mut_id else None
+            selected = (_select(t, mut_id) if t[0] == at else t0
+                        for t, t0 in zip(self.lts.transitions, self._original_transitions))
+            prog = self._programs[mut_id] = dataclasses.replace(
+                self.base, transitions=tuple(t for t in selected if t is not None))
+        return prog
 
 
 @dataclass(frozen=True)
@@ -203,7 +228,7 @@ def generate_mutants(lts: Lts, operators) -> List[Mutant]:
     for op in ops:
         if op not in SUPPORTED_OPERATORS:
             raise UnknownOperator(f"unsupported operator {op!r}")
-    succ = lts.successors()
+    succ = lts.successors
     out: List[Mutant] = []
     next_id = 1
     for loc in lts.locations:
@@ -322,6 +347,38 @@ def build_meta_mutant(lts: Lts, mutants: Sequence[Mutant]) -> MetaMutant:
         index=tuple(sorted(index.items())),
         points=tuple(sorted((loc, tuple(mids)) for loc, mids in points.items())),
     )
+
+
+def _select(transition: Transition, mut_id: int) -> Optional[Transition]:
+    """`transition` under `mutId := mut_id` with its selector comparisons
+    folded away (the very tuple when it has none), or None when its guard
+    folds to false."""
+    src, gc, dst = transition
+    guard = _select_guard(gc.guard, mut_id)
+    if guard is gc.guard:
+        return transition
+    return None if guard == T.FALSE else (src, dataclasses.replace(gc, guard=guard), dst)
+
+
+def _select_guard(guard: T.BoolTerm, mut_id: int) -> T.BoolTerm:
+    """`guard` under `mutId := mut_id`, folded; the very object when it has
+    no selector.  A conjunction is false outright only when a selector
+    makes it false before it evaluates anything else; otherwise it keeps
+    what it evaluates before (and any EvalError that raises)."""
+    if isinstance(guard, Cmp) and MUT_ID in T.variables(guard):
+        return T.BoolLit(T.eval_bool(guard, {MUT_ID: mut_id}))
+    if not isinstance(guard, And):
+        return guard
+    items = [_select_guard(x, mut_id) for x in guard.items]
+    if all(a is b for a, b in zip(items, guard.items)):
+        return guard
+    kept = []
+    for item, folded in zip(guard.items, items):
+        if folded is item or folded not in (T.TRUE, T.FALSE):
+            kept.append(folded)
+        elif folded == T.FALSE:
+            return And(tuple(kept) + (T.FALSE,)) if kept else T.FALSE
+    return T.conj(kept)
 
 
 # ---------------------------------------------------------------------------

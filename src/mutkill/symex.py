@@ -313,7 +313,7 @@ def enumerate_terminals(meta: MetaMutant, mut_id: int, max_depth: int,
     beyond structural falsehood of single guards.  Used for exhaustive path
     analyses; `through` restricts to paths visiting that location."""
     lts = meta.lts
-    succ = lts.successors()
+    succ = lts.successors
     frontier = [(initial_state(lts, mut_id), through in (None, lts.entry))]
     done: List[SymbolicState] = []
     while frontier:
@@ -344,7 +344,7 @@ class _Engine:
                  handle: S.SolverHandle):
         self.meta = meta
         self.lts = meta.lts
-        self.succ = self.lts.successors()
+        self.succ = self.lts.successors
         self.targets = set(targets)
         self.seeds = list(seeds)
         self.cfg = cfg
@@ -391,8 +391,9 @@ class _Engine:
             return None
         best = None
         for seed in self.seeds:
-            tr = run_lts(self.lts, seed, extra={MUT_ID: 0})
-            for i, (_, loc) in enumerate(tr.couples):
+            # the original program has the meta-mutant's locations
+            tr = run_lts(self.meta.program(0), seed)
+            for i, (_, loc) in enumerate(tr.states):
                 if loc in self.points:
                     best = i if best is None else min(best, i)
                     break

@@ -28,7 +28,7 @@ def _verdict(n: int, ok: bool, detail: str = ""):
 
 def _frontier_at(meta, mut_id, depth):
     """Symbolic states after exactly `depth` meta transitions (no pruning)."""
-    succ = meta.lts.successors()
+    succ = meta.lts.successors
     states = [X.initial_state(meta.lts, mut_id)]
     for _ in range(depth):
         stepped = (X.step(s, i, t) for s in states if s.loc not in meta.lts.terminals

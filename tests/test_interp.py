@@ -7,6 +7,7 @@ from mutkill import parser as P
 from mutkill import terms as T
 
 import conftest as C
+from test_terms import bool_terms, int_terms
 
 
 class TestRun:
@@ -56,7 +57,7 @@ class TestRun:
     @pytest.mark.parametrize("name", C.ALL_PROGRAMS)
     def test_trace_respects_transition_relation(self, name):
         lts = C.load_lts(name)
-        succ = lts.successors()
+        succ = lts.successors
         test = {n: lo for n, (lo, hi) in lts.inputs}
         tr = I.run_lts(lts, test, step_budget=2000)
         for (snap_a, loc_a), (snap_b, loc_b) in zip(tr.couples, tr.couples[1:]):
@@ -73,6 +74,72 @@ class TestRun:
         lts, _, _, _ = fig1
         for x in range(-8, 8):
             assert I.run_lts(lts, {"x": x}) == I.run_lts(lts, {"x": x})
+
+
+def _value(fn, *args):
+    """fn's result, or EvalError when it raised that."""
+    try:
+        return fn(*args)
+    except T.EvalError:
+        return T.EvalError
+
+
+# values near zero, so that divisors often are zero
+small_envs = st.fixed_dictionaries({v: st.integers(-2, 2) for v in ("x", "y", "z")})
+
+
+class TestCompiledCommands:
+    @given(bool_terms(division=True), int_terms(division=True),
+           int_terms(division=True), small_envs)
+    @settings(max_examples=300)
+    def test_agrees_with_eval(self, guard, update, emit, env):
+        gc = L.GuardedCommand(guard, (("x", update), ("z", emit)), emit)
+        compiled_guard, fire = I.compile_command(gc)
+        assert _value(compiled_guard, dict(env)) == _value(T.eval_bool, guard, env)
+
+        def evaluated():
+            values = [T.eval_int(update, env), T.eval_int(emit, env)]
+            return dict(env, x=values[0], z=values[1]), [values[1]]
+
+        def compiled():
+            e, out = dict(env), []
+            fire(e, out)
+            return e, out
+
+        assert _value(compiled) == _value(evaluated)
+
+    def test_short_circuit_skips_a_division_by_zero(self):
+        div = T.Cmp("==", T.Bin("/", T.Var("x"), T.Var("y")), T.Lit(0))
+        guard, _ = I.compile_command(L.GuardedCommand(
+            T.And((T.Cmp("!=", T.Var("y"), T.Lit(0)), div))))
+        assert guard({"x": 1, "y": 0}) is False
+        guard, _ = I.compile_command(L.GuardedCommand(T.And((div, T.FALSE))))
+        with pytest.raises(T.EvalError):
+            guard({"x": 1, "y": 0})
+
+    def test_equal_labels_share_their_functions(self):
+        a = L.GuardedCommand(T.Cmp("<", T.Var("x"), T.Lit(0)))
+        b = L.GuardedCommand(T.Cmp("<", T.Var("x"), T.Lit(0)))
+        assert a is not b and I.compile_command(a) is I.compile_command(b)
+
+
+def _deep_output(expr: str) -> L.Lts:
+    return L.lower_text(f"input x: int in [0, 3];\nfn main() {{\n  output {expr};\n}}\n")
+
+
+class TestDeepTerms:
+    """Terms nested deeper than one generated function may nest."""
+
+    def test_long_left_nested_sum(self):
+        lts = _deep_output(" + ".join(["x"] * 300))
+        assert I.run_lts(lts, {"x": 2}).output == (600,)
+
+    def test_deep_right_nested_parentheses(self):
+        # 80 levels: deeper than one generated function nests, and within
+        # what the recursive-descent parser accepts
+        lts = _deep_output("(x + " * 80 + "x" + ")" * 80)
+        emit = lts.transitions[0][1].emit
+        assert I.run_lts(lts, {"x": 3}).output == (243,) == (T.eval_int(emit, {"x": 3}),)
 
 
 class TestKillMatrix:

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import pytest
 
 from mutkill import interp as I
@@ -192,6 +195,58 @@ class TestMetaMutant:
         clash = [ms[0], dataclasses.replace(ms[1], id=ms[0].id)]
         with pytest.raises(M.IdCollision):
             M.build_meta_mutant(lts, clash)
+
+
+def _unfolded(meta: M.MetaMutant, mut_id: int) -> L.Lts:
+    """The meta-mutant with the selector replaced by a literal and nothing
+    folded away: every guard is evaluated as the meta-mutant evaluates it."""
+    sel = {L.MUT_ID: T.Lit(mut_id)}
+    return dataclasses.replace(meta.lts, variables=meta.base.variables, transitions=tuple(
+        (src, dataclasses.replace(gc, guard=T.subst(gc.guard, sel)), dst)
+        for src, gc, dst in meta.lts.transitions))
+
+
+class TestPrograms:
+    @pytest.mark.parametrize("name", C.ALL_PROGRAMS)
+    def test_program_zero_is_the_base_program(self, name):
+        meta = C.build(name)[3]
+        assert meta.program(0).transitions == meta.base.transitions
+
+    @pytest.mark.parametrize("name", C.ALL_PROGRAMS)
+    def test_programs_are_selector_free(self, name):
+        meta = C.build(name)[3]
+        for k in (0,) + meta.mutant_ids():
+            prog = meta.program(k)
+            assert L.MUT_ID not in prog.variables
+            for _, gc, _ in prog.transitions:
+                assert L.MUT_ID not in T.variables(gc.guard), (k, gc)
+            L.validate_lts(prog, max_fanout=None)
+
+    def test_program_is_cached(self, fig1):
+        meta = fig1[3]
+        assert meta.program(3) is meta.program(3)
+
+    def test_program_keeps_a_division_the_selector_follows(self):
+        # the meta-mutant evaluates the original guard x / (y - 1) > 0 before
+        # its selector, so every mutant of that branch errors at y = 1
+        lts = lower("input x: int in [-2,2];\ninput y: int in [-2,2];\n"
+                    "fn main() { if (x / (y - 1) > 0) { output 1; } else { output 2; } }")
+        meta = M.build_meta_mutant(lts, M.generate_mutants(lts, M.SUPPORTED_OPERATORS))
+        for k in (0,) + meta.mutant_ids():
+            unfolded = _unfolded(meta, k)
+            for test in I.all_inputs(lts):
+                assert I.run_concrete(meta, k, test) == I.run_lts(unfolded, test), (k, test)
+            assert I.run_concrete(meta, k, {"x": 0, "y": 1}).status == I.ERROR
+
+    @pytest.mark.parametrize("name", ["fig1", "divmod", "callfn"])
+    def test_program_runs_as_the_meta_mutant(self, name):
+        lts, _, _, meta = C.build(name)
+        tests = list(itertools.islice(I.all_inputs(lts), 0, None, 7))
+        for k in (0,) + meta.mutant_ids():
+            unfolded = _unfolded(meta, k)
+            for test in tests:
+                assert I.run_concrete(meta, k, test, step_budget=300) == \
+                    I.run_lts(unfolded, test, step_budget=300), (k, test)
 
 
 class TestReports:

@@ -10,25 +10,27 @@ from mutkill.terms import (And, Bin, BoolLit, Cmp, Lit, Neg, Not, Or, Var,
 names = st.sampled_from(["x", "y", "z"])
 
 
-def int_terms(depth=3):
+def int_terms(division=False):
+    """Integer terms over x, y, z; with `division`, also `/` and `%`."""
     base = st.one_of(
         st.integers(-20, 20).map(Lit),
         names.map(Var),
     )
+    ops = T.ARITH_OPS if division else ["+", "-", "*"]
     return st.recursive(
         base,
         lambda kids: st.one_of(
             kids.map(Neg),
-            st.tuples(st.sampled_from(["+", "-", "*"]), kids, kids).map(
+            st.tuples(st.sampled_from(ops), kids, kids).map(
                 lambda t: Bin(t[0], t[1], t[2])),
         ),
         max_leaves=8,
     )
 
 
-def bool_terms():
-    cmps = st.tuples(st.sampled_from(T.CMP_OPS), int_terms(), int_terms()).map(
-        lambda t: Cmp(t[0], t[1], t[2]))
+def bool_terms(division=False):
+    cmps = st.tuples(st.sampled_from(T.CMP_OPS), int_terms(division),
+                     int_terms(division)).map(lambda t: Cmp(t[0], t[1], t[2]))
     return st.recursive(
         st.one_of(st.booleans().map(BoolLit), cmps),
         lambda kids: st.one_of(
