@@ -53,11 +53,38 @@ class RunManifest:
 
 _BOOLS = {"true": True, "false": False, "1": True, "0": False}
 
+
+def _parse_bool(value: str) -> bool:
+    v = value.strip().lower()
+    if v not in _BOOLS:
+        raise ConfigError(f"expected boolean, got {value!r}")
+    return _BOOLS[v]
+
+
+def _parse_operators(value: str) -> Tuple[str, ...]:
+    return tuple(op.strip() for op in value.split(",") if op.strip())
+
+
+# key -> (field, value parser): a `symex.Config` field, or a `RunManifest`
+# field for the keys in _MANIFEST_FIELDS
 _CONFIG_KEYS = {
-    "PL", "CW", "PP", "PSS", "MPD", "NSD", "NTPM", "MODE",
-    "BUDGET_SECONDS", "MAX_STATES", "MAX_DEPTH", "RNG_SEED",
-    "USE_PRECONDITION", "OPERATORS", "STEP_BUDGET",
+    "PL": ("pl", str),
+    "CW": ("cw", int),
+    "PP": ("pp", float),
+    "PSS": ("pss", str),
+    "MPD": ("mpd", int),
+    "NSD": ("nsd", _parse_bool),
+    "NTPM": ("ntpm", int),
+    "MODE": ("mode", str),
+    "BUDGET_SECONDS": ("budget_seconds", float),
+    "MAX_STATES": ("max_states", int),
+    "MAX_DEPTH": ("max_depth", int),
+    "RNG_SEED": ("rng_seed", int),
+    "USE_PRECONDITION": ("use_precondition", _parse_bool),
+    "OPERATORS": ("operators", _parse_operators),
+    "STEP_BUDGET": ("step_budget", int),
 }
+_MANIFEST_FIELDS = ("operators", "step_budget")
 
 
 def parse_config(text: str, program: str = "", out_dir: str = "",
@@ -66,8 +93,6 @@ def parse_config(text: str, program: str = "", out_dir: str = "",
     the selected defaults (PL=GMD2MS, CW=0, PP=0.25, PSS=RND, MPD=2,
     NSD=False, NTPM=5)."""
     cfg = {}
-    operators: Tuple[str, ...] = DEFAULT_OPERATORS
-    step_budget = interp.DEFAULT_STEP_BUDGET
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -77,52 +102,18 @@ def parse_config(text: str, program: str = "", out_dir: str = "",
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        name, parse = _CONFIG_KEYS[key]
         try:
-            if key == "PL":
-                cfg["pl"] = value
-            elif key == "CW":
-                cfg["cw"] = int(value)
-            elif key == "PP":
-                cfg["pp"] = float(value)
-            elif key == "PSS":
-                cfg["pss"] = value
-            elif key == "MPD":
-                cfg["mpd"] = int(value)
-            elif key == "NSD":
-                cfg["nsd"] = _parse_bool(value)
-            elif key == "NTPM":
-                cfg["ntpm"] = int(value)
-            elif key == "MODE":
-                cfg["mode"] = value
-            elif key == "BUDGET_SECONDS":
-                cfg["budget_seconds"] = float(value)
-            elif key == "MAX_STATES":
-                cfg["max_states"] = int(value)
-            elif key == "MAX_DEPTH":
-                cfg["max_depth"] = int(value)
-            elif key == "RNG_SEED":
-                cfg["rng_seed"] = int(value)
-            elif key == "USE_PRECONDITION":
-                cfg["use_precondition"] = _parse_bool(value)
-            elif key == "STEP_BUDGET":
-                step_budget = int(value)
-            elif key == "OPERATORS":
-                operators = tuple(op.strip() for op in value.split(",") if op.strip())
+            cfg[name] = parse(value)
         except (ValueError, ConfigError) as e:
             raise ConfigError(f"line {lineno}: {e}") from None
+    run = {name: cfg.pop(name) for name in _MANIFEST_FIELDS if name in cfg}
     try:
         config = symex.Config(**cfg)
     except ValueError as e:
         raise ConfigError(str(e)) from None
     return RunManifest(program=program, out_dir=out_dir, seeds=seeds,
-                       config=config, operators=operators, step_budget=step_budget)
-
-
-def _parse_bool(value: str) -> bool:
-    v = value.strip().lower()
-    if v not in _BOOLS:
-        raise ConfigError(f"expected boolean, got {value!r}")
-    return _BOOLS[v]
+                       config=config, **run)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +298,7 @@ def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
         cfg = dataclasses.replace(cfg, rng_seed=args.rng_seed)
     operators = manifest.operators
     if args.operators:
-        operators = tuple(op.strip() for op in args.operators.split(",") if op.strip())
+        operators = _parse_operators(args.operators)
     return dataclasses.replace(
         manifest, config=cfg, operators=operators,
         solver=args.solver, external_solver_cmd=args.external_solver_cmd)

@@ -18,13 +18,13 @@ depth; each inline instance renames the callee's parameters and locals.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from . import parser as P
 from . import terms as T
-from .terms import And, Bin, BoolLit, BoolTerm, Cmp, IntTerm, Lit, Neg, Not, Or, Var
+from .terms import And, Bin, BoolTerm, Cmp, IntTerm, Lit, Neg, Not, Or, Var
 
 MUT_ID = "mutId"  # selector variable added by the meta-mutant builder
 
@@ -58,7 +58,6 @@ Transition = Tuple[int, GuardedCommand, int]
 class LocInfo:
     kind: str  # 'assign' | 'output' | 'branch' | 'call' | 'terminal'
     pos: P.Pos
-    text: str
 
 
 @dataclass(frozen=True)
@@ -81,9 +80,6 @@ class Lts:
     @cached_property
     def _loc_info(self) -> Dict[int, LocInfo]:
         return dict(self.loc_info)
-
-    def outgoing(self, loc: int) -> List[Transition]:
-        return [t for t in self.transitions if t[0] == loc]
 
     def eval0(self) -> BoolTerm:
         """Initial predicate: conjunction of the input-domain bounds."""
@@ -152,7 +148,7 @@ class _Lowerer:
         # pre-scan so the terminal gets the highest ID: lower the body first
         # against a placeholder terminal, then patch.
         body_entry, tail_patches = self._lower_block(main.body, {}, depth=0)
-        terminal = self.alloc(LocInfo("terminal", (0, 0), "<exit>"))
+        terminal = self.alloc(LocInfo("terminal", (0, 0)))
         transitions = [
             (src, gc, terminal if dst is None else dst) for (src, gc, dst) in self.transitions
         ]
@@ -201,21 +197,21 @@ class _Lowerer:
             self.add_var(name)
             if s.init is None:
                 return None, []
-            loc = self.alloc(LocInfo("assign", s.pos, f"var {s.name} = {P.render_expr(s.init)};"))
+            loc = self.alloc(LocInfo("assign", s.pos))
             gc = GuardedCommand(update=((name, _lower_expr(s.init, rename)),))
             return loc, [emit(loc, gc, None)]
         if isinstance(s, P.SAssign):
             name = rename.get(s.name, s.name)
             self.add_var(name)
-            loc = self.alloc(LocInfo("assign", s.pos, f"{s.name} = {P.render_expr(s.expr)};"))
+            loc = self.alloc(LocInfo("assign", s.pos))
             gc = GuardedCommand(update=((name, _lower_expr(s.expr, rename)),))
             return loc, [emit(loc, gc, None)]
         if isinstance(s, P.SOutput):
-            loc = self.alloc(LocInfo("output", s.pos, f"output {P.render_expr(s.expr)};"))
+            loc = self.alloc(LocInfo("output", s.pos))
             gc = GuardedCommand(emit=_lower_expr(s.expr, rename))
             return loc, [emit(loc, gc, None)]
         if isinstance(s, P.SIf):
-            loc = self.alloc(LocInfo("branch", s.pos, f"if ({P.render_expr(s.cond)})"))
+            loc = self.alloc(LocInfo("branch", s.pos))
             g = _lower_expr(s.cond, rename)
             then_entry, then_pending = self._lower_block(s.then, rename, depth)
             else_entry, else_pending = self._lower_block(s.els, rename, depth)
@@ -228,7 +224,7 @@ class _Lowerer:
                 pending.append(i_else)
             return loc, pending
         if isinstance(s, P.SWhile):
-            loc = self.alloc(LocInfo("branch", s.pos, f"while ({P.render_expr(s.cond)})"))
+            loc = self.alloc(LocInfo("branch", s.pos))
             g = _lower_expr(s.cond, rename)
             body_entry, body_pending = self._lower_block(s.body, rename, depth)
             # back edge: the body's fallthrough returns to the loop head
@@ -251,8 +247,7 @@ class _Lowerer:
             }
             for v in inner.values():
                 self.add_var(v)
-            args = ", ".join(P.render_expr(a) for a in s.args)
-            loc = self.alloc(LocInfo("call", s.pos, f"call {s.fn}({args});"))
+            loc = self.alloc(LocInfo("call", s.pos))
             update = tuple(
                 (inner[p], _lower_expr(a, rename)) for p, a in zip(fn.params, s.args)
             )

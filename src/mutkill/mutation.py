@@ -321,22 +321,14 @@ def build_meta_mutant(lts: Lts, mutants: Sequence[Mutant]) -> MetaMutant:
     index = {m.id: m for m in mutants}
     transitions: List[Transition] = []
     for t in lts.transitions:
-        src, gc, dst = t
-        mids = points.get(src, [])
         # original transition: active unless a mutant owning it is selected
-        guards = [Cmp("!=", sel, Lit(mid)) for mid in mids
-                  if t in set(index[mid].removed)]
-        if guards:
-            new_guard = T.conj([gc.guard] + guards) if gc.guard != T.TRUE else T.conj(guards)
-            transitions.append((src, dataclasses.replace(gc, guard=new_guard), dst))
-        else:
-            transitions.append(t)
+        transitions.append(_selected_by(t, [
+            Cmp("!=", sel, Lit(mid)) for mid in points.get(t[0], [])
+            if t in index[mid].removed]))
     for loc, mids in sorted(points.items()):
         for mid in mids:  # ascending-ID branch order
-            for src, gc, dst in index[mid].replacement:
-                new_guard = T.conj([Cmp("==", sel, Lit(mid)), gc.guard]) \
-                    if gc.guard != T.TRUE else Cmp("==", sel, Lit(mid))
-                transitions.append((src, dataclasses.replace(gc, guard=new_guard), dst))
+            transitions.extend(_selected_by(t, [Cmp("==", sel, Lit(mid))])
+                               for t in index[mid].replacement)
     meta_lts = dataclasses.replace(
         lts,
         variables=lts.variables + (MUT_ID,),
@@ -349,36 +341,30 @@ def build_meta_mutant(lts: Lts, mutants: Sequence[Mutant]) -> MetaMutant:
     )
 
 
-def _select(transition: Transition, mut_id: int) -> Optional[Transition]:
-    """`transition` under `mutId := mut_id` with its selector comparisons
-    folded away (the very tuple when it has none), or None when its guard
-    folds to false."""
-    src, gc, dst = transition
-    guard = _select_guard(gc.guard, mut_id)
-    if guard is gc.guard:
+def _selected_by(transition: Transition, selectors: List[Cmp]) -> Transition:
+    """`transition` with its guard preceded by the selector comparisons, so
+    that a run for another mutant evaluates nothing of the guard."""
+    if not selectors:
         return transition
-    return None if guard == T.FALSE else (src, dataclasses.replace(gc, guard=guard), dst)
+    src, gc, dst = transition
+    guard = T.conj(selectors + ([] if gc.guard == T.TRUE else [gc.guard]))
+    return src, dataclasses.replace(gc, guard=guard), dst
 
 
-def _select_guard(guard: T.BoolTerm, mut_id: int) -> T.BoolTerm:
-    """`guard` under `mutId := mut_id`, folded; the very object when it has
-    no selector.  A conjunction is false outright only when a selector
-    makes it false before it evaluates anything else; otherwise it keeps
-    what it evaluates before (and any EvalError that raises)."""
-    if isinstance(guard, Cmp) and MUT_ID in T.variables(guard):
-        return T.BoolLit(T.eval_bool(guard, {MUT_ID: mut_id}))
-    if not isinstance(guard, And):
-        return guard
-    items = [_select_guard(x, mut_id) for x in guard.items]
-    if all(a is b for a, b in zip(items, guard.items)):
-        return guard
-    kept = []
-    for item, folded in zip(guard.items, items):
-        if folded is item or folded not in (T.TRUE, T.FALSE):
-            kept.append(folded)
-        elif folded == T.FALSE:
-            return And(tuple(kept) + (T.FALSE,)) if kept else T.FALSE
-    return T.conj(kept)
+def _select(transition: Transition, mut_id: int) -> Optional[Transition]:
+    """`transition` under `mutId := mut_id`: None when one of the selector
+    comparisons that lead its guard is false, else the transition with them
+    stripped (the very tuple when it has none)."""
+    src, gc, dst = transition
+    items = gc.guard.items if isinstance(gc.guard, And) else (gc.guard,)
+    n = 0
+    while n < len(items) and isinstance(items[n], Cmp) and items[n].left == Var(MUT_ID):
+        if not T.eval_bool(items[n], {MUT_ID: mut_id}):
+            return None
+        n += 1
+    if n == 0:
+        return transition
+    return src, dataclasses.replace(gc, guard=T.conj(items[n:])), dst
 
 
 # ---------------------------------------------------------------------------

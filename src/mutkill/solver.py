@@ -85,12 +85,6 @@ class SolverHandle:
         return dict(self.domains)
 
 
-def simplify(c: BoolTerm) -> BoolTerm:
-    """Equisatisfiable normalization: constant folding, identity elimination,
-    double negation removal, and/or flattening.  Idempotent."""
-    return T.normalize_bool(c)
-
-
 def _query_domains(c: BoolTerm, h: SolverHandle) -> List[Tuple[str, Tuple[int, int]]]:
     dom = h.domain_map
     out = []
@@ -128,7 +122,7 @@ def is_satisfiable(c: BoolTerm, h: SolverHandle) -> SolverResult:
     over the declared domains; the external backend defers to the tool."""
     if h.backend == "external":
         return _solve_external(c, h)
-    if simplify(c) == T.FALSE:
+    if T.normalize_bool(c) == T.FALSE:
         return SolverResult(UNSAT)
     # enumerate over the original constraint's symbols so the model is total
     for model in enumerate_models(c, h, time.monotonic() + h.timeout):

@@ -1,9 +1,11 @@
 """Forking breadth-first symbolic execution over a meta-mutant.
 
-The engine explores states in lock step by depth.  Original states fork a
-mutant copy on first arrival at each targeted mutation point; the mutant
-copy takes the mutated transition and must pass an infection check (its
-state provably differs from some same-prefix original state) to stay alive.
+The engine explores states in lock step by depth, each state on its own
+mutant's selector-free program (`MetaMutant.program`).  Original states fork
+a mutant copy on first arrival at each targeted mutation point; the mutant
+copy is expanded right after the original, takes the mutated transition and
+must pass an infection check (its state provably differs from one of the
+original's successors) to stay alive.
 Post-fork branching locations are counted against the checkpoint window;
 at checkpoints a configurable proportion of branches is kept and pruned
 branches may emit early tests from the prefix-difference constraint.  At
@@ -16,26 +18,22 @@ the mutant), and `vanilla` (ignore mutants; one test per terminal path).
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import time
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import solver as S
 from . import terms as T
 from .interp import run_lts
-from .lts import GuardedCommand, Lts, MUT_ID, Transition, distance_to_output
+from .lts import GuardedCommand, Lts, Transition, distance_to_output
 from .mutation import MetaMutant
 from .terms import BoolTerm, Cmp, IntTerm, Lit, Var
 
 FOLLOW = "follow"
 RELEASE = "release"
 PRUNE = "prune"
-
-KEEP = "keep"
 
 SITE_CHECKPOINT = "checkpoint"
 SITE_TERMINAL = "terminal"
@@ -83,7 +81,6 @@ class SymbolicState:
     mut_id: int  # 0 = original
     depth: int
     trail: Tuple[int, ...] = ()  # taken-transition indices, for prefix pairing
-    fork_depth: Optional[int] = None
     fork_trail: Optional[Tuple[int, ...]] = None
     checkpoints_passed: int = 0
     branch_count: int = 0  # post-fork branching locations traversed
@@ -91,8 +88,6 @@ class SymbolicState:
     compatible_seeds: Tuple[int, ...] = ()
     forked: frozenset = frozenset()  # mutant IDs already forked on this path
     status: str = "live"  # live | terminal | error
-    uid: int = -1
-    parent_uid: int = -1
 
     def store_map(self) -> Dict[str, IntTerm]:
         return dict(self.store)
@@ -237,16 +232,6 @@ def apply_precondition(state: SymbolicState, seeds: Sequence[Dict[str, int]],
 Sat = Callable[[BoolTerm], S.SolverResult]  # a satisfiability query
 
 
-def infection_check(mutant_state: SymbolicState, paired_original: SymbolicState,
-                    sat: Sat) -> str:
-    """keep iff SAT(phiM and phiP and state difference)."""
-    if mutant_state.depth != paired_original.depth:
-        raise DepthMismatch(f"{mutant_state.depth} != {paired_original.depth}")
-    c = T.conj([mutant_state.path, paired_original.path,
-                state_difference(mutant_state, paired_original)])
-    return KEEP if sat(c).is_sat else PRUNE
-
-
 def pair_states(mutant_state: SymbolicState,
                 originals_at_depth: Sequence[SymbolicState],
                 sat: Sat) -> Optional[SymbolicState]:
@@ -269,8 +254,7 @@ def pair_states(mutant_state: SymbolicState,
 def initial_state(lts: Lts, mut_id: int = 0) -> SymbolicState:
     """The entry state: inputs symbolic, every other program variable 0."""
     dom = dict(lts.inputs)
-    store = tuple((v, Var(v) if v in dom else Lit(0))
-                  for v in lts.variables if v != MUT_ID)
+    store = tuple((v, Var(v) if v in dom else Lit(0)) for v in lts.variables)
     return SymbolicState(path=T.TRUE, store=store, out=(), loc=lts.entry,
                          mut_id=mut_id, depth=0)
 
@@ -278,23 +262,18 @@ def initial_state(lts: Lts, mut_id: int = 0) -> SymbolicState:
 def step(s: SymbolicState, i: int, transition: Transition
          ) -> Optional[Tuple[SymbolicState, GuardedCommand]]:
     """The successor of `s` along `transition`, the i-th transition out of
-    its location, together with the transition's label with the mutant
-    selector and the store substituted but not normalized, so that its
-    divisors are the ones a concrete run evaluates.  None when the guard is
-    false for the state's mutant (a selector branch of another mutant)."""
+    its location in the program of the state's mutant, together with the
+    transition's label with the store substituted but not normalized, so
+    that its divisors are the ones a concrete run evaluates.  None when the
+    guard is false outright."""
     _, gc, dst = transition
     store = s.store_map()
-    selector = {MUT_ID: Lit(s.mut_id)}
-
-    def resolve(term):
-        return T.subst(T.subst(term, selector), store)
-
-    guard = resolve(gc.guard)
+    guard = T.subst(gc.guard, store)
     g = T.normalize_bool(guard)
     if g == T.FALSE:
         return None
-    update = tuple((name, resolve(term)) for name, term in gc.update)
-    emit = resolve(gc.emit) if gc.emit is not None else None
+    update = tuple((name, T.subst(term, store)) for name, term in gc.update)
+    emit = T.subst(gc.emit, store) if gc.emit is not None else None
     new_store = dict(store)
     for name, term in update:
         new_store[name] = T.normalize_int(term)
@@ -312,7 +291,7 @@ def enumerate_terminals(meta: MetaMutant, mut_id: int, max_depth: int,
     """All terminal states up to max_depth, with NO feasibility pruning
     beyond structural falsehood of single guards.  Used for exhaustive path
     analyses; `through` restricts to paths visiting that location."""
-    lts = meta.lts
+    lts = meta.program(mut_id)
     succ = lts.successors
     frontier = [(initial_state(lts, mut_id), through in (None, lts.entry))]
     done: List[SymbolicState] = []
@@ -343,30 +322,28 @@ class _Engine:
                  seeds: Sequence[Dict[str, int]], cfg: Config,
                  handle: S.SolverHandle):
         self.meta = meta
-        self.lts = meta.lts
-        self.succ = self.lts.successors
+        # static facts (terminals, branches, inputs, distances) are the same
+        # in every mutant's program: mutants never move a transition's ends
+        self.base = meta.base
         self.targets = set(targets)
         self.seeds = list(seeds)
         self.cfg = cfg
         self.handle = handle
         self.rng = random.Random(cfg.rng_seed)
-        self.dist = distance_to_output(self.lts)
+        self.dist = distance_to_output(self.base)
         self.stats = ExplorationStats()
         self.tests: List[GeneratedTest] = []
         self.seen_models: Dict[int, Set[Tuple[Tuple[str, int], ...]]] = {}
         self.finished_orig: List[SymbolicState] = []
         self.finished_mut: List[SymbolicState] = []
-        self.uids = itertools.count()
         self.deadline = time.monotonic() + cfg.budget_seconds
         self.points = {
             loc for loc, mids in meta.mutation_points.items()
             if self.targets & set(mids)
         }
-        # branchiness is a property of the program, not of the meta-mutant's
-        # selector fanout
         self.branch_locs = {
-            loc for loc in self.lts.locations
-            if self.lts.info(loc).kind == "branch"
+            loc for loc in self.base.locations
+            if self.base.info(loc).kind == "branch"
         }
         self.release_depth = self._gmd2ms_depth() if cfg.pl == "GMD2MS" else None
 
@@ -417,6 +394,9 @@ class _Engine:
     def quota_left(self, mutant_id: int) -> bool:
         return self.stats.tests_per_mutant.get(mutant_id, 0) < self.cfg.ntpm
 
+    def finish(self, s: SymbolicState) -> None:
+        (self.finished_orig if s.mut_id == 0 else self.finished_mut).append(s)
+
     # -- state construction ------------------------------------------------
 
     def expand(self, s: SymbolicState) -> List[SymbolicState]:
@@ -425,10 +405,10 @@ class _Engine:
         branching = s.loc in self.branch_locs
         results: List[SymbolicState] = []
         error_keys: Set[str] = set()
-        for i, transition in enumerate(self.succ[s.loc]):
+        for i, transition in enumerate(self.meta.program(s.mut_id).successors[s.loc]):
             stepped = step(s, i, transition)
             if stepped is None:
-                continue  # selector branch for a different mutant
+                continue
             nxt, label = stepped
             # division safety: split off error paths, guard the main path
             guard_divs = T.divisors(label.guard)
@@ -451,12 +431,9 @@ class _Engine:
                     error_keys.add(key)
                 res = self.sat(err_pc)
                 if res.is_sat:
-                    err = replace(s, path=err_pc, loc=s.loc, depth=s.depth + 1,
-                                  trail=s.trail + (i,), status="error",
-                                  uid=next(self.uids), parent_uid=s.uid)
                     self.stats.states_created += 1
-                    (self.finished_orig if s.mut_id == 0 else
-                     self.finished_mut).append(err)
+                    self.finish(replace(s, path=err_pc, depth=s.depth + 1,
+                                        trail=s.trail + (i,), status="error"))
             pc = T.conj([nxt.path] + nonzero)
             if T.normalize_bool(pc) == T.FALSE:
                 self.stats.pruned_infeasible += 1
@@ -464,7 +441,6 @@ class _Engine:
             nxt = replace(
                 nxt, path=pc,
                 branch_count=s.branch_count + (1 if branching and s.mut_id else 0),
-                uid=next(self.uids), parent_uid=s.uid,
             )
             # seeded mode: release / follow / prune
             if nxt.seed_following:
@@ -492,20 +468,36 @@ class _Engine:
         return results
 
     def fork(self, s: SymbolicState) -> List[SymbolicState]:
-        """Mutant copies for targeted mutants at this mutation point, first
-        arrival per path only."""
+        """Mutant copies of an original state for the targeted mutants at
+        its location, first arrival per path only."""
+        if s.mut_id or self.cfg.mode == "vanilla":
+            return []
         mids = [m for m in self.meta.mutation_points.get(s.loc, ())
                 if m in self.targets and m not in s.forked]
-        forks = []
-        for m in mids:
-            self.stats.states_created += 1
-            forks.append(replace(
-                s, mut_id=m, fork_depth=s.depth, fork_trail=s.trail,
-                checkpoints_passed=0, branch_count=0,
-                seed_following=False, compatible_seeds=(),
-                uid=next(self.uids), parent_uid=s.uid,
-            ))
-        return forks
+        self.stats.states_created += len(mids)
+        return [replace(s, mut_id=m, fork_trail=s.trail, checkpoints_passed=0,
+                        branch_count=0, seed_following=False, compatible_seeds=())
+                for m in mids]
+
+    def infected(self, kids: List[SymbolicState],
+                 originals: Sequence[SymbolicState]) -> List[SymbolicState]:
+        """A fork's successors that can differ from one of the original's
+        successors (all of them when the original has none); the first such
+        original's model witnesses the infection.  In infection-only mode
+        the witness is the mutant's test and no successor stays."""
+        live = []
+        for k in kids:
+            witness = next((res for res in (
+                self.sat(T.conj([k.path, o.path, state_difference(k, o)]))
+                for o in originals) if res.is_sat), None)
+            if witness is None and originals:
+                self.stats.pruned_noninfected += 1
+            elif self.cfg.mode != "infection-only":
+                live.append(k)
+            elif witness is not None and witness.model is not None:
+                self.record_test(k.mut_id, self._complete_model(witness.model),
+                                 SITE_CHECKPOINT, k.depth)
+        return live
 
     # -- test generation ---------------------------------------------------
 
@@ -527,7 +519,7 @@ class _Engine:
     def _complete_model(self, model: Dict[str, int]) -> Dict[str, int]:
         # constraints may not mention every input; default missing to lo
         full = dict(model)
-        for name, (lo, _) in self.lts.inputs:
+        for name, (lo, _) in self.base.inputs:
             full.setdefault(name, lo)
         return full
 
@@ -566,66 +558,12 @@ class _Engine:
         seeded = self.cfg.use_precondition and bool(self.seeds)
         self.stats.states_created += 1
         frontier: List[SymbolicState] = [replace(
-            initial_state(self.lts), seed_following=seeded,
-            compatible_seeds=tuple(range(len(self.seeds))) if seeded else (),
-            uid=next(self.uids))]
+            initial_state(self.base), seed_following=seeded,
+            compatible_seeds=tuple(range(len(self.seeds))) if seeded else ())]
         while frontier and self.budget_left():
             if frontier[0].depth >= self.cfg.max_depth:
                 break
-            successors: List[SymbolicState] = []
-            orig_succ: Dict[int, List[SymbolicState]] = {}
-            new_fork_children: Dict[int, List[SymbolicState]] = {}
-            parents_map: Dict[int, SymbolicState] = {}
-            work = deque(frontier)
-            while work:
-                s = work.popleft()
-                parents_map[s.uid] = s
-                if s.loc in self.lts.terminals:
-                    done = replace(s, status="terminal")
-                    (self.finished_orig if s.mut_id == 0
-                     else self.finished_mut).append(done)
-                    continue
-                if not self.budget_left():
-                    continue
-                if s.mut_id == 0 and self.cfg.mode != "vanilla" \
-                        and s.loc in self.points:
-                    forks = self.fork(s)
-                    for f in reversed(forks):
-                        work.appendleft(f)
-                    if forks:
-                        frontier_forked = replace(s, forked=s.forked |
-                                                  {f.mut_id for f in forks})
-                        s = frontier_forked
-                kids = self.expand(s)
-                successors.extend(kids)
-                if s.mut_id == 0:
-                    orig_succ[s.uid] = kids
-                elif s.fork_depth == s.depth:  # fresh fork expanding now
-                    new_fork_children[s.parent_uid] = \
-                        new_fork_children.get(s.parent_uid, []) + kids
-            # infection filtering for freshly forked mutants
-            dropped: Set[int] = set()
-            for parent_uid, kids in new_fork_children.items():
-                paired = orig_succ.get(parent_uid, [])
-                for k in kids:
-                    infected = True
-                    if paired:
-                        infected = False
-                        for o in paired:
-                            if infection_check(k, o, self.sat) == KEEP:
-                                infected = True
-                                break
-                    if not infected:
-                        self.stats.pruned_noninfected += 1
-                        dropped.add(k.uid)
-                    elif self.cfg.mode == "infection-only":
-                        self._infection_only_test(k, paired)
-                        dropped.add(k.uid)
-            successors = [x for x in successors if x.uid not in dropped]
-            # checkpoint selection for mutant branches
-            if self.cfg.mode == "semu":
-                successors = self._apply_checkpoints(successors, parents_map)
-            frontier = successors
+            frontier = self.level(frontier)
         if self.cfg.mode == "vanilla":
             self.vanilla_tests()
         elif self.cfg.mode == "semu":
@@ -633,53 +571,60 @@ class _Engine:
         self.stats.wall_clock = time.monotonic() - start
         return list(self.tests), self.stats
 
-    def _infection_only_test(self, mutant_child: SymbolicState,
-                             paired: Sequence[SymbolicState]) -> None:
-        if not self.quota_left(mutant_child.mut_id):
-            return
-        for o in paired:
-            c = T.conj([o.path, mutant_child.path,
-                        state_difference(mutant_child, o)])
-            res = self.sat(c)
-            if res.is_sat and res.model is not None:
-                self.record_test(mutant_child.mut_id,
-                                 self._complete_model(res.model),
-                                 SITE_CHECKPOINT, mutant_child.depth)
-                return
+    def level(self, frontier: List[SymbolicState]) -> List[SymbolicState]:
+        """The next frontier.  A fork is expanded right after its original
+        and keeps its infected successors only."""
+        successors: List[SymbolicState] = []
+        # checkpoint candidates per (mutant, parent location): indices into
+        # `successors`
+        candidates: Dict[Tuple[int, int], List[int]] = {}
+
+        def add(parent: SymbolicState, kids: List[SymbolicState]) -> None:
+            for kid in kids:
+                if kid.mut_id and parent.loc in self.branch_locs \
+                        and is_checkpoint(kid, self.cfg):
+                    candidates.setdefault((kid.mut_id, parent.loc), []) \
+                        .append(len(successors))
+                successors.append(kid)
+
+        for s in frontier:
+            if s.loc in self.base.terminals:
+                self.finish(replace(s, status="terminal"))
+                continue
+            if not self.budget_left():
+                continue
+            forks = self.fork(s)
+            if forks:
+                s = replace(s, forked=s.forked | {f.mut_id for f in forks})
+            kids = self.expand(s)
+            add(s, kids)
+            for f in forks:
+                if self.budget_left():
+                    add(f, self.infected(self.expand(f), kids))
+        if self.cfg.mode == "semu":
+            return self._apply_checkpoints(successors, candidates)
+        return successors
 
     def _apply_checkpoints(self, successors: List[SymbolicState],
-                           parents: Dict[int, SymbolicState]):
-        groups: Dict[Tuple[int, int], List[SymbolicState]] = {}
-        passthrough: List[SymbolicState] = []
-        for x in successors:
-            p = parents.get(x.parent_uid)
-            if x.mut_id != 0 and p is not None and p.mut_id == x.mut_id \
-                    and p.loc in self.branch_locs and is_checkpoint(x, self.cfg):
-                groups.setdefault((x.mut_id, p.loc), []).append(x)
-            else:
-                passthrough.append(x)
-        kept_uids: Set[int] = set()
+                           candidates: Dict[Tuple[int, int], List[int]]
+                           ) -> List[SymbolicState]:
+        """Keep PP of each checkpoint's branches; a pruned branch may leave
+        an early test."""
         originals = [x for x in successors if x.mut_id == 0]
-        for (m, loc), cands in sorted(groups.items()):
-            self.stats.checkpoint_events.extend(
-                (m, loc, c.depth) for c in cands[:1])
+        out: List[Optional[SymbolicState]] = list(successors)
+        for (m, loc), idxs in sorted(candidates.items()):
+            cands = [successors[i] for i in idxs]
+            self.stats.checkpoint_events.append((m, loc, cands[0].depth))
             kept, pruned = select_branches(cands, self.cfg, self.dist, self.rng)
-            for c in kept:
-                kept_uids.add(c.uid)
             for c in pruned:
                 self.stats.pruned_pp += 1
-                bumped = replace(c, checkpoints_passed=c.checkpoints_passed + 1)
-                self.try_early_test(bumped, originals)
-        bump = {u for (m, loc), cands in groups.items() for u in
-                (c.uid for c in cands)}
-        out = []
-        for x in successors:
-            if x.uid in bump and x.uid not in kept_uids:
-                continue
-            if x.uid in kept_uids:
-                x = replace(x, checkpoints_passed=x.checkpoints_passed + 1)
-            out.append(x)
-        return out
+                self.try_early_test(
+                    replace(c, checkpoints_passed=c.checkpoints_passed + 1), originals)
+            kept_ids = {id(c) for c in kept}
+            for i, c in zip(idxs, cands):
+                out[i] = replace(c, checkpoints_passed=c.checkpoints_passed + 1) \
+                    if id(c) in kept_ids else None
+        return [x for x in out if x is not None]
 
 
 def explore(meta: MetaMutant, targets: Iterable[int],

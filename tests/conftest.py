@@ -12,6 +12,11 @@ from mutkill import solver as S
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 STUB = os.path.join(os.path.dirname(__file__), "smt_stub.py")
 
+# a branch whose guard divides by zero at y = 1, where none of its mutants
+# that change `y - 1` does
+DIVIDING_BRANCH = ("input x: int in [-2,2];\ninput y: int in [-2,2];\n"
+                   "fn main() { if (x / (y - 1) > 0) { output 1; } else { output 2; } }")
+
 LOOPFREE = ["abs", "max2", "clamp", "sign", "parity", "mask", "classify",
             "poly", "divmod"]
 ALL_PROGRAMS = LOOPFREE + ["fig1", "sumloop", "countdown", "callfn"]

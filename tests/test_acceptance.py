@@ -27,12 +27,13 @@ def _verdict(n: int, ok: bool, detail: str = ""):
 
 
 def _frontier_at(meta, mut_id, depth):
-    """Symbolic states after exactly `depth` meta transitions (no pruning)."""
-    succ = meta.lts.successors
-    states = [X.initial_state(meta.lts, mut_id)]
+    """Symbolic states after exactly `depth` transitions of the mutant's
+    program (no pruning)."""
+    prog = meta.program(mut_id)
+    states = [X.initial_state(prog, mut_id)]
     for _ in range(depth):
-        stepped = (X.step(s, i, t) for s in states if s.loc not in meta.lts.terminals
-                   for i, t in enumerate(succ[s.loc]))
+        stepped = (X.step(s, i, t) for s in states if s.loc not in prog.terminals
+                   for i, t in enumerate(prog.successors[s.loc]))
         states = [r[0] for r in stepped if r is not None]
     return states
 

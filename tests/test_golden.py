@@ -1,5 +1,5 @@
 """Byte-identity gate: the pipeline's output files for every corpus program
-under three configurations, pinned by SHA-256.
+under four configurations, pinned by SHA-256.
 
 A change that is meant to keep behaviour (a refactor, a faster engine or
 solver) must leave every digest as it is.  A change that alters outputs on
@@ -21,7 +21,11 @@ CONFIGS = {
     "semu": "MODE = semu\nPP = 0.5\nRNG_SEED = 3\n" + COMMON,
     "infection-only": "MODE = infection-only\n" + COMMON,
     "vanilla": "MODE = vanilla\n" + COMMON,
+    "semu-seeded": "MODE = semu\nPP = 0.5\nRNG_SEED = 3\n" + COMMON,
 }
+# configurations that start from a seeds file: every input at its low bound,
+# then every input at its high bound
+SEEDED = {"semu-seeded"}
 FILES = ("mutants.tsv", "tce.tsv", "tests.txt", "matrix.csv", "minimized.txt")
 
 GOLDEN = {
@@ -51,6 +55,32 @@ GOLDEN = {
         "d62f9b05462c55deb9f0bd0ff13395d85548253201951131a36e289dc2e3a53f",
     ('infection-only', 'sumloop'):
         "6679876221590add7ffed764738c135c8255cbd0d37bcea630826f520decc457",
+    ('semu-seeded', 'abs'):
+        "be9adc2b6e6d463306b6dd2b5ac31667d3b49f3d330a8cee8a1961662bd83a70",
+    ('semu-seeded', 'callfn'):
+        "ecb8e55e143dc7da9830c26071541bdb60c7cf95bfe4510fd8ec55eb2e97c5fa",
+    ('semu-seeded', 'clamp'):
+        "32d1dac3302274e5540d22c1dc767a72f28f0a59468b709590fa9bc227f85de5",
+    ('semu-seeded', 'classify'):
+        "18be4d76f81c9d2ff4753feb19c79fa4653349c661a4e49125f9035b5bff51c9",
+    ('semu-seeded', 'countdown'):
+        "7f5b6053e3b1bac3dee240b03488d860eb4c4f0a25c5b2c65e79be0d594ae8bc",
+    ('semu-seeded', 'divmod'):
+        "a3ef4e734aa5cccc32a70788e13c9f66282a2b6cbfc133e37a367578156f383b",
+    ('semu-seeded', 'fig1'):
+        "3a0845ff3a60b0187fecb256c62d8bc89ab1e32c5f57c9d39be06d726c0b4a53",
+    ('semu-seeded', 'mask'):
+        "741a2bc6f8d8c61ffad13be5743ad34080856720c14d20da431fdf364ea047f9",
+    ('semu-seeded', 'max2'):
+        "24051d7d6216a0ac624e7ad7243eebbc1dc574ca32cf6c0a9a5a6f6b75f4d349",
+    ('semu-seeded', 'parity'):
+        "64bab411e20ff942bc10985bee208f068690478fc745b08b188b94f45a9483de",
+    ('semu-seeded', 'poly'):
+        "3a90ef179debfdb9b409020df5d2868ca6a790d4eeca04e5b0b36972a5ef6a03",
+    ('semu-seeded', 'sign'):
+        "abb06cf8ad1ab47a7fab71f917819ea549b8a33270ef1bc04696eeb5c4babaa0",
+    ('semu-seeded', 'sumloop'):
+        "f21b20ae24d02b4542d6a2d713d9e8beebd56d4954f319c8615d4c2deff7c2ef",
     ('semu', 'abs'):
         "36ab23bcff38b6951a3a22d3b1a0b51f9de055629a9755c4777ba6f6c318b614",
     ('semu', 'callfn'):
@@ -106,6 +136,12 @@ GOLDEN = {
 }
 
 
+def bound_seeds(name: str) -> str:
+    inputs = C.load_lts(name).inputs
+    return "".join(", ".join(f"{v}={dom[i]}" for v, dom in inputs) + "\n"
+                   for i in (0, 1))
+
+
 def outputs_digest(out_dir) -> str:
     h = hashlib.sha256()
     for name in FILES:
@@ -120,8 +156,13 @@ def test_corpus_outputs_unchanged(config, tmp_path):
     got = {}
     for name in sorted(C.ALL_PROGRAMS):
         out = tmp_path / name
+        seeds = None
+        if config in SEEDED:
+            seeds = tmp_path / f"{name}.seeds"
+            seeds.write_text(bound_seeds(name))
         manifest = cli.parse_config(CONFIGS[config], program=C.corpus_path(name),
-                                    out_dir=str(out))
+                                    out_dir=str(out),
+                                    seeds=None if seeds is None else str(seeds))
         cli.run_pipeline(manifest)
         got[name] = outputs_digest(out)
     want = {name: GOLDEN[(config, name)] for name in sorted(C.ALL_PROGRAMS)}

@@ -22,7 +22,7 @@ class TestLowering:
     def test_if_has_complementary_guards(self):
         lts = lower("input x: int in [-4,3];\n"
                     "fn main() { if (x < 0) { output 0; } else { output 1; } }")
-        outs = lts.outgoing(1)
+        outs = lts.successors[1]
         assert len(outs) == 2
         g1, g2 = outs[0][1].guard, outs[1][1].guard
         assert T.normalize_bool(T.conj([g1, g2])) == T.FALSE
@@ -47,7 +47,7 @@ class TestLowering:
         lts = lower("input n: int in [0,3];\n"
                     "fn main() { while (n > 0) { n = n - 1; } output n; }")
         # loop head 1, body 2, output 3, terminal 4; body returns to head
-        body_out = lts.outgoing(2)
+        body_out = lts.successors[2]
         assert body_out == [(2, body_out[0][1], 1)]
 
     def test_call_inlining(self):
@@ -82,7 +82,7 @@ class TestValidator:
         import dataclasses
         broken = dataclasses.replace(
             lts, locations=lts.locations + (99,),
-            loc_info=lts.loc_info + ((99, L.LocInfo("assign", (0, 0), "?")),))
+            loc_info=lts.loc_info + ((99, L.LocInfo("assign", (0, 0))),))
         with pytest.raises(L.LtsInvariantError, match="unreachable"):
             L.validate_lts(broken)
 
@@ -123,7 +123,7 @@ class TestDistance:
         for loc in lts.locations:
             if loc in lts.terminals:
                 continue
-            succ = [dist[dst] for _, _, dst in lts.outgoing(loc)]
+            succ = [dist[dst] for _, _, dst in lts.successors[loc]]
             finite = [d for d in succ if d is not None]
             if dist[loc] is None:
                 assert not finite

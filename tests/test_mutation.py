@@ -175,7 +175,7 @@ class TestMetaMutant:
         for loc, ids in meta.points:
             for mid in (0,) + ids:
                 env = {"mutId": mid}
-                live = [gc for _, gc, _ in meta.lts.outgoing(loc)
+                live = [gc for _, gc, _ in meta.lts.successors[loc]
                         if not T.normalize_bool(
                             T.subst(gc.guard, {"mutId": T.Lit(mid)})) == T.FALSE]
                 assert live, (loc, mid)
@@ -226,17 +226,19 @@ class TestPrograms:
         meta = fig1[3]
         assert meta.program(3) is meta.program(3)
 
-    def test_program_keeps_a_division_the_selector_follows(self):
-        # the meta-mutant evaluates the original guard x / (y - 1) > 0 before
-        # its selector, so every mutant of that branch errors at y = 1
-        lts = lower("input x: int in [-2,2];\ninput y: int in [-2,2];\n"
-                    "fn main() { if (x / (y - 1) > 0) { output 1; } else { output 2; } }")
-        meta = M.build_meta_mutant(lts, M.generate_mutants(lts, M.SUPPORTED_OPERATORS))
-        for k in (0,) + meta.mutant_ids():
-            unfolded = _unfolded(meta, k)
+    def test_program_is_the_standalone_mutant_past_a_division(self):
+        # the selector comes before the original guard x / (y - 1) > 0, so
+        # the mutants of that branch run as they do standalone
+        lts = lower(C.DIVIDING_BRANCH)
+        mutants = M.generate_mutants(lts, M.SUPPORTED_OPERATORS)
+        meta = M.build_meta_mutant(lts, mutants)
+        for m in mutants:
+            single = M.apply_mutant(lts, m)
+            unfolded = _unfolded(meta, m.id)
             for test in I.all_inputs(lts):
-                assert I.run_concrete(meta, k, test) == I.run_lts(unfolded, test), (k, test)
-            assert I.run_concrete(meta, k, {"x": 0, "y": 1}).status == I.ERROR
+                got = I.run_concrete(meta, m.id, test)
+                assert got.outcome() == I.run_lts(single, test).outcome(), (m, test)
+                assert got == I.run_lts(unfolded, test), (m, test)
 
     @pytest.mark.parametrize("name", ["fig1", "divmod", "callfn"])
     def test_program_runs_as_the_meta_mutant(self, name):

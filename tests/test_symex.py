@@ -3,6 +3,9 @@ import random
 import pytest
 
 from mutkill import interp as I
+from mutkill import lts as L
+from mutkill import mutation as M
+from mutkill import parser as P
 from mutkill import solver as S
 from mutkill import symex as X
 from mutkill import terms as T
@@ -178,11 +181,20 @@ class TestPairing:
         assert X.pair_states(m, [state(trail=(1,), depth=1)], sat) is None
 
     def test_infection_check(self):
-        o = state(out=(Var("x"),), depth=1)
-        same = state(mut_id=1, out=(Var("x"),), depth=1)
-        diff = state(mut_id=1, out=(T.Bin("+", Var("x"), Lit(1)),), depth=1)
-        assert X.infection_check(same, o, sat) == X.PRUNE
-        assert X.infection_check(diff, o, sat) == X.KEEP
+        # x / 1 leaves the state of `a = x * 1` as it is; x + 1 never does
+        lts = L.lower_to_lts(P.parse_text(
+            "input x: int in [-8,7];\nfn main() { var a = x * 1; output a; }"))
+        mutants = M.generate_mutants(lts, ["AOR"])
+        meta = M.build_meta_mutant(lts, mutants)
+        ids = {m.mutated: m.id for m in mutants}
+        same, diff = ids["x / 1"], ids["x + 1"]
+        tests, stats = run(meta, [same], mode="infection-only")
+        assert tests == [] and stats.pruned_noninfected == 1
+        tests, stats = run(meta, [diff], mode="infection-only")
+        assert stats.pruned_noninfected == 0
+        # the witness of the infection query is the test
+        assert [(t.mutant_id, t.site, t.inputs) for t in tests] == \
+            [(diff, X.SITE_CHECKPOINT, (("x", -8),))]
 
 
 class TestEnumerateTerminals:
@@ -261,6 +273,19 @@ class TestEngine:
                 continue
             a = I.run_concrete(meta, 0, t.valuation(), step_budget=2000)
             b = I.run_concrete(meta, t.mutant_id, t.valuation(), step_budget=2000)
+            assert a.outcome() != b.outcome(), t
+
+    def test_terminal_tests_kill_past_a_dividing_branch(self):
+        # the original errors at y = 1 in its guard x / (y - 1) > 0; a mutant
+        # of that guard must not, or the engine's terminal kills are false
+        lts = L.lower_to_lts(P.parse_text(C.DIVIDING_BRANCH))
+        meta = M.build_meta_mutant(lts, M.generate_mutants(lts, M.SUPPORTED_OPERATORS))
+        tests, _ = run(meta, meta.mutant_ids(), pp=1.0)
+        terminal = [t for t in tests if t.site == X.SITE_TERMINAL]
+        assert terminal
+        for t in terminal:
+            a = I.run_concrete(meta, 0, t.valuation())
+            b = I.run_concrete(meta, t.mutant_id, t.valuation())
             assert a.outcome() != b.outcome(), t
 
     def test_ntpm_caps_per_mutant(self, fig1):
