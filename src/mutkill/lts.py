@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import parser as P
 from . import terms as T
-from .terms import And, Bin, BoolTerm, Cmp, IntTerm, Lit, Neg, Not, Or, Var
+from .terms import And, BoolTerm, Cmp, IntTerm, Lit, Var
 
 MUT_ID = "mutId"  # selector variable added by the meta-mutant builder
 
@@ -103,24 +103,10 @@ class Lts:
 # ---------------------------------------------------------------------------
 
 
-def _lower_expr(e, rename: Dict[str, str]):
-    if isinstance(e, P.EInt):
-        return Lit(e.value)
-    if isinstance(e, P.EVar):
-        return Var(rename.get(e.name, e.name))
-    if isinstance(e, P.ENeg):
-        return Neg(_lower_expr(e.operand, rename))
-    if isinstance(e, P.EBin):
-        return Bin(e.op, _lower_expr(e.left, rename), _lower_expr(e.right, rename))
-    if isinstance(e, P.ECmp):
-        return Cmp(e.op, _lower_expr(e.left, rename), _lower_expr(e.right, rename))
-    if isinstance(e, P.EAnd):
-        return And((_lower_expr(e.left, rename), _lower_expr(e.right, rename)))
-    if isinstance(e, P.EOr):
-        return Or((_lower_expr(e.left, rename), _lower_expr(e.right, rename)))
-    if isinstance(e, P.ENot):
-        return Not(_lower_expr(e.operand, rename))
-    raise LoweringError(f"unsupported expression: {e!r}")
+def _renamed(t, rename: Dict[str, Var]):
+    """``t`` with an inlined callee's parameters and locals renamed to their
+    instance's variables; ``main``'s names are its own."""
+    return T.subst(t, rename) if rename else t
 
 
 class _Lowerer:
@@ -163,7 +149,7 @@ class _Lowerer:
             loc_info=tuple(sorted(self.loc_info.items())),
         )
 
-    def _lower_block(self, stmts, rename: Dict[str, str], depth: int):
+    def _lower_block(self, stmts, rename: Dict[str, Var], depth: int):
         """Lower a statement list.  Returns (entry location or None if the
         block is empty of executable statements, patch function) where
         transitions to the block's successor use dst=None placeholders that
@@ -191,28 +177,28 @@ class _Lowerer:
             pending = last_pending
         return entry, pending
 
-    def _lower_stmt(self, s, rename: Dict[str, str], depth: int, emit):
+    def _lower_stmt(self, s, rename: Dict[str, Var], depth: int, emit):
         if isinstance(s, P.SVarDecl):
-            name = rename.get(s.name, s.name)
+            name = _renamed(Var(s.name), rename).name
             self.add_var(name)
             if s.init is None:
                 return None, []
             loc = self.alloc(LocInfo("assign", s.pos))
-            gc = GuardedCommand(update=((name, _lower_expr(s.init, rename)),))
+            gc = GuardedCommand(update=((name, _renamed(s.init, rename)),))
             return loc, [emit(loc, gc, None)]
         if isinstance(s, P.SAssign):
-            name = rename.get(s.name, s.name)
+            name = _renamed(Var(s.name), rename).name
             self.add_var(name)
             loc = self.alloc(LocInfo("assign", s.pos))
-            gc = GuardedCommand(update=((name, _lower_expr(s.expr, rename)),))
+            gc = GuardedCommand(update=((name, _renamed(s.expr, rename)),))
             return loc, [emit(loc, gc, None)]
         if isinstance(s, P.SOutput):
             loc = self.alloc(LocInfo("output", s.pos))
-            gc = GuardedCommand(emit=_lower_expr(s.expr, rename))
+            gc = GuardedCommand(emit=_renamed(s.expr, rename))
             return loc, [emit(loc, gc, None)]
         if isinstance(s, P.SIf):
             loc = self.alloc(LocInfo("branch", s.pos))
-            g = _lower_expr(s.cond, rename)
+            g = _renamed(s.cond, rename)
             then_entry, then_pending = self._lower_block(s.then, rename, depth)
             else_entry, else_pending = self._lower_block(s.els, rename, depth)
             pending = list(then_pending) + list(else_pending)
@@ -225,7 +211,7 @@ class _Lowerer:
             return loc, pending
         if isinstance(s, P.SWhile):
             loc = self.alloc(LocInfo("branch", s.pos))
-            g = _lower_expr(s.cond, rename)
+            g = _renamed(s.cond, rename)
             body_entry, body_pending = self._lower_block(s.body, rename, depth)
             # back edge: the body's fallthrough returns to the loop head
             for i in body_pending:
@@ -242,14 +228,14 @@ class _Lowerer:
             fn = self.ast.function(s.fn)
             self.instance += 1
             inner = {
-                local: f"{s.fn}@{self.instance}.{local}"
+                local: Var(f"{s.fn}@{self.instance}.{local}")
                 for local in fn.params + _declared_locals(fn.body)
             }
             for v in inner.values():
-                self.add_var(v)
+                self.add_var(v.name)
             loc = self.alloc(LocInfo("call", s.pos))
             update = tuple(
-                (inner[p], _lower_expr(a, rename)) for p, a in zip(fn.params, s.args)
+                (inner[p].name, _renamed(a, rename)) for p, a in zip(fn.params, s.args)
             )
             i_bind = emit(loc, GuardedCommand(update=update), None)
             body_entry, body_pending = self._lower_block(fn.body, inner, depth + 1)
@@ -278,7 +264,7 @@ def lower_to_lts(ast: P.Ast, inline_depth: int = 8) -> Lts:
     """Lower a checked Ast to its transition system.
 
     Raises InliningDepthExceeded when (mutually) recursive calls exceed
-    ``inline_depth`` and LoweringError on unsupported constructs.
+    ``inline_depth`` and LoweringError on unsupported statements.
     """
     return _Lowerer(ast, inline_depth).lower()
 

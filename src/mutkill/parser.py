@@ -13,8 +13,12 @@ MiniImp is a small deterministic imperative language over exact integers:
         call helper(n);
     }
 
-Every construct is annotated with a 1-based (line, column) position.  Input
-domains are inclusive and default to [-128, 127] when omitted.
+Expressions are built directly as ``terms`` nodes and are type- and
+scope-checked as they are parsed; a term's type is its class.  Terms carry
+no positions: the parser keeps each expression's position only long enough
+to report an error at it.  Declarations and statements carry a 1-based
+(line, column) position.  Input domains are inclusive and default to
+[-128, 127] when omitted.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
+
+from . import terms as T
+from .terms import And, Bin, Cmp, Lit, Neg, Not, Or, Var
 
 DEFAULT_DOMAIN = (-128, 127)
 
@@ -69,79 +76,22 @@ def _pos_field():
 
 
 @dataclass(frozen=True)
-class EInt:
-    value: int
-    pos: Pos = _pos_field()
-
-
-@dataclass(frozen=True)
-class EVar:
-    name: str
-    pos: Pos = _pos_field()
-
-
-@dataclass(frozen=True)
-class ENeg:
-    operand: "Expr"
-    pos: Pos = _pos_field()
-
-
-@dataclass(frozen=True)
-class EBin:
-    op: str  # + - * / %
-    left: "Expr"
-    right: "Expr"
-    pos: Pos = _pos_field()
-
-
-@dataclass(frozen=True)
-class ECmp:
-    op: str  # < <= > >= == !=
-    left: "Expr"
-    right: "Expr"
-    pos: Pos = _pos_field()
-
-
-@dataclass(frozen=True)
-class EAnd:
-    left: "Expr"
-    right: "Expr"
-    pos: Pos = _pos_field()
-
-
-@dataclass(frozen=True)
-class EOr:
-    left: "Expr"
-    right: "Expr"
-    pos: Pos = _pos_field()
-
-
-@dataclass(frozen=True)
-class ENot:
-    operand: "Expr"
-    pos: Pos = _pos_field()
-
-
-Expr = (EInt, EVar, ENeg, EBin, ECmp, EAnd, EOr, ENot)
-
-
-@dataclass(frozen=True)
 class SVarDecl:
     name: str
-    init: Optional["Expr"]
+    init: Optional[T.IntTerm]
     pos: Pos = _pos_field()
 
 
 @dataclass(frozen=True)
 class SAssign:
     name: str
-    expr: "Expr"
+    expr: T.IntTerm
     pos: Pos = _pos_field()
 
 
 @dataclass(frozen=True)
 class SIf:
-    cond: "Expr"
+    cond: T.BoolTerm
     then: tuple
     els: tuple
     pos: Pos = _pos_field()
@@ -149,14 +99,14 @@ class SIf:
 
 @dataclass(frozen=True)
 class SWhile:
-    cond: "Expr"
+    cond: T.BoolTerm
     body: tuple
     pos: Pos = _pos_field()
 
 
 @dataclass(frozen=True)
 class SOutput:
-    expr: "Expr"
+    expr: T.IntTerm
     pos: Pos = _pos_field()
 
 
@@ -165,9 +115,6 @@ class SCall:
     fn: str
     args: tuple
     pos: Pos = _pos_field()
-
-
-Stmt = (SVarDecl, SAssign, SIf, SWhile, SOutput, SCall)
 
 
 @dataclass(frozen=True)
@@ -254,10 +201,44 @@ def _tokenize(src: str) -> List[_Token]:
 # ---------------------------------------------------------------------------
 
 
+_BOOL_TERMS = (Cmp, And, Or, Not)
+
+
+def _expect_type(term, pos: Pos, ty: str):
+    """Return ``term`` if its type is ``ty`` ('int' or 'bool'), else raise a
+    SemanticError at ``pos``, the position of the expression it was parsed
+    from."""
+    actual = "bool" if isinstance(term, _BOOL_TERMS) else "int"
+    if actual != ty:
+        raise SemanticError(f"expected {ty} expression, found {actual}", pos)
+    return term
+
+
+def _and(_, left, right):
+    return And((left, right))
+
+
+def _or(_, left, right):
+    return Or((left, right))
+
+
 class _Parser:
+    """Recursive descent over the token list.  Expression methods return a
+    ``(term, position)`` pair: the position is where an error about that
+    expression is reported (its operator, its literal or name, or the inner
+    expression of parentheses)."""
+
     def __init__(self, tokens: List[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.scope: set = set()  # parameters and locals of the function being parsed
+        # checked once the whole program is read, since inputs and functions
+        # may be declared after their use: every local declaration (it must
+        # not be an input), every name outside `scope` (it must be an input)
+        # and every call (callee, argument count)
+        self.locals: List[Tuple[str, Pos]] = []
+        self.uses: List[Tuple[str, Pos]] = []
+        self.calls: List[Tuple[str, int, Pos]] = []
 
     @property
     def cur(self) -> _Token:
@@ -284,6 +265,29 @@ class _Parser:
         if tok.text in RESERVED_NAMES:
             raise MiniImpSyntaxError(f"{tok.text!r} is a reserved name", tok.pos)
         return self.advance()
+
+    def use(self, name: _Token) -> None:
+        if name.text not in self.scope:
+            self.uses.append((name.text, name.pos))
+
+    def resolve(self, ast: Ast) -> None:
+        """The scope and call checks that need the whole program."""
+        inputs = ast.input_domains
+        for name, pos in self.locals:
+            if name in inputs:
+                raise SemanticError(f"duplicate declaration of {name!r}", pos)
+        for name, pos in self.uses:
+            if name not in inputs:
+                raise SemanticError(f"undeclared variable {name!r}", pos)
+        functions = {f.name: f for f in ast.functions}
+        for fn, nargs, pos in self.calls:
+            if fn not in functions:
+                raise SemanticError(f"call to undefined function {fn!r}", pos)
+            arity = len(functions[fn].params)
+            if nargs != arity:
+                raise SemanticError(
+                    f"function {fn!r} takes {arity} argument(s), got {nargs}", pos
+                )
 
     def parse_program(self) -> Ast:
         inputs, functions = [], []
@@ -340,6 +344,7 @@ class _Parser:
                 self.advance()
                 params.append(self.expect_name().text)
         self.expect(")")
+        self.scope = set(params)
         body = self.parse_block()
         return FnDef(name.text, tuple(params), body, pos)
 
@@ -353,21 +358,28 @@ class _Parser:
         self.expect("}")
         return tuple(stmts)
 
+    def parse_typed(self, ty: str):
+        return _expect_type(*self.parse_expr(), ty)
+
     def parse_stmt(self):
         tok = self.cur
         if tok.text == "var":
             self.advance()
-            name = self.expect_name()
+            name = self.expect_name().text
+            if name in self.scope:
+                raise SemanticError(f"duplicate declaration of {name!r}", tok.pos)
             init = None
             if self.cur.text == "=":
                 self.advance()
-                init = self.parse_expr()
+                init = self.parse_typed("int")
             self.expect(";")
-            return SVarDecl(name.text, init, tok.pos)
+            self.scope.add(name)
+            self.locals.append((name, tok.pos))
+            return SVarDecl(name, init, tok.pos)
         if tok.text == "if":
             self.advance()
             self.expect("(")
-            cond = self.parse_expr()
+            cond = self.parse_typed("bool")
             self.expect(")")
             then = self.parse_block()
             els: tuple = ()
@@ -381,13 +393,13 @@ class _Parser:
         if tok.text == "while":
             self.advance()
             self.expect("(")
-            cond = self.parse_expr()
+            cond = self.parse_typed("bool")
             self.expect(")")
             body = self.parse_block()
             return SWhile(cond, body, tok.pos)
         if tok.text == "output":
             self.advance()
-            expr = self.parse_expr()
+            expr = self.parse_typed("int")
             self.expect(";")
             return SOutput(expr, tok.pos)
         if tok.text == "call":
@@ -398,17 +410,19 @@ class _Parser:
             self.expect("(")
             args = []
             if self.cur.text != ")":
-                args.append(self.parse_expr())
+                args.append(self.parse_typed("int"))
                 while self.cur.text == ",":
                     self.advance()
-                    args.append(self.parse_expr())
+                    args.append(self.parse_typed("int"))
             self.expect(")")
             self.expect(";")
+            self.calls.append((name.text, len(args), tok.pos))
             return SCall(name.text, tuple(args), tok.pos)
         if tok.kind == "name":
             name = self.expect_name()
             self.expect("=")
-            expr = self.parse_expr()
+            self.use(name)
+            expr = self.parse_typed("int")
             self.expect(";")
             return SAssign(name.text, expr, tok.pos)
         raise MiniImpSyntaxError(f"expected statement, found {tok.text or 'end of input'!r}", tok.pos)
@@ -417,53 +431,56 @@ class _Parser:
     def parse_expr(self):
         return self.parse_or()
 
+    def combine(self, left, operand, ty: str, make):
+        """Parse one binary operator and its right operand; both operands
+        must have type ``ty``.  The left one is checked before the right one
+        is parsed, so errors come in source order."""
+        op = self.advance()
+        _expect_type(*left, ty)
+        right = _expect_type(*operand(), ty)
+        return make(op.text, left[0], right), op.pos
+
     def parse_or(self):
         left = self.parse_and()
         while self.cur.text == "||":
-            pos = self.advance().pos
-            left = EOr(left, self.parse_and(), pos)
+            left = self.combine(left, self.parse_and, "bool", _or)
         return left
 
     def parse_and(self):
         left = self.parse_not()
         while self.cur.text == "&&":
-            pos = self.advance().pos
-            left = EAnd(left, self.parse_not(), pos)
+            left = self.combine(left, self.parse_not, "bool", _and)
         return left
 
     def parse_not(self):
         if self.cur.text == "!":
             pos = self.advance().pos
-            return ENot(self.parse_not(), pos)
+            return Not(_expect_type(*self.parse_not(), "bool")), pos
         return self.parse_cmp()
 
     def parse_cmp(self):
         left = self.parse_additive()
-        if self.cur.text in ("<", "<=", ">", ">=", "==", "!="):
-            op = self.advance()
-            right = self.parse_additive()
-            return ECmp(op.text, left, right, op.pos)
+        if self.cur.text in T.CMP_OPS:
+            return self.combine(left, self.parse_additive, "int", Cmp)
         return left
 
     def parse_additive(self):
         left = self.parse_multiplicative()
         while self.cur.text in ("+", "-"):
-            op = self.advance()
-            left = EBin(op.text, left, self.parse_multiplicative(), op.pos)
+            left = self.combine(left, self.parse_multiplicative, "int", Bin)
         return left
 
     def parse_multiplicative(self):
         left = self.parse_unary()
         while self.cur.text in ("*", "/", "%"):
-            op = self.advance()
-            left = EBin(op.text, left, self.parse_unary(), op.pos)
+            left = self.combine(left, self.parse_unary, "int", Bin)
         return left
 
     def parse_unary(self):
         tok = self.cur
         if tok.text == "-":
             self.advance()
-            return ENeg(self.parse_unary(), tok.pos)
+            return Neg(_expect_type(*self.parse_unary(), "int")), tok.pos
         if tok.text == "(":
             self.advance()
             expr = self.parse_expr()
@@ -471,88 +488,17 @@ class _Parser:
             return expr
         if tok.kind == "int":
             self.advance()
-            return EInt(int(tok.text), tok.pos)
+            return Lit(int(tok.text)), tok.pos
         if tok.kind == "name":
             name = self.expect_name()
-            return EVar(name.text, name.pos)
+            self.use(name)
+            return Var(name.text), name.pos
         raise MiniImpSyntaxError(f"expected expression, found {tok.text or 'end of input'!r}", tok.pos)
 
 
 # ---------------------------------------------------------------------------
-# Semantic checks
+# Program-level checks
 # ---------------------------------------------------------------------------
-
-
-def _expr_type(e, scope: set, pos_of_use=None) -> str:
-    """'int' or 'bool'; raises SemanticError on undeclared names or type mix."""
-    if isinstance(e, EInt):
-        return "int"
-    if isinstance(e, EVar):
-        if e.name not in scope:
-            raise SemanticError(f"undeclared variable {e.name!r}", e.pos)
-        return "int"
-    if isinstance(e, ENeg):
-        _require(e.operand, "int", scope)
-        return "int"
-    if isinstance(e, EBin):
-        _require(e.left, "int", scope)
-        _require(e.right, "int", scope)
-        return "int"
-    if isinstance(e, ECmp):
-        _require(e.left, "int", scope)
-        _require(e.right, "int", scope)
-        return "bool"
-    if isinstance(e, (EAnd, EOr)):
-        _require(e.left, "bool", scope)
-        _require(e.right, "bool", scope)
-        return "bool"
-    if isinstance(e, ENot):
-        _require(e.operand, "bool", scope)
-        return "bool"
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _require(e, ty: str, scope: set):
-    actual = _expr_type(e, scope)
-    if actual != ty:
-        pos = getattr(e, "pos", (0, 0))
-        raise SemanticError(f"expected {ty} expression, found {actual}", pos)
-
-
-def _check_block(stmts, scope: set, fn_names: dict, ast: Ast, checked: set):
-    for s in stmts:
-        if isinstance(s, SVarDecl):
-            if s.name in scope:
-                raise SemanticError(f"duplicate declaration of {s.name!r}", s.pos)
-            if s.init is not None:
-                _require(s.init, "int", scope)
-            scope.add(s.name)
-        elif isinstance(s, SAssign):
-            if s.name not in scope:
-                raise SemanticError(f"undeclared variable {s.name!r}", s.pos)
-            _require(s.expr, "int", scope)
-        elif isinstance(s, SIf):
-            _require(s.cond, "bool", scope)
-            _check_block(s.then, scope, fn_names, ast, checked)
-            _check_block(s.els, scope, fn_names, ast, checked)
-        elif isinstance(s, SWhile):
-            _require(s.cond, "bool", scope)
-            _check_block(s.body, scope, fn_names, ast, checked)
-        elif isinstance(s, SOutput):
-            _require(s.expr, "int", scope)
-        elif isinstance(s, SCall):
-            if s.fn not in fn_names:
-                raise SemanticError(f"call to undefined function {s.fn!r}", s.pos)
-            if len(s.args) != len(fn_names[s.fn].params):
-                raise SemanticError(
-                    f"function {s.fn!r} takes {len(fn_names[s.fn].params)} argument(s), "
-                    f"got {len(s.args)}",
-                    s.pos,
-                )
-            for a in s.args:
-                _require(a, "int", scope)
-        else:
-            raise TypeError(f"not a statement: {s!r}")
 
 
 def check_ast(ast: Ast) -> None:
@@ -561,32 +507,32 @@ def check_ast(ast: Ast) -> None:
         if d.name in seen_inputs:
             raise SemanticError(f"duplicate input {d.name!r}", d.pos)
         seen_inputs.add(d.name)
-    fn_names = {}
+    fn_names = set()
     for f in ast.functions:
         if f.name in fn_names:
             raise SemanticError(f"duplicate function {f.name!r}", f.pos)
-        fn_names[f.name] = f
+        fn_names.add(f.name)
     if ast.entry not in fn_names:
         raise SemanticError(f"missing entry function {ast.entry!r}")
-    if fn_names[ast.entry].params:
+    if ast.function(ast.entry).params:
         raise SemanticError(f"entry function {ast.entry!r} must take no parameters")
     for f in ast.functions:
-        # a function sees the program inputs plus its own parameters/locals
-        scope = set(seen_inputs) | set(f.params)
         dup = set(f.params) & seen_inputs
         if dup:
             raise SemanticError(f"parameter shadows input: {sorted(dup)[0]!r}", f.pos)
-        _check_block(f.body, scope, fn_names, ast, set())
 
 
 def parse_program(src: SourceProgram) -> Ast:
     """Parse MiniImp source into a checked Ast.
 
     Raises MiniImpSyntaxError on grammatical errors and SemanticError on
-    undeclared variables, missing main, duplicate inputs and arity errors.
+    type errors, undeclared variables, missing main, duplicate inputs and
+    arity errors.
     """
-    ast = _Parser(_tokenize(src.text)).parse_program()
+    parser = _Parser(_tokenize(src.text))
+    ast = parser.parse_program()
     check_ast(ast)
+    parser.resolve(ast)
     return ast
 
 
@@ -598,52 +544,22 @@ def parse_text(text: str, origin: str = "<inline>") -> Ast:
 # Pretty printer (round-trips through parse_program)
 # ---------------------------------------------------------------------------
 
-_EPREC = {"||": 1, "&&": 2, "!": 3, "cmp": 4, "+": 5, "-": 5, "*": 6, "/": 6, "%": 6, "neg": 7}
-
-
-def render_expr(e, parent=0) -> str:
-    if isinstance(e, EInt):
-        return str(e.value)
-    if isinstance(e, EVar):
-        return e.name
-    if isinstance(e, ENeg):
-        return f"-{render_expr(e.operand, _EPREC['neg'])}"
-    if isinstance(e, ENot):
-        return f"!{render_expr(e.operand, _EPREC['!'])}"
-    if isinstance(e, EBin):
-        p = _EPREC[e.op]
-        s = f"{render_expr(e.left, p)} {e.op} {render_expr(e.right, p + 1)}"
-        return f"({s})" if p < parent else s
-    if isinstance(e, ECmp):
-        p = _EPREC["cmp"]
-        s = f"{render_expr(e.left, p + 1)} {e.op} {render_expr(e.right, p + 1)}"
-        return f"({s})" if p < parent else s
-    if isinstance(e, EAnd):
-        p = _EPREC["&&"]
-        s = f"{render_expr(e.left, p)} && {render_expr(e.right, p + 1)}"
-        return f"({s})" if p < parent else s
-    if isinstance(e, EOr):
-        p = _EPREC["||"]
-        s = f"{render_expr(e.left, p)} || {render_expr(e.right, p + 1)}"
-        return f"({s})" if p < parent else s
-    raise TypeError(f"not an expression: {e!r}")
-
 
 def _render_stmt(s, indent: str, out: list):
     if isinstance(s, SVarDecl):
         if s.init is None:
             out.append(f"{indent}var {s.name};")
         else:
-            out.append(f"{indent}var {s.name} = {render_expr(s.init)};")
+            out.append(f"{indent}var {s.name} = {T.render(s.init)};")
     elif isinstance(s, SAssign):
-        out.append(f"{indent}{s.name} = {render_expr(s.expr)};")
+        out.append(f"{indent}{s.name} = {T.render(s.expr)};")
     elif isinstance(s, SOutput):
-        out.append(f"{indent}output {render_expr(s.expr)};")
+        out.append(f"{indent}output {T.render(s.expr)};")
     elif isinstance(s, SCall):
-        args = ", ".join(render_expr(a) for a in s.args)
+        args = ", ".join(T.render(a) for a in s.args)
         out.append(f"{indent}call {s.fn}({args});")
     elif isinstance(s, SIf):
-        out.append(f"{indent}if ({render_expr(s.cond)}) {{")
+        out.append(f"{indent}if ({T.render(s.cond)}) {{")
         for t in s.then:
             _render_stmt(t, indent + "    ", out)
         if s.els:
@@ -652,7 +568,7 @@ def _render_stmt(s, indent: str, out: list):
                 _render_stmt(t, indent + "    ", out)
         out.append(f"{indent}}}")
     elif isinstance(s, SWhile):
-        out.append(f"{indent}while ({render_expr(s.cond)}) {{")
+        out.append(f"{indent}while ({T.render(s.cond)}) {{")
         for t in s.body:
             _render_stmt(t, indent + "    ", out)
         out.append(f"{indent}}}")

@@ -65,6 +65,14 @@ class TestLowering:
         with pytest.raises(L.InliningDepthExceeded):
             lower(src, inline_depth=2)
 
+    def test_flat_sum_lowers(self):
+        # the front end makes no recursive pass over a sum, so its length is
+        # not bounded by the recursion limit; the terms are not compared
+        # with ==, since the dataclass __eq__ recurses
+        text = "input x: int in [0,3];\nfn main() { output %s; }" % " + ".join(["x"] * 600)
+        (_, gc, _), = L.lower_text(text).transitions
+        assert T.eval_int(gc.emit, {"x": 2}) == 1200
+
     def test_eval0_is_domain_bounds(self):
         lts = C.load_lts("fig1")
         assert T.holds(lts.eval0(), {"x": -8})
