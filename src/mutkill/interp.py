@@ -71,49 +71,6 @@ def _check_domains(lts: Lts, test: Dict[str, int]) -> None:
 # terms: a guard becomes `guard(e)` and the update and emit together
 # `fire(e, out)`, both over the valuation dict `e`.
 
-# CPython's parser allows 200 nested parentheses; each term node opens at
-# most one, so a subterm deeper than this gets a function of its own
-_MAX_NESTING = 50
-
-
-class _Source:
-    """Python source of functions over the valuation `e`."""
-
-    def __init__(self) -> None:
-        self.defs: List[str] = []
-        self.subterms = itertools.count()
-
-    def define(self, head: str, body: Sequence[str]) -> None:
-        self.defs.append(f"def {head}:\n" + "".join(f"    {line}\n" for line in body))
-
-    def expr(self, t, depth: int = 0) -> str:
-        """An expression with the value, evaluation order, short-circuiting
-        and EvalError of `T.eval_int`/`T.eval_bool` on `t`."""
-        if depth > _MAX_NESTING:
-            name = f"_sub{next(self.subterms)}"
-            self.define(f"{name}(e)", [f"return {self.expr(t)}"])
-            return f"{name}(e)"
-        d = depth + 1
-        if isinstance(t, (T.Lit, T.BoolLit)):
-            return f"({t.value!r})"
-        if isinstance(t, T.Var):
-            return f"e[{t.name!r}]"
-        if isinstance(t, T.Neg):
-            return f"(-{self.expr(t.operand, d)})"
-        if isinstance(t, T.Not):
-            return f"(not {self.expr(t.operand, d)})"
-        if isinstance(t, T.Bin) and t.op in ("/", "%"):
-            fn = "_div" if t.op == "/" else "_mod"
-            return f"{fn}({self.expr(t.left, d)}, {self.expr(t.right, d)})"
-        if isinstance(t, (T.Bin, T.Cmp)):
-            return f"({self.expr(t.left, d)} {t.op} {self.expr(t.right, d)})"
-        if isinstance(t, (T.And, T.Or)):
-            if not t.items:
-                return repr(isinstance(t, T.And))
-            joint = " and " if isinstance(t, T.And) else " or "
-            return "(" + joint.join(self.expr(x, d) for x in t.items) + ")"
-        raise TypeError(f"not a term: {t!r}")
-
 
 @functools.lru_cache(maxsize=1 << 12)
 def compile_command(gc: GuardedCommand) -> Tuple[Callable, Callable]:
@@ -121,15 +78,14 @@ def compile_command(gc: GuardedCommand) -> Tuple[Callable, Callable]:
     `T.eval_bool(gc.guard, e)`; `fire(e, out)` evaluates the update terms in
     order, then appends the emitted value to `out`, then assigns the updated
     variables of `e`.  Equal labels share one compiled pair."""
-    src = _Source()
+    src = T.Source()
     src.define("guard(e)", [f"return {src.expr(gc.guard)}"])
     body = [f"v{i} = {src.expr(term)}" for i, (_, term) in enumerate(gc.update)]
     if gc.emit is not None:
         body.append(f"out.append({src.expr(gc.emit)})")
     body += [f"e[{name!r}] = v{i}" for i, (name, _) in enumerate(gc.update)]
     src.define("fire(e, out)", body or ["pass"])
-    scope = {"_div": T.trunc_div, "_mod": T.trunc_mod}
-    exec(compile("".join(src.defs), "<mutkill transition>", "exec"), scope)
+    scope = src.functions("<mutkill transition>")
     return scope["guard"], scope["fire"]
 
 

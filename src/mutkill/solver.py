@@ -17,12 +17,14 @@ have errored out before reaching the comparison).
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import shlex
 import subprocess
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import terms as T
 from .terms import And, Bin, BoolLit, BoolTerm, Cmp, Lit, Neg, Not, Or, Var
@@ -95,6 +97,52 @@ def _query_domains(c: BoolTerm, h: SolverHandle) -> List[Tuple[str, Tuple[int, i
     return out
 
 
+# Enumerations of at least this many points run as a generated loop nest
+# (`_enumerator`); smaller ones walk the constraint at each point.  The
+# bound lies between the corpus' largest query (16 x 16 = 256 points) and
+# two inputs over default domains (65 536 points).  Small queries are mostly
+# satisfied within their first few points, so generating code for them only
+# costs: compiling every query made countdown no faster and raised the
+# corpus' peak memory by a sixth.
+_COMPILE_MIN_POINTS = 4096
+# CPython nests at most 20 blocks in one function, and each loop is one
+_MAX_LOOPS = 20
+
+
+@functools.lru_cache(maxsize=256)
+def _enumerator(c: BoolTerm, names: Tuple[str, ...]) -> Callable:
+    """`models(deadline, clock, r0, r1, ...)`: a generator of the valuations
+    of `names` over the ranges `r0, r1, ...` that satisfy the normalized
+    constraint `c` under `T.holds`, in `itertools.product` order.  There is
+    one loop per name, the first outermost, and each top-level conjunct of
+    `c` is tested in the outermost loop that binds all its variables.  After
+    each iteration of the outermost loop it yields None and stops once
+    `clock()` has passed `deadline`."""
+    local = {n: f"v{i}" for i, n in enumerate(names)}
+    src = T.Source(local, constraint=True)
+    # levels[k]: the conjuncts whose variables the first k loops bind
+    levels: List[List[str]] = [[] for _ in range(len(names) + 1)]
+    for item in c.items if isinstance(c, And) else (c,):
+        k = max((names.index(n) + 1 for n in T.variables(item)), default=0)
+        levels[k].append(src.expr(item))
+    body, pad = [], ""
+    for k, conjuncts in enumerate(levels):
+        if conjuncts:
+            body.append(f"{pad}if {' and '.join(conjuncts)}:")
+            pad += "    "
+        if k < len(names):
+            body.append(f"{pad}for v{k} in r{k}:")
+            pad += "    "
+    body.append(pad + "yield {" + ", ".join(f"{n!r}: {v}" for n, v in local.items()) + "}")
+    if names:
+        outer = "    " * (1 + bool(levels[0]))  # the first loop's body
+        body += [f"{outer}if clock() > deadline:", f"{outer}    yield None",
+                 f"{outer}    return"]
+    params = ["deadline", "clock"] + [f"r{k}" for k in range(len(names))]
+    src.define(f"models({', '.join(params)})", body)
+    return src.functions("<mutkill constraint>")["models"]
+
+
 def enumerate_models(c: BoolTerm, h: SolverHandle,
                      deadline: Optional[float] = None) -> Iterator[Optional[Dict[str, int]]]:
     """All satisfying valuations in deterministic order (lexicographic symbol
@@ -102,13 +150,17 @@ def enumerate_models(c: BoolTerm, h: SolverHandle,
     `deadline` (a `time.monotonic()` value), yields None and stops once it
     has passed: the enumeration is then incomplete."""
     doms = _query_domains(c, h)
-    total = 1
-    for _, (lo, hi) in doms:
-        total *= hi - lo + 1
+    total = math.prod(hi - lo + 1 for _, (lo, hi) in doms)
     if total > h.max_points:
         raise SolverFailure(f"domain too large for enumeration: {total} points")
-    names = [n for n, _ in doms]
-    for values in itertools.product(*(range(lo, hi + 1) for _, (lo, hi) in doms)):
+    names = tuple(n for n, _ in doms)
+    ranges = [range(lo, hi + 1) for _, (lo, hi) in doms]
+    if total >= _COMPILE_MIN_POINTS and len(names) <= _MAX_LOOPS:
+        models = _enumerator(T.normalize_bool(c), names)
+        yield from models(math.inf if deadline is None else deadline, time.monotonic,
+                          *ranges)
+        return
+    for values in itertools.product(*ranges):
         env = dict(zip(names, values))
         if T.holds(c, env):
             yield env

@@ -13,9 +13,10 @@ truncated-toward-zero semantics (like C); dividing by zero raises
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, List, Mapping, Optional, Sequence, Union
 
 
 class EvalError(Exception):
@@ -300,6 +301,90 @@ def has_division(t: Term) -> bool:
     if isinstance(t, (And, Or)):
         return any(has_division(x) for x in t.items)
     return False
+
+
+# ---------------------------------------------------------------------------
+# Compilation to Python
+# ---------------------------------------------------------------------------
+#
+# Replay and the solver's large enumerations run terms as generated Python
+# rather than walking the tree once per evaluation.
+
+# CPython's parser allows 200 nested parentheses; each term node opens at
+# most one, so a subterm deeper than this gets a function of its own
+_MAX_NESTING = 50
+
+
+class Source:
+    """Python source of functions that evaluate terms.
+
+    Variables are read from the valuation dict `e` as `e[name]`, or, given
+    `local` (variable name -> Python local name), from those locals.  A
+    generated helper takes `e`, or the locals of just the variables its
+    subterm reads, so a call to it is valid wherever those are bound.
+
+    Expressions have the value, evaluation order, short-circuiting and
+    EvalError of `eval_int`/`eval_bool`.  In `constraint` mode a comparison
+    that divides is instead a helper that is False where it raises
+    EvalError, which is the meaning `holds` gives it: no comparison raises,
+    so conjuncts may be tested in any order."""
+
+    def __init__(self, local: Optional[Mapping[str, str]] = None,
+                 constraint: bool = False) -> None:
+        self.local = local
+        self.constraint = constraint
+        self.defs: List[str] = []
+        self.helpers = itertools.count()
+
+    def define(self, head: str, body: Sequence[str]) -> None:
+        self.defs.append(f"def {head}:\n" + "".join(f"    {line}\n" for line in body))
+
+    def functions(self, filename: str) -> dict:
+        """The namespace in which the defined functions were executed."""
+        scope = {"_div": trunc_div, "_mod": trunc_mod, "EvalError": EvalError}
+        exec(compile("".join(self.defs), filename, "exec"), scope)
+        return scope
+
+    def _helper(self, t: Term, body: Sequence[str]) -> str:
+        """Define a function of `t`'s variables with `body`; its call."""
+        if self.local is None:
+            args = "e"
+        else:
+            args = ", ".join(self.local[n] for n in sorted(variables(t)))
+        name = f"_h{next(self.helpers)}"
+        self.define(f"{name}({args})", body)
+        return f"{name}({args})"
+
+    def expr(self, t: Term, depth: int = 0) -> str:
+        """A Python expression for `t`, `depth` parentheses deep."""
+        if depth > _MAX_NESTING:
+            return self._helper(t, [f"return {self.expr(t)}"])
+        d = depth + 1
+        if isinstance(t, (Lit, BoolLit)):
+            return f"({t.value!r})"
+        if isinstance(t, Var):
+            return f"e[{t.name!r}]" if self.local is None else self.local[t.name]
+        if isinstance(t, Neg):
+            return f"(-{self.expr(t.operand, d)})"
+        if isinstance(t, Not):
+            return f"(not {self.expr(t.operand, d)})"
+        if isinstance(t, Bin) and t.op in ("/", "%"):
+            fn = "_div" if t.op == "/" else "_mod"
+            return f"{fn}({self.expr(t.left, d)}, {self.expr(t.right, d)})"
+        if isinstance(t, Cmp) and self.constraint and has_division(t):
+            return self._helper(t, ["try:", f"    return {self._infix(t, 1)}",
+                                    "except EvalError:", "    return False"])
+        if isinstance(t, (Bin, Cmp)):
+            return self._infix(t, d)
+        if isinstance(t, (And, Or)):
+            if not t.items:
+                return repr(isinstance(t, And))
+            joint = " and " if isinstance(t, And) else " or "
+            return "(" + joint.join(self.expr(x, d) for x in t.items) + ")"
+        raise TypeError(f"not a term: {t!r}")
+
+    def _infix(self, t: Union[Bin, Cmp], depth: int) -> str:
+        return f"({self.expr(t.left, depth)} {t.op} {self.expr(t.right, depth)})"
 
 
 # ---------------------------------------------------------------------------

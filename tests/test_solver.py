@@ -1,3 +1,7 @@
+import itertools
+import math
+import time
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -9,6 +13,11 @@ import conftest as C
 
 DOMS = {"x": (-8, 7), "y": (-8, 7)}
 H = S.SolverHandle.bounded(DOMS)
+# two inputs whose queries enumerate exactly as many points as the solver
+# needs to compile them: x and y over [-32, 31]
+SIDE = math.isqrt(S._COMPILE_MIN_POINTS) // 2
+BIG_DOMS = {"x": (-SIDE, SIDE - 1), "y": (-SIDE, SIDE - 1)}
+BIG = S.SolverHandle.bounded(BIG_DOMS)
 
 
 def x_lt(k):
@@ -108,6 +117,96 @@ def bool_constraints():
         ),
         max_leaves=6,
     )
+
+
+def brute_force(c, h):
+    """The valuations of c's variables that satisfy it under T.holds, in the
+    solver's order: names sorted, values ascending."""
+    doms = [(n, range(lo, hi + 1)) for n, (lo, hi) in h.domains if n in T.variables(c)]
+    envs = (dict(zip([n for n, _ in doms], values))
+            for values in itertools.product(*(r for _, r in doms)))
+    return [env for env in envs if T.holds(c, env)]
+
+
+x, y = Var("x"), Var("y")
+
+
+class TestCompiledEnumeration:
+    """Queries of at least `_COMPILE_MIN_POINTS` points run as a generated
+    loop nest over the normalized constraint."""
+
+    def test_big_handle_is_on_the_compiled_side(self):
+        assert math.prod(hi - lo + 1 for lo, hi in BIG_DOMS.values()) >= S._COMPILE_MIN_POINTS
+
+    @given(bool_constraints())
+    # dividing comparisons of one variable each: a helper call tested before
+    # the loop that binds its argument raises UnboundLocalError
+    @example(And((Cmp("<", Bin("/", Lit(5), y), Lit(1)),
+                  Cmp("==", Bin("%", x, Lit(3)), Lit(0)))))
+    @settings(max_examples=100, deadline=None)
+    def test_models_equal_brute_force(self, c):
+        assert list(S.enumerate_models(c, BIG)) == brute_force(c, BIG)
+
+    def test_negated_dividing_comparison_holds_at_zero_divisor(self):
+        # x / y == 1 is false at y = 0, so its negation is true there
+        c = And((Not(Cmp("==", Bin("/", x, y), Lit(1))), Cmp("==", x, y)))
+        assert list(S.enumerate_models(c, BIG)) == [{"x": 0, "y": 0}]
+
+    def test_variable_free_conjunct(self):
+        div0 = Cmp("<", Bin("/", Lit(1), Lit(0)), Lit(1))  # false: divides by zero
+        both = Cmp("<=", x, y)
+        assert list(S.enumerate_models(And((both, div0)), BIG)) == []
+        assert list(S.enumerate_models(And((both, Not(div0))), BIG)) == brute_force(both, BIG)
+
+    def test_model_is_total_when_normalization_drops_a_variable(self):
+        c = And((Cmp("==", x, x), Cmp("==", y, Lit(3))))
+        models = list(S.enumerate_models(c, BIG))
+        assert models == brute_force(c, BIG)
+        assert models[0] == {"x": -SIDE, "y": 3}
+
+    def test_outer_variable_conjunct_is_hoisted(self):
+        entered = []
+
+        class Inner:
+            """y's range, recording each time its loop starts."""
+
+            def __iter__(self):
+                entered.append(True)
+                return iter(range(-SIDE, SIDE))
+
+        c = T.normalize_bool(And((Cmp("==", Bin("%", x, Lit(5)), Lit(0)), Cmp(">", y, x))))
+        models = S._enumerator(c, ("x", "y"))(math.inf, time.monotonic,
+                                              range(-SIDE, SIDE), Inner())
+        assert list(models) == brute_force(c, BIG)
+        assert len(entered) == len([v for v in range(-SIDE, SIDE) if v % 5 == 0])
+
+    def test_deeper_than_one_generated_function_nests(self):
+        power = x
+        for _ in range(299):
+            power = Bin("*", power, x)
+        c = And((Cmp(">", y, Lit(SIDE - 4)), Cmp("==", power, Lit(1))))
+        r = S.is_satisfiable(c, BIG)
+        assert r.is_sat and r.model == brute_force(c, BIG)[0] == {"x": -1, "y": SIDE - 3}
+
+    def test_more_variables_than_nested_loops(self):
+        # 2^12 points over 21 variables, nine of them with one value each
+        names = [f"v{i:02d}" for i in range(S._MAX_LOOPS + 1)]
+        h = S.SolverHandle.bounded({n: (0, 1 if i < 12 else 0) for i, n in enumerate(names)})
+        total = Var(names[0])
+        for n in names[1:]:
+            total = Bin("+", total, Var(n))
+        c = Cmp("==", total, Lit(11))
+        assert list(S.enumerate_models(c, h)) == brute_force(c, h)
+
+
+class TestUnknown:
+    @pytest.mark.parametrize("doms", [DOMS, BIG_DOMS], ids=["walked", "compiled"])
+    def test_timeout_before_a_model_is_unknown(self, doms):
+        c = Cmp("==", Bin("+", Bin("*", x, x), Bin("*", y, y)), Lit(3))  # no two squares sum to 3
+        assert S.is_satisfiable(c, S.SolverHandle.bounded(doms)).status == S.UNSAT
+        assert S.is_satisfiable(c, S.SolverHandle.bounded(doms, timeout=0)).status == S.UNKNOWN
+        models = list(S.enumerate_models(c, S.SolverHandle.bounded(doms), time.monotonic()))
+        assert models[-1] is None
 
 
 import sys

@@ -162,8 +162,10 @@ class TestNormalizeBool:
             assert not holds(n, {"x": 3, "y": 0, "z": -1})
             assert holds(n, {"x": 3, "y": 2, "z": -1})
 
-    @given(bool_terms(), envs)
-    @settings(max_examples=150)
+    # with division too: the solver's compiled enumeration evaluates
+    # normalize_bool(c), not c
+    @given(st.one_of(bool_terms(), bool_terms(division=True)), envs)
+    @settings(max_examples=300)
     def test_normalization_preserves_models(self, t, env):
         assert holds(normalize_bool(t), env) == holds(t, env)
 
