@@ -136,8 +136,8 @@ def run_lts(lts: Lts, test: Dict[str, int],
 
 def run_concrete(meta: MetaMutant, mut_id: int, test: Dict[str, int],
                  step_budget: int = DEFAULT_STEP_BUDGET) -> Trace:
-    """Execute the meta-mutant under the given selector (0 = original), as
-    the selector-free program `meta.program(mut_id)`."""
+    """Execute the original (0) or one mutant of the meta-mutant: the
+    program `meta.program(mut_id)`."""
     if mut_id != 0 and mut_id not in meta.mutants:
         raise DomainViolation(f"unknown mutant id {mut_id}")
     return run_lts(meta.program(mut_id), test, step_budget=step_budget)

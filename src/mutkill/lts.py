@@ -26,8 +26,6 @@ from . import parser as P
 from . import terms as T
 from .terms import And, BoolTerm, Cmp, IntTerm, Lit, Var
 
-MUT_ID = "mutId"  # selector variable added by the meta-mutant builder
-
 
 class LoweringError(Exception):
     pass
@@ -310,17 +308,14 @@ class LtsInvariantError(Exception):
 
 def _exclusive(g1: BoolTerm, g2: BoolTerm) -> bool:
     """Syntactic mutual-exclusion check: complements, or conjunction that
-    normalizes to false (covers mutId selector guards)."""
+    normalizes to false."""
     if T.normalize_bool(g2) == T.normalize_bool(T.negate(g1)):
         return True
     return T.normalize_bool(And((g1, g2))) == T.FALSE
 
 
-def validate_lts(lts: Lts, max_fanout: Optional[int] = 2) -> None:
-    """Check the structural invariants; raises LtsInvariantError.
-
-    ``max_fanout`` bounds outgoing transitions per location (2 for lowered
-    programs; pass None for meta-mutants, which branch per mutant)."""
+def validate_lts(lts: Lts) -> None:
+    """Check the structural invariants; raises LtsInvariantError."""
     locset = set(lts.locations)
     if lts.entry not in locset:
         raise LtsInvariantError("entry location missing")
@@ -347,7 +342,7 @@ def validate_lts(lts: Lts, max_fanout: Optional[int] = 2) -> None:
             continue
         if not outs:
             raise LtsInvariantError(f"non-terminal {loc} has no outgoing transitions")
-        if max_fanout is not None and len(outs) > max_fanout:
+        if len(outs) > 2:  # a branch has two arms, any other location one
             raise LtsInvariantError(f"location {loc} has {len(outs)} outgoing transitions")
         for _, gc, dst in outs:
             if dst not in locset:

@@ -20,10 +20,10 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import terms as T
-from .lts import GuardedCommand, Lts, Transition, MUT_ID
+from .lts import GuardedCommand, Lts, Transition
 from .terms import And, Bin, Cmp, Lit, Neg, Not, Or, Var
 
 SUPPORTED_OPERATORS = ("AOR", "CRP", "LCR", "RHS", "ROR", "SDL")
@@ -51,10 +51,10 @@ class Mutant:
 
 @dataclass(frozen=True)
 class MetaMutant:
-    """Single merged program; `mutId` (never written by program statements)
-    selects the original (0) or one mutant (its ID)."""
+    """The original program and its mutants, run as one: ID 0 selects the
+    original, every other ID its mutant, which forks off the original at
+    its mutation point."""
 
-    lts: Lts  # extended with the mutId selector variable
     base: Lts
     index: Tuple[Tuple[int, Mutant], ...]
     points: Tuple[Tuple[int, Tuple[int, ...]], ...]  # location -> mutant IDs
@@ -72,26 +72,14 @@ class MetaMutant:
 
     @cached_property
     def _programs(self) -> Dict[int, Lts]:
-        return {}
-
-    @cached_property
-    def _original_transitions(self) -> List[Optional[Transition]]:
-        """The meta transitions under `mutId := 0` (None where dropped)."""
-        return [_select(t, 0) for t in self.lts.transitions]
+        return {0: self.base}
 
     def program(self, mut_id: int) -> Lts:
-        """The selector-free program that the meta-mutant runs under
-        `mutId == mut_id`: the base program's variables and locations, and
-        the meta transitions with the selector folded away (cached)."""
+        """The program that ID `mut_id` runs: the base program for 0, else
+        the standalone mutant (`apply_mutant`, cached)."""
         prog = self._programs.get(mut_id)
         if prog is None:
-            # only the mutant's own mutation point compares the selector
-            # with its ID; everywhere else it selects as for the original
-            at = self.mutants[mut_id].loc if mut_id else None
-            selected = (_select(t, mut_id) if t[0] == at else t0
-                        for t, t0 in zip(self.lts.transitions, self._original_transitions))
-            prog = self._programs[mut_id] = dataclasses.replace(
-                self.base, transitions=tuple(t for t in selected if t is not None))
+            prog = self._programs[mut_id] = apply_mutant(self.base, self.mutants[mut_id])
         return prog
 
 
@@ -317,54 +305,11 @@ def build_meta_mutant(lts: Lts, mutants: Sequence[Mutant]) -> MetaMutant:
         points.setdefault(next(iter(srcs)), []).append(m.id)
     for v in points.values():
         v.sort()
-    sel = Var(MUT_ID)
-    index = {m.id: m for m in mutants}
-    transitions: List[Transition] = []
-    for t in lts.transitions:
-        # original transition: active unless a mutant owning it is selected
-        transitions.append(_selected_by(t, [
-            Cmp("!=", sel, Lit(mid)) for mid in points.get(t[0], [])
-            if t in index[mid].removed]))
-    for loc, mids in sorted(points.items()):
-        for mid in mids:  # ascending-ID branch order
-            transitions.extend(_selected_by(t, [Cmp("==", sel, Lit(mid))])
-                               for t in index[mid].replacement)
-    meta_lts = dataclasses.replace(
-        lts,
-        variables=lts.variables + (MUT_ID,),
-        transitions=tuple(transitions),
-    )
     return MetaMutant(
-        lts=meta_lts, base=lts,
-        index=tuple(sorted(index.items())),
+        base=lts,
+        index=tuple(sorted((m.id, m) for m in mutants)),
         points=tuple(sorted((loc, tuple(mids)) for loc, mids in points.items())),
     )
-
-
-def _selected_by(transition: Transition, selectors: List[Cmp]) -> Transition:
-    """`transition` with its guard preceded by the selector comparisons, so
-    that a run for another mutant evaluates nothing of the guard."""
-    if not selectors:
-        return transition
-    src, gc, dst = transition
-    guard = T.conj(selectors + ([] if gc.guard == T.TRUE else [gc.guard]))
-    return src, dataclasses.replace(gc, guard=guard), dst
-
-
-def _select(transition: Transition, mut_id: int) -> Optional[Transition]:
-    """`transition` under `mutId := mut_id`: None when one of the selector
-    comparisons that lead its guard is false, else the transition with them
-    stripped (the very tuple when it has none)."""
-    src, gc, dst = transition
-    items = gc.guard.items if isinstance(gc.guard, And) else (gc.guard,)
-    n = 0
-    while n < len(items) and isinstance(items[n], Cmp) and items[n].left == Var(MUT_ID):
-        if not T.eval_bool(items[n], {MUT_ID: mut_id}):
-            return None
-        n += 1
-    if n == 0:
-        return transition
-    return src, dataclasses.replace(gc, guard=T.conj(items[n:])), dst
 
 
 # ---------------------------------------------------------------------------

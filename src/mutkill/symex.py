@@ -1,7 +1,7 @@
 """Forking breadth-first symbolic execution over a meta-mutant.
 
 The engine explores states in lock step by depth, each state on its own
-mutant's selector-free program (`MetaMutant.program`).  Original states fork
+mutant's program (`MetaMutant.program`).  Original states fork
 a mutant copy on first arrival at each targeted mutation point; the mutant
 copy is expanded right after the original, takes the mutated transition and
 must pass an infection check (its state provably differs from one of the
@@ -404,7 +404,7 @@ class _Engine:
         branches pruned, division-by-zero branches finished as errors."""
         branching = s.loc in self.branch_locs
         results: List[SymbolicState] = []
-        error_keys: Set[str] = set()
+        error_keys: Set[IntTerm] = set()
         for i, transition in enumerate(self.meta.program(s.mut_id).successors[s.loc]):
             stepped = step(s, i, transition)
             if stepped is None:
@@ -417,7 +417,7 @@ class _Engine:
                 divs += T.divisors(label.emit)
             nonzero = [Cmp("!=", d, Lit(0)) for d in divs]
             for j, d in enumerate(divs):
-                key = repr(T.normalize_int(d))
+                key = T.normalize_int(d)
                 in_guard = j < len(guard_divs)
                 if in_guard and key in error_keys:
                     continue  # complementary guard shares the same divisors

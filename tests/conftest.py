@@ -1,4 +1,5 @@
 import functools
+import glob
 import os
 import sys
 
@@ -10,6 +11,7 @@ from mutkill import parser as P
 from mutkill import solver as S
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
+BENCH_PROGRAMS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "programs")
 STUB = os.path.join(os.path.dirname(__file__), "smt_stub.py")
 
 # a branch whose guard divides by zero at y = 1, where none of its mutants
@@ -24,6 +26,12 @@ ALL_PROGRAMS = LOOPFREE + ["fig1", "sumloop", "countdown", "callfn"]
 
 def corpus_path(name: str) -> str:
     return os.path.join(CORPUS, f"{name}.mimp")
+
+
+def every_program():
+    """Paths of the corpus and benchmark programs."""
+    return sorted(glob.glob(os.path.join(CORPUS, "*.mimp"))
+                  + glob.glob(os.path.join(BENCH_PROGRAMS, "*.mimp")))
 
 
 @functools.lru_cache(maxsize=None)

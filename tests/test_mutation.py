@@ -1,5 +1,5 @@
 import dataclasses
-import itertools
+from collections import Counter
 
 import pytest
 
@@ -85,12 +85,18 @@ class TestApply:
         assert I.run_lts(mutated, {"x": 2}).output == (0,)
         assert I.run_lts(lts, {"x": 2}).output == (2,)
 
-    def test_apply_preserves_structure(self, fig1):
-        lts, mutants, _, _ = fig1
-        for m in mutants[:10]:
-            mutated = M.apply_mutant(lts, m)
-            assert mutated.locations == lts.locations
-            L.validate_lts(mutated)
+    def test_apply_preserves_structure(self):
+        # the engine reads every mutant's static facts (branches, terminals,
+        # distances) off the base program
+        for path in C.every_program():
+            with open(path, encoding="utf-8") as f:
+                lts = L.lower_text(f.read(), path)
+            ends = Counter((src, dst) for src, _, dst in lts.transitions)
+            for m in M.generate_mutants(lts, M.SUPPORTED_OPERATORS):
+                mutated = M.apply_mutant(lts, m)
+                assert mutated == dataclasses.replace(lts, transitions=mutated.transitions)
+                assert Counter((src, dst) for src, _, dst in mutated.transitions) == ends
+                L.validate_lts(mutated)
 
 
 class TestTce:
@@ -169,17 +175,6 @@ class TestMetaMutant:
             for i in ids:
                 assert meta.mutants[i].loc == loc
 
-    def test_selector_guards_are_exclusive(self, fig1):
-        _, _, _, meta = fig1
-        # at a mutation point, each mutant id enables exactly one alternative
-        for loc, ids in meta.points:
-            for mid in (0,) + ids:
-                env = {"mutId": mid}
-                live = [gc for _, gc, _ in meta.lts.successors[loc]
-                        if not T.normalize_bool(
-                            T.subst(gc.guard, {"mutId": T.Lit(mid)})) == T.FALSE]
-                assert live, (loc, mid)
-
     def test_zero_mutants_yields_plain_program(self):
         lts = C.load_lts("abs")
         meta = M.build_meta_mutant(lts, [])
@@ -197,15 +192,6 @@ class TestMetaMutant:
             M.build_meta_mutant(lts, clash)
 
 
-def _unfolded(meta: M.MetaMutant, mut_id: int) -> L.Lts:
-    """The meta-mutant with the selector replaced by a literal and nothing
-    folded away: every guard is evaluated as the meta-mutant evaluates it."""
-    sel = {L.MUT_ID: T.Lit(mut_id)}
-    return dataclasses.replace(meta.lts, variables=meta.base.variables, transitions=tuple(
-        (src, dataclasses.replace(gc, guard=T.subst(gc.guard, sel)), dst)
-        for src, gc, dst in meta.lts.transitions))
-
-
 class TestPrograms:
     @pytest.mark.parametrize("name", C.ALL_PROGRAMS)
     def test_program_zero_is_the_base_program(self, name):
@@ -216,39 +202,23 @@ class TestPrograms:
     def test_programs_are_selector_free(self, name):
         meta = C.build(name)[3]
         for k in (0,) + meta.mutant_ids():
-            prog = meta.program(k)
-            assert L.MUT_ID not in prog.variables
-            for _, gc, _ in prog.transitions:
-                assert L.MUT_ID not in T.variables(gc.guard), (k, gc)
-            L.validate_lts(prog, max_fanout=None)
+            L.validate_lts(meta.program(k))
 
     def test_program_is_cached(self, fig1):
         meta = fig1[3]
         assert meta.program(3) is meta.program(3)
 
     def test_program_is_the_standalone_mutant_past_a_division(self):
-        # the selector comes before the original guard x / (y - 1) > 0, so
-        # the mutants of that branch run as they do standalone
+        # the mutants of the branch never evaluate the original guard
+        # x / (y - 1) > 0, so they run as they do standalone
         lts = lower(C.DIVIDING_BRANCH)
         mutants = M.generate_mutants(lts, M.SUPPORTED_OPERATORS)
         meta = M.build_meta_mutant(lts, mutants)
         for m in mutants:
             single = M.apply_mutant(lts, m)
-            unfolded = _unfolded(meta, m.id)
             for test in I.all_inputs(lts):
                 got = I.run_concrete(meta, m.id, test)
                 assert got.outcome() == I.run_lts(single, test).outcome(), (m, test)
-                assert got == I.run_lts(unfolded, test), (m, test)
-
-    @pytest.mark.parametrize("name", ["fig1", "divmod", "callfn"])
-    def test_program_runs_as_the_meta_mutant(self, name):
-        lts, _, _, meta = C.build(name)
-        tests = list(itertools.islice(I.all_inputs(lts), 0, None, 7))
-        for k in (0,) + meta.mutant_ids():
-            unfolded = _unfolded(meta, k)
-            for test in tests:
-                assert I.run_concrete(meta, k, test, step_budget=300) == \
-                    I.run_lts(unfolded, test, step_budget=300), (k, test)
 
 
 class TestReports:
