@@ -155,14 +155,17 @@ def enumerate_models(c: BoolTerm, h: SolverHandle,
         raise SolverFailure(f"domain too large for enumeration: {total} points")
     names = tuple(n for n, _ in doms)
     ranges = [range(lo, hi + 1) for _, (lo, hi) in doms]
+    # both paths test the normalized constraint, which is smaller (a kill
+    # query's two paths share a prefix) and has the same models
+    norm = T.normalize_bool(c)
     if total >= _COMPILE_MIN_POINTS and len(names) <= _MAX_LOOPS:
-        models = _enumerator(T.normalize_bool(c), names)
+        models = _enumerator(norm, names)
         yield from models(math.inf if deadline is None else deadline, time.monotonic,
                           *ranges)
         return
     for values in itertools.product(*ranges):
         env = dict(zip(names, values))
-        if T.holds(c, env):
+        if T.holds(norm, env):
             yield env
         elif deadline is not None and time.monotonic() > deadline:
             yield None

@@ -1,9 +1,15 @@
 """Integer/boolean term trees shared by the front end, the symbolic engine
 and the constraint solver.
 
-Terms are immutable and hashable, so they can be used directly as dict keys
-(monomial atoms during normalization) and serialized deterministically for
-duplicate detection.
+Terms are immutable and interned (hash-consed): constructing a node returns
+the one node with its class and fields, so structurally equal terms are the
+same object, equality is identity and hashing is O(1) however deep the term.
+A node's variables are computed from its children's when it is built.  Terms
+can be used directly as dict keys (monomial atoms during normalization) and
+as `lru_cache` arguments.  Their `repr` is the dataclass one, and
+normalization orders conjuncts and monomial atoms by it, so sorting, and the
+serialization used for duplicate detection, is deterministic and does not
+depend on which terms a process built before.
 
 Arithmetic is over exact mathematical integers.  Division and modulo use
 truncated-toward-zero semantics (like C); dividing by zero raises
@@ -15,8 +21,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
-from typing import Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 
 class EvalError(Exception):
@@ -26,55 +33,162 @@ class EvalError(Exception):
 # ---------------------------------------------------------------------------
 # Term node types
 # ---------------------------------------------------------------------------
+#
+# The intern table maps (class, *fields) to a weak reference to the node, so
+# a term no longer referenced anywhere leaves the table.  A node's children
+# are interned before it, so its key hashes and compares them by identity:
+# one lookup costs the same at any depth.
 
 
-@dataclass(frozen=True)
-class Lit:
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref) -> None:
+    if _TABLE.get(ref.key) is ref:
+        del _TABLE[ref.key]
+
+
+_TABLE: Dict[tuple, _Ref] = {}
+_NO_VARS: frozenset = frozenset()
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    """`a | b`, reusing `a` or `b` where it holds the other."""
+    return a if b <= a else b if a <= b else a | b
+
+
+# `_variables` of the node classes, by the shape of their fields
+def _no_vars(value) -> frozenset:
+    return _NO_VARS
+
+
+def _operand_vars(operand) -> frozenset:
+    return operand._vars
+
+
+def _pair_vars(op, left, right) -> frozenset:
+    return _union(left._vars, right._vars)
+
+
+def _items_vars(items) -> frozenset:
+    return functools.reduce(_union, (x._vars for x in items), _NO_VARS)
+
+
+class _Node:
+    """Interned construction, shared by the node classes below.
+
+    Nodes compare and hash by identity (`object`'s methods).  `_vars` holds
+    the node's variables, which each class's `_variables(*fields)` computes
+    from the children's; `_key` holds its sort key once `_sort_key` has
+    asked."""
+
+    __slots__ = ("_vars", "_key", "__weakref__")
+    # a literal's key includes its value's type: 1 == True, but Lit(1) and
+    # Lit(True) print differently, so they must stay two nodes
+    _typed = False
+
+    def __new__(cls, *args, **named):
+        fields = cls.__match_args__
+        if named:
+            args += tuple(named.pop(f) for f in fields[len(args):] if f in named)
+            if named:
+                raise TypeError(f"{cls.__name__}() got unexpected arguments {sorted(named)}")
+        if len(args) != len(fields):
+            raise TypeError(f"{cls.__name__}() takes the fields {fields}, got {args!r}")
+        key = (cls, *args, type(args[0])) if cls._typed else (cls, *args)
+        ref = _TABLE.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        for f, value in zip(fields, args):
+            object.__setattr__(node, f, value)
+        object.__setattr__(node, "_vars", cls._variables(*args))
+        object.__setattr__(node, "_key", None)
+        ref = _Ref(node, _forget)
+        ref.key = key
+        _TABLE[key] = ref
+        return node
+
+    def __reduce__(self):
+        # pickling and copying rebuild through the table
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
+# no generated __init__ (`_Node.__new__` sets the fields) and no __eq__ (and
+# so no __hash__): equality is identity
+_node = dataclass(frozen=True, eq=False, init=False)
+
+
+@_node
+class Lit(_Node):
+    __slots__ = ("value",)
     value: int
+    _typed = True
+    _variables = staticmethod(_no_vars)
 
 
-@dataclass(frozen=True)
-class Var:
+@_node
+class Var(_Node):
+    __slots__ = ("name",)
     name: str
+    _variables = staticmethod(lambda name: frozenset((name,)))
 
 
-@dataclass(frozen=True)
-class Bin:
+@_node
+class Bin(_Node):
+    __slots__ = ("op", "left", "right")
     op: str  # one of + - * / %
     left: "IntTerm"
     right: "IntTerm"
+    _variables = staticmethod(_pair_vars)
 
 
-@dataclass(frozen=True)
-class Neg:
+@_node
+class Neg(_Node):
+    __slots__ = ("operand",)
     operand: "IntTerm"
+    _variables = staticmethod(_operand_vars)
 
 
-@dataclass(frozen=True)
-class BoolLit:
+@_node
+class BoolLit(_Node):
+    __slots__ = ("value",)
     value: bool
+    _typed = True
+    _variables = staticmethod(_no_vars)
 
 
-@dataclass(frozen=True)
-class Cmp:
+@_node
+class Cmp(_Node):
+    __slots__ = ("op", "left", "right")
     op: str  # one of < <= > >= == !=
     left: "IntTerm"
     right: "IntTerm"
+    _variables = staticmethod(_pair_vars)
 
 
-@dataclass(frozen=True)
-class And:
+@_node
+class And(_Node):
+    __slots__ = ("items",)
     items: tuple
+    _variables = staticmethod(_items_vars)
 
 
-@dataclass(frozen=True)
-class Or:
+@_node
+class Or(_Node):
+    __slots__ = ("items",)
     items: tuple
+    _variables = staticmethod(_items_vars)
 
 
-@dataclass(frozen=True)
-class Not:
+@_node
+class Not(_Node):
+    __slots__ = ("operand",)
     operand: "BoolTerm"
+    _variables = staticmethod(_operand_vars)
 
 
 IntTerm = Union[Lit, Var, Bin, Neg]
@@ -231,7 +345,7 @@ def holds(t: BoolTerm, env: Mapping[str, int]) -> bool:
 
 def subst(t: Term, mapping: Mapping[str, IntTerm]) -> Term:
     """Replace variables by integer terms throughout ``t``."""
-    if isinstance(t, Lit) or isinstance(t, BoolLit):
+    if t._vars.isdisjoint(mapping):
         return t
     if isinstance(t, Var):
         return mapping.get(t.name, t)
@@ -251,20 +365,8 @@ def subst(t: Term, mapping: Mapping[str, IntTerm]) -> Term:
 
 
 def variables(t: Term) -> frozenset:
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    if isinstance(t, (Lit, BoolLit)):
-        return frozenset()
-    if isinstance(t, (Neg, Not)):
-        return variables(t.operand)
-    if isinstance(t, (Bin, Cmp)):
-        return variables(t.left) | variables(t.right)
-    if isinstance(t, (And, Or)):
-        out = frozenset()
-        for x in t.items:
-            out |= variables(x)
-        return out
-    raise TypeError(f"not a term: {t!r}")
+    """The names of the variables in ``t`` (computed when ``t`` was built)."""
+    return t._vars
 
 
 def divisors(t: Term) -> list:
@@ -441,7 +543,12 @@ def _render(t: Term, parent_prec: int) -> str:
 
 
 def _sort_key(t: Term) -> str:
-    return repr(t)
+    """`repr(t)`, computed once per node."""
+    key = t._key
+    if key is None:
+        key = repr(t)
+        object.__setattr__(t, "_key", key)
+    return key
 
 
 def _mono_key(m: tuple) -> tuple:

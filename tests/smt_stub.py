@@ -127,9 +127,14 @@ def main():
             symbols.append(f[1])
         elif head == "assert":
             body = f[1]
+            val = None
             if isinstance(body, list) and body[0] in (">=", "<=") \
                     and isinstance(body[1], str) and body[1] in symbols:
-                val = ev_int(body[2], {})
+                try:
+                    val = ev_int(body[2], {})
+                except KeyError:
+                    pass  # a symbol on the right: a constraint, not a bound
+            if val is not None:
                 lo, hi = bounds.get(body[1], (None, None))
                 if body[0] == ">=":
                     lo = val if lo is None else max(lo, val)

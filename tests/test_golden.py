@@ -1,5 +1,6 @@
 """Byte-identity gate: the pipeline's output files for every corpus program
-under four configurations, pinned by SHA-256.
+under four configurations, pinned by SHA-256, and the engine's work counts
+in `stats.txt` (every line but `wall_clock=`), pinned the same way.
 
 A change that is meant to keep behaviour (a refactor, a faster engine or
 solver) must leave every digest as it is.  A change that alters outputs on
@@ -135,6 +136,115 @@ GOLDEN = {
         "c771108a14957cc761dc2a5442a0720ea40b40ea49b090950c6bc9acf9d7d1ce",
 }
 
+# `stats_digest` of each run: the engine's work counts (states, prunings,
+# solver calls, tests per mutant), which the output files do not show
+STATS_GOLDEN = {
+    ('infection-only', 'abs'):
+        "d2413175eb41ed0b615570192731b14b7eafcae2dd720c9391702182b1c7ae0e",
+    ('infection-only', 'callfn'):
+        "ec448d252710246d83ec0380536fb0b4c97c9f8e6a94dc068701e9ca2ab9c483",
+    ('infection-only', 'clamp'):
+        "9ed104811825df9fba72dba37fc4b2fd2ad8ae5772b1ee5a3e35ed0d3209a07b",
+    ('infection-only', 'classify'):
+        "8b83f90d69d70ac0e36a3bbb4130ac96a825a6a9c5bde040f3ede5b665ed09a8",
+    ('infection-only', 'countdown'):
+        "3b6e4e70a170345c08bb7bd32f7e86c10d6922eb9596c7190a7e63a535dd534f",
+    ('infection-only', 'divmod'):
+        "740ab83b416fa212c8eca5723d7d6e75acc186ab734684c2214bf482789815b3",
+    ('infection-only', 'fig1'):
+        "334de83eda7ccf1cb6bdc36a0de5a37a677931468c191dc27bafaea79291c5a3",
+    ('infection-only', 'mask'):
+        "a82c759dcde2f26fb358ae78c17ef88c8f8e93bd1d4f077b5303a30332c39916",
+    ('infection-only', 'max2'):
+        "9313410cec37fd3fb1bdbff1fa74815f698c83a369079196e2d5a503045154cf",
+    ('infection-only', 'parity'):
+        "e7bb3c83e17d9147685da3b0488fff577b45aed9cad48d2be61bdaa31de35224",
+    ('infection-only', 'poly'):
+        "4734c571ba07a4795c9f8228144f4311e9e0c726fce39e491421233fbe2fa363",
+    ('infection-only', 'sign'):
+        "fe993f46f343819660dde072547d6c6d0c92c10a9a4e766ad3163625ed2df158",
+    ('infection-only', 'sumloop'):
+        "90936ef4567e80bcf135423902af63ca5cb609527ab1d7036a8479c2e9ac97c9",
+    ('semu', 'abs'):
+        "28144ebebed7269a9e20c4911efa3de93208d2c8c5835b5846401558050b0d5d",
+    ('semu', 'callfn'):
+        "94a038a276cd43098c824eaf25e08ae48630bb2910a3d8e0a9c748a37617cd2f",
+    ('semu', 'clamp'):
+        "46d158792c32997e89e75c88f3cd5872f25e70bd43e3b5c8412a43593109c164",
+    ('semu', 'classify'):
+        "24e8789381ae9b49efae6c786db7745fe54c5af0f57014e9d02e42047f1bc50c",
+    ('semu', 'countdown'):
+        "607b54b16865d0316534dafcb2dbe0f439223554348e32f439bda435cd6d8326",
+    ('semu', 'divmod'):
+        "c77c154ed8f0e8712d7d42654af1a3ae8e5a37cc0882f09a5881ae9bfc6feabc",
+    ('semu', 'fig1'):
+        "1e4422decf58269b1cfcd1fad487f74384bff039cd46f0b7faeafab372db5e80",
+    ('semu', 'mask'):
+        "40860e31c14c0ee138f0e9dda1e3f9f94069f38f89c71c95d711bf5e940eca63",
+    ('semu', 'max2'):
+        "3b7d2456dff77a623a00635ae4cfdcaf95a47eef1ef75c1e910a00742368e74d",
+    ('semu', 'parity'):
+        "1a3092e3936bb82351412f67de1cfacb97c47bbbe798f14b76dd2786bd4f2730",
+    ('semu', 'poly'):
+        "277798cb39d36d9db128e6102179d1819bea6f2249d85d8f16bf72f0a6a5ccf0",
+    ('semu', 'sign'):
+        "c5f26d34a3d262aa98371efc26007a29ff687098c13b936376dd99f8978f584a",
+    ('semu', 'sumloop'):
+        "6a98cc67a249172ce016142d1a07b887b7ec2c129441c72252ef078f1f4d9633",
+    ('semu-seeded', 'abs'):
+        "28144ebebed7269a9e20c4911efa3de93208d2c8c5835b5846401558050b0d5d",
+    ('semu-seeded', 'callfn'):
+        "94a038a276cd43098c824eaf25e08ae48630bb2910a3d8e0a9c748a37617cd2f",
+    ('semu-seeded', 'clamp'):
+        "46d158792c32997e89e75c88f3cd5872f25e70bd43e3b5c8412a43593109c164",
+    ('semu-seeded', 'classify'):
+        "24e8789381ae9b49efae6c786db7745fe54c5af0f57014e9d02e42047f1bc50c",
+    ('semu-seeded', 'countdown'):
+        "607b54b16865d0316534dafcb2dbe0f439223554348e32f439bda435cd6d8326",
+    ('semu-seeded', 'divmod'):
+        "c77c154ed8f0e8712d7d42654af1a3ae8e5a37cc0882f09a5881ae9bfc6feabc",
+    ('semu-seeded', 'fig1'):
+        "1e4422decf58269b1cfcd1fad487f74384bff039cd46f0b7faeafab372db5e80",
+    ('semu-seeded', 'mask'):
+        "40860e31c14c0ee138f0e9dda1e3f9f94069f38f89c71c95d711bf5e940eca63",
+    ('semu-seeded', 'max2'):
+        "3b7d2456dff77a623a00635ae4cfdcaf95a47eef1ef75c1e910a00742368e74d",
+    ('semu-seeded', 'parity'):
+        "1a3092e3936bb82351412f67de1cfacb97c47bbbe798f14b76dd2786bd4f2730",
+    ('semu-seeded', 'poly'):
+        "277798cb39d36d9db128e6102179d1819bea6f2249d85d8f16bf72f0a6a5ccf0",
+    ('semu-seeded', 'sign'):
+        "c5f26d34a3d262aa98371efc26007a29ff687098c13b936376dd99f8978f584a",
+    ('semu-seeded', 'sumloop'):
+        "6a98cc67a249172ce016142d1a07b887b7ec2c129441c72252ef078f1f4d9633",
+    ('vanilla', 'abs'):
+        "849fbd794377bf87ff5473710afc7f4ca9c8301e4d5c922d553ec42ea9214466",
+    ('vanilla', 'callfn'):
+        "7f7e9dddc555c3c19b6d24ff891e77f1abfc9fe96868358ef7726e19fc692b22",
+    ('vanilla', 'clamp'):
+        "634db1f41026163814f9a8c252eaae8f3ae9b8de0c8e7d0d435db9e17ef3df36",
+    ('vanilla', 'classify'):
+        "3bfce1d2863c7090c4eaba6fb6c797d48a9cc464b75c8bff3e736c1e7e324d34",
+    ('vanilla', 'countdown'):
+        "a37e8fe94cc371e12259b80a6289681e3bba781771902f77f2d3295b5b64fd99",
+    ('vanilla', 'divmod'):
+        "c27cac2768c1a2ae36974184013d36fb91c181e3ead95561cdd2d880d973b8ca",
+    ('vanilla', 'fig1'):
+        "0ac91b8025ea01259389e93f35ede0fc1d0e766d2c13c255f99faacc6b860ae5",
+    ('vanilla', 'mask'):
+        "e4274c5bb387a7b7825a223dda0510fa86fc2ead41e510a3c1595f0ff13ef61e",
+    ('vanilla', 'max2'):
+        "7f7e9dddc555c3c19b6d24ff891e77f1abfc9fe96868358ef7726e19fc692b22",
+    ('vanilla', 'parity'):
+        "e4274c5bb387a7b7825a223dda0510fa86fc2ead41e510a3c1595f0ff13ef61e",
+    ('vanilla', 'poly'):
+        "e4274c5bb387a7b7825a223dda0510fa86fc2ead41e510a3c1595f0ff13ef61e",
+    ('vanilla', 'sign'):
+        "6b2d178c596eb34ae13c90f0fb48c59b94783af77fe85db6cbd23ff709f58e2b",
+    ('vanilla', 'sumloop'):
+        "4ccb8652eff101834b22022f8ad9ea5416b87c19b698b1744244a3962986219c",
+}
+
 
 def bound_seeds(name: str) -> str:
     inputs = C.load_lts(name).inputs
@@ -151,9 +261,17 @@ def outputs_digest(out_dir) -> str:
     return h.hexdigest()
 
 
+def stats_digest(out_dir) -> str:
+    """Digest of `stats.txt` without its `wall_clock=` line: the states,
+    prunings, solver calls and tests per mutant of the exploration."""
+    lines = (out_dir / "stats.txt").read_text().splitlines(keepends=True)
+    kept = "".join(line for line in lines if not line.startswith("wall_clock="))
+    return hashlib.sha256(kept.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 def test_corpus_outputs_unchanged(config, tmp_path):
-    got = {}
+    got, got_stats = {}, {}
     for name in sorted(C.ALL_PROGRAMS):
         out = tmp_path / name
         seeds = None
@@ -165,5 +283,8 @@ def test_corpus_outputs_unchanged(config, tmp_path):
                                     seeds=None if seeds is None else str(seeds))
         cli.run_pipeline(manifest)
         got[name] = outputs_digest(out)
+        got_stats[name] = stats_digest(out)
     want = {name: GOLDEN[(config, name)] for name in sorted(C.ALL_PROGRAMS)}
     assert got == want
+    want_stats = {name: STATS_GOLDEN[(config, name)] for name in sorted(C.ALL_PROGRAMS)}
+    assert got_stats == want_stats

@@ -138,14 +138,17 @@ class TestCompiledEnumeration:
     def test_big_handle_is_on_the_compiled_side(self):
         assert math.prod(hi - lo + 1 for lo, hi in BIG_DOMS.values()) >= S._COMPILE_MIN_POINTS
 
-    @given(bool_constraints())
+    # both sides of the threshold test the normalized constraint: the tree
+    # walk over the small handle as well as the generated loop nest
+    @pytest.mark.parametrize("h", [H, BIG], ids=["walked", "compiled"])
+    @given(c=bool_constraints())
     # dividing comparisons of one variable each: a helper call tested before
     # the loop that binds its argument raises UnboundLocalError
-    @example(And((Cmp("<", Bin("/", Lit(5), y), Lit(1)),
-                  Cmp("==", Bin("%", x, Lit(3)), Lit(0)))))
+    @example(c=And((Cmp("<", Bin("/", Lit(5), y), Lit(1)),
+                    Cmp("==", Bin("%", x, Lit(3)), Lit(0)))))
     @settings(max_examples=100, deadline=None)
-    def test_models_equal_brute_force(self, c):
-        assert list(S.enumerate_models(c, BIG)) == brute_force(c, BIG)
+    def test_models_equal_brute_force(self, h, c):
+        assert list(S.enumerate_models(c, h)) == brute_force(c, h)
 
     def test_negated_dividing_comparison_holds_at_zero_divisor(self):
         # x / y == 1 is false at y = 0, so its negation is true there
@@ -222,6 +225,9 @@ class TestBackendAgreement:
     @example(Not(And((Cmp("<", Lit(0), Lit(1)),
                       Cmp("<=", Bin("/", Var("x"), Var("y")),
                           Bin("/", Var("x"), Var("y")))))))
+    # a top-level comparison of a symbol with a term over symbols is a
+    # constraint, not a domain bound
+    @example(Cmp("<=", Var("x"), Var("x")))
     @settings(max_examples=40, deadline=None)
     def test_verdicts_agree(self, c):
         b = S.is_satisfiable(c, H)

@@ -1,6 +1,11 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mutkill import mutation as M
 from mutkill import terms as T
 from mutkill.terms import (And, Bin, BoolLit, Cmp, Lit, Neg, Not, Or, Var,
                            eval_bool, eval_int, holds, negate, normalize_bool,
@@ -187,3 +192,113 @@ class TestRender:
 
     def test_negative_literal(self):
         assert render(Neg(Var("x"))) == "-x"
+
+
+x, y = Var("x"), Var("y")
+# literals whose values are equal but print differently (1 and True) among
+# nodes of every class
+MIXED = [
+    Lit(1), Lit(True), Lit(-1), Lit(10), Var("y"), Var("X"), x,
+    BoolLit(True), BoolLit(1), BoolLit(False),
+    Bin("+", x, Lit(1)), Bin("*", Lit(2), y), Bin("/", x, Bin("-", y, Lit(1))),
+    Neg(x), Not(Cmp("==", x, y)), Cmp("<", Bin("-", x, y), Lit(0)),
+    Cmp("!=", Bin("%", x, Lit(2)), Lit(0)), And((Cmp("<", x, Lit(0)),)),
+    And((Cmp("<", x, Lit(0)), Cmp("==", y, Lit(2)))),
+    Or((BoolLit(True), Cmp(">=", Neg(y), x))),
+]
+DEPTH = 5000
+
+
+def deep_sum(n):
+    t = Var("v0")
+    for i in range(1, n):
+        t = Bin("+", t, Var(f"v{i % 7}"))
+    return t
+
+
+def deep_path(n):
+    p = T.TRUE
+    for i in range(n):
+        p = And((p, Cmp("<", Var(f"v{i % 7}"), Lit(i))))
+    return p
+
+
+class TestInterning:
+    def test_equal_constructions_are_one_node(self):
+        def build():
+            return And((Cmp("<", Bin("+", Var("x"), Lit(1)), Lit(0)), Not(BoolLit(False))))
+        assert build() is build()
+        assert Bin(op="-", left=x, right=y) is Bin("-", x, y)
+
+    def test_replace_and_rewrites_go_through_the_table(self):
+        t = Bin("+", x, Lit(1))
+        assert dataclasses.replace(t, op="-") is Bin("-", x, Lit(1))
+        assert dataclasses.replace(t) is t
+        assert Bin("*", x, Lit(1)) in M._aor(t)
+        assert any(new is Cmp("<", Bin("-", x, Lit(1)), y)
+                   for new, _, _ in M._rewrites(Cmp("<", t, y), M._aor))
+
+    def test_copies_are_the_node(self):
+        t = MIXED[-1]
+        assert pickle.loads(pickle.dumps(t)) is t
+        assert copy.copy(t) is t and copy.deepcopy(t) is t
+
+    def test_nodes_are_immutable(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            x.name = "y"
+
+    def test_equal_values_of_different_types_stay_apart(self):
+        assert Lit(1) is not Lit(True) and BoolLit(1) is not BoolLit(True)
+        assert repr(Lit(True)) == "Lit(value=True)"
+        assert repr(BoolLit(1)) == "BoolLit(value=1)"
+
+    def test_repr_and_sort_order_are_the_dataclass_ones(self):
+        assert [repr(t) for t in MIXED] == [
+            'Lit(value=1)', 'Lit(value=True)', 'Lit(value=-1)', 'Lit(value=10)',
+            "Var(name='y')", "Var(name='X')", "Var(name='x')", 'BoolLit(value=True)',
+            'BoolLit(value=1)', 'BoolLit(value=False)',
+            "Bin(op='+', left=Var(name='x'), right=Lit(value=1))",
+            "Bin(op='*', left=Lit(value=2), right=Var(name='y'))",
+            "Bin(op='/', left=Var(name='x'), right=Bin(op='-', left=Var(name='y'), "
+            "right=Lit(value=1)))",
+            "Neg(operand=Var(name='x'))",
+            "Not(operand=Cmp(op='==', left=Var(name='x'), right=Var(name='y')))",
+            "Cmp(op='<', left=Bin(op='-', left=Var(name='x'), right=Var(name='y')), "
+            "right=Lit(value=0))",
+            "Cmp(op='!=', left=Bin(op='%', left=Var(name='x'), right=Lit(value=2)), "
+            "right=Lit(value=0))",
+            "And(items=(Cmp(op='<', left=Var(name='x'), right=Lit(value=0)),))",
+            "And(items=(Cmp(op='<', left=Var(name='x'), right=Lit(value=0)), "
+            "Cmp(op='==', left=Var(name='y'), right=Lit(value=2))))",
+            "Or(items=(BoolLit(value=True), Cmp(op='>=', left=Neg(operand=Var(name='y')), "
+            "right=Var(name='x'))))",
+        ]
+        assert [repr(t) for t in sorted(MIXED, key=T._sort_key)] == [
+            "And(items=(Cmp(op='<', left=Var(name='x'), right=Lit(value=0)), "
+            "Cmp(op='==', left=Var(name='y'), right=Lit(value=2))))",
+            "And(items=(Cmp(op='<', left=Var(name='x'), right=Lit(value=0)),))",
+            "Bin(op='*', left=Lit(value=2), right=Var(name='y'))",
+            "Bin(op='+', left=Var(name='x'), right=Lit(value=1))",
+            "Bin(op='/', left=Var(name='x'), right=Bin(op='-', left=Var(name='y'), "
+            "right=Lit(value=1)))",
+            'BoolLit(value=1)', 'BoolLit(value=False)', 'BoolLit(value=True)',
+            "Cmp(op='!=', left=Bin(op='%', left=Var(name='x'), right=Lit(value=2)), "
+            "right=Lit(value=0))",
+            "Cmp(op='<', left=Bin(op='-', left=Var(name='x'), right=Var(name='y')), "
+            "right=Lit(value=0))",
+            'Lit(value=-1)', 'Lit(value=1)', 'Lit(value=10)', 'Lit(value=True)',
+            "Neg(operand=Var(name='x'))",
+            "Not(operand=Cmp(op='==', left=Var(name='x'), right=Var(name='y')))",
+            "Or(items=(BoolLit(value=True), Cmp(op='>=', left=Neg(operand=Var(name='y')), "
+            "right=Var(name='x'))))",
+            "Var(name='X')", "Var(name='x')", "Var(name='y')",
+        ]
+
+    @pytest.mark.parametrize("build", [deep_sum, deep_path], ids=["sum", "path"])
+    def test_deep_terms_hash_compare_and_list_variables(self, build):
+        t = build(DEPTH)
+        assert build(DEPTH) is t and build(DEPTH) == t
+        assert t != build(DEPTH - 1)
+        assert hash(t) == hash(build(DEPTH))
+        assert T.variables(t) == {f"v{i}" for i in range(7)}
+        assert t in {t: 1}
