@@ -101,12 +101,6 @@ class Lts:
 # ---------------------------------------------------------------------------
 
 
-def _renamed(t, rename: Dict[str, Var]):
-    """``t`` with an inlined callee's parameters and locals renamed to their
-    instance's variables; ``main``'s names are its own."""
-    return T.subst(t, rename) if rename else t
-
-
 class _Lowerer:
     def __init__(self, ast: P.Ast, inline_depth: int):
         self.ast = ast
@@ -177,26 +171,26 @@ class _Lowerer:
 
     def _lower_stmt(self, s, rename: Dict[str, Var], depth: int, emit):
         if isinstance(s, P.SVarDecl):
-            name = _renamed(Var(s.name), rename).name
+            name = T.subst(Var(s.name), rename).name
             self.add_var(name)
             if s.init is None:
                 return None, []
             loc = self.alloc(LocInfo("assign", s.pos))
-            gc = GuardedCommand(update=((name, _renamed(s.init, rename)),))
+            gc = GuardedCommand(update=((name, T.subst(s.init, rename)),))
             return loc, [emit(loc, gc, None)]
         if isinstance(s, P.SAssign):
-            name = _renamed(Var(s.name), rename).name
+            name = T.subst(Var(s.name), rename).name
             self.add_var(name)
             loc = self.alloc(LocInfo("assign", s.pos))
-            gc = GuardedCommand(update=((name, _renamed(s.expr, rename)),))
+            gc = GuardedCommand(update=((name, T.subst(s.expr, rename)),))
             return loc, [emit(loc, gc, None)]
         if isinstance(s, P.SOutput):
             loc = self.alloc(LocInfo("output", s.pos))
-            gc = GuardedCommand(emit=_renamed(s.expr, rename))
+            gc = GuardedCommand(emit=T.subst(s.expr, rename))
             return loc, [emit(loc, gc, None)]
         if isinstance(s, P.SIf):
             loc = self.alloc(LocInfo("branch", s.pos))
-            g = _renamed(s.cond, rename)
+            g = T.subst(s.cond, rename)
             then_entry, then_pending = self._lower_block(s.then, rename, depth)
             else_entry, else_pending = self._lower_block(s.els, rename, depth)
             pending = list(then_pending) + list(else_pending)
@@ -209,7 +203,7 @@ class _Lowerer:
             return loc, pending
         if isinstance(s, P.SWhile):
             loc = self.alloc(LocInfo("branch", s.pos))
-            g = _renamed(s.cond, rename)
+            g = T.subst(s.cond, rename)
             body_entry, body_pending = self._lower_block(s.body, rename, depth)
             # back edge: the body's fallthrough returns to the loop head
             for i in body_pending:
@@ -233,7 +227,7 @@ class _Lowerer:
                 self.add_var(v.name)
             loc = self.alloc(LocInfo("call", s.pos))
             update = tuple(
-                (inner[p].name, _renamed(a, rename)) for p, a in zip(fn.params, s.args)
+                (inner[p].name, T.subst(a, rename)) for p, a in zip(fn.params, s.args)
             )
             i_bind = emit(loc, GuardedCommand(update=update), None)
             body_entry, body_pending = self._lower_block(fn.body, inner, depth + 1)

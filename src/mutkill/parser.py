@@ -33,7 +33,6 @@ from .terms import And, Bin, Cmp, Lit, Neg, Not, Or, Var
 DEFAULT_DOMAIN = (-128, 127)
 
 KEYWORDS = {"input", "int", "in", "fn", "var", "if", "else", "while", "output", "call", "main"}
-RESERVED_NAMES = {"mutId"}
 
 
 class MiniImpError(Exception):
@@ -262,8 +261,6 @@ class _Parser:
             raise MiniImpSyntaxError(
                 f"expected identifier, found {tok.text or 'end of input'!r}", tok.pos
             )
-        if tok.text in RESERVED_NAMES:
-            raise MiniImpSyntaxError(f"{tok.text!r} is a reserved name", tok.pos)
         return self.advance()
 
     def use(self, name: _Token) -> None:

@@ -5,8 +5,10 @@ handle type:
 
 * bounded enumeration: walks the declared domains in a fixed order
   (lexicographic symbol names, ascending values) and returns the first
-  satisfying valuation.  Complete and deterministic at desk scale, and the
-  same machinery doubles as the exhaustive oracle used in tests.
+  satisfying valuation.  A decision procedure: every query of at most
+  `MAX_POINTS` points is answered sat or unsat, whatever the machine's
+  speed, and a larger one raises SolverFailure.  The same machinery doubles
+  as the exhaustive oracle used in tests.
 * external process: emits an SMT-LIB v2 script on the subprocess's stdin and
   parses sat/unsat/unknown plus a get-value model from stdout.
 
@@ -22,7 +24,6 @@ import itertools
 import math
 import shlex
 import subprocess
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -33,7 +34,8 @@ SAT = "sat"
 UNSAT = "unsat"
 UNKNOWN = "unknown"
 
-DEFAULT_TIMEOUT = 5.0  # seconds per query
+DEFAULT_TIMEOUT = 5.0  # seconds per external solver process
+MAX_POINTS = 1 << 20  # enumeration cap per bounded query
 
 
 class SolverFailure(Exception):
@@ -59,20 +61,19 @@ class SolverHandle:
     """Backend selector plus the declared input domains.
 
     domains: name -> inclusive (lo, hi).  The bounded backend requires every
-    constraint symbol to appear here.
+    constraint symbol to appear here.  timeout: seconds the external backend
+    allows its solver process before answering unknown; the bounded backend
+    has no clock.
     """
 
     domains: Tuple[Tuple[str, Tuple[int, int]], ...]
     backend: str = "bounded"  # bounded | external
     timeout: float = DEFAULT_TIMEOUT
     external_cmd: Optional[Tuple[str, ...]] = None
-    max_points: int = 1 << 20  # enumeration cap per query
 
     @staticmethod
-    def bounded(domains: Dict[str, Tuple[int, int]], timeout: float = DEFAULT_TIMEOUT,
-                max_points: int = 1 << 20) -> "SolverHandle":
-        return SolverHandle(tuple(sorted(domains.items())), "bounded", timeout,
-                            None, max_points)
+    def bounded(domains: Dict[str, Tuple[int, int]]) -> "SolverHandle":
+        return SolverHandle(tuple(sorted(domains.items())))
 
     @staticmethod
     def external(domains: Dict[str, Tuple[int, int]], cmd,
@@ -111,13 +112,11 @@ _MAX_LOOPS = 20
 
 @functools.lru_cache(maxsize=256)
 def _enumerator(c: BoolTerm, names: Tuple[str, ...]) -> Callable:
-    """`models(deadline, clock, r0, r1, ...)`: a generator of the valuations
-    of `names` over the ranges `r0, r1, ...` that satisfy the normalized
-    constraint `c` under `T.holds`, in `itertools.product` order.  There is
-    one loop per name, the first outermost, and each top-level conjunct of
-    `c` is tested in the outermost loop that binds all its variables.  After
-    each iteration of the outermost loop it yields None and stops once
-    `clock()` has passed `deadline`."""
+    """`models(r0, r1, ...)`: a generator of the valuations of `names` over
+    the ranges `r0, r1, ...` that satisfy the normalized constraint `c` under
+    `T.holds`, in `itertools.product` order.  There is one loop per name, the
+    first outermost, and each top-level conjunct of `c` is tested in the
+    outermost loop that binds all its variables."""
     local = {n: f"v{i}" for i, n in enumerate(names)}
     src = T.Source(local, constraint=True)
     # levels[k]: the conjuncts whose variables the first k loops bind
@@ -134,24 +133,17 @@ def _enumerator(c: BoolTerm, names: Tuple[str, ...]) -> Callable:
             body.append(f"{pad}for v{k} in r{k}:")
             pad += "    "
     body.append(pad + "yield {" + ", ".join(f"{n!r}: {v}" for n, v in local.items()) + "}")
-    if names:
-        outer = "    " * (1 + bool(levels[0]))  # the first loop's body
-        body += [f"{outer}if clock() > deadline:", f"{outer}    yield None",
-                 f"{outer}    return"]
-    params = ["deadline", "clock"] + [f"r{k}" for k in range(len(names))]
-    src.define(f"models({', '.join(params)})", body)
+    src.define(f"models({', '.join(f'r{k}' for k in range(len(names)))})", body)
     return src.functions("<mutkill constraint>")["models"]
 
 
-def enumerate_models(c: BoolTerm, h: SolverHandle,
-                     deadline: Optional[float] = None) -> Iterator[Optional[Dict[str, int]]]:
+def enumerate_models(c: BoolTerm, h: SolverHandle) -> Iterator[Dict[str, int]]:
     """All satisfying valuations in deterministic order (lexicographic symbol
-    names, ascending values).  Complete over the declared domains.  With a
-    `deadline` (a `time.monotonic()` value), yields None and stops once it
-    has passed: the enumeration is then incomplete."""
+    names, ascending values).  Complete over the declared domains; a query
+    of more than `MAX_POINTS` points raises SolverFailure."""
     doms = _query_domains(c, h)
     total = math.prod(hi - lo + 1 for _, (lo, hi) in doms)
-    if total > h.max_points:
+    if total > MAX_POINTS:
         raise SolverFailure(f"domain too large for enumeration: {total} points")
     names = tuple(n for n, _ in doms)
     ranges = [range(lo, hi + 1) for _, (lo, hi) in doms]
@@ -159,29 +151,25 @@ def enumerate_models(c: BoolTerm, h: SolverHandle,
     # query's two paths share a prefix) and has the same models
     norm = T.normalize_bool(c)
     if total >= _COMPILE_MIN_POINTS and len(names) <= _MAX_LOOPS:
-        models = _enumerator(norm, names)
-        yield from models(math.inf if deadline is None else deadline, time.monotonic,
-                          *ranges)
+        yield from _enumerator(norm, names)(*ranges)
         return
     for values in itertools.product(*ranges):
         env = dict(zip(names, values))
         if T.holds(norm, env):
             yield env
-        elif deadline is not None and time.monotonic() > deadline:
-            yield None
-            return
 
 
 def is_satisfiable(c: BoolTerm, h: SolverHandle) -> SolverResult:
-    """First-model satisfiability check.  The bounded backend is complete
-    over the declared domains; the external backend defers to the tool."""
+    """First-model satisfiability check.  The bounded backend decides the
+    query over the declared domains: sat with its first model, or unsat.
+    The external backend defers to the tool and may answer unknown."""
     if h.backend == "external":
         return _solve_external(c, h)
     if T.normalize_bool(c) == T.FALSE:
         return SolverResult(UNSAT)
     # enumerate over the original constraint's symbols so the model is total
-    for model in enumerate_models(c, h, time.monotonic() + h.timeout):
-        return SolverResult(SAT, model) if model is not None else SolverResult(UNKNOWN)
+    for model in enumerate_models(c, h):
+        return SolverResult(SAT, model)
     return SolverResult(UNSAT)
 
 

@@ -84,7 +84,8 @@ class SymbolicState:
     fork_trail: Optional[Tuple[int, ...]] = None
     checkpoints_passed: int = 0
     branch_count: int = 0  # post-fork branching locations traversed
-    seed_following: bool = False
+    # seeded mode: the indices of the seeds whose runs this state follows;
+    # empty once released, or when not following seeds
     compatible_seeds: Tuple[int, ...] = ()
     forked: frozenset = frozenset()  # mutant IDs already forked on this path
     status: str = "live"  # live | terminal | error
@@ -214,19 +215,21 @@ def select_branches(candidates: Sequence[SymbolicState], cfg: Config,
 
 def apply_precondition(state: SymbolicState, seeds: Sequence[Dict[str, int]],
                        cfg: Config, release_depth: Optional[int],
-                       mutation_points: Set[int]) -> str:
-    """Seeded-mode decision for one state: release once the precondition
-    length is reached, follow while some seed satisfies the prefix condition
-    (the membership condition for retained prefixes), prune otherwise."""
+                       mutation_points: Set[int]) -> Tuple[str, Tuple[int, ...]]:
+    """Seeded-mode decision for a state that follows its parent's compatible
+    seeds, with the seeds it follows next: release once the precondition
+    length is reached, follow while some compatible seed satisfies the prefix
+    condition (the membership condition for retained prefixes), prune
+    otherwise.  Paths only grow, so a seed that the parent's path excluded
+    cannot satisfy the child's."""
     if cfg.pl == "GMD2MS":
         if release_depth is not None and state.depth >= release_depth:
-            return RELEASE
+            return RELEASE, ()
     else:  # SMD2MS: this path reached a mutated statement
         if state.loc in mutation_points:
-            return RELEASE
-    if any(T.holds(state.path, s) for s in seeds):
-        return FOLLOW
-    return PRUNE
+            return RELEASE, ()
+    compat = tuple(j for j in state.compatible_seeds if T.holds(state.path, seeds[j]))
+    return (FOLLOW if compat else PRUNE), compat
 
 
 Sat = Callable[[BoolTerm], S.SolverResult]  # a satisfiability query
@@ -443,22 +446,15 @@ class _Engine:
                 branch_count=s.branch_count + (1 if branching and s.mut_id else 0),
             )
             # seeded mode: release / follow / prune
-            if nxt.seed_following:
-                verdict = apply_precondition(nxt, self.seeds, self.cfg,
-                                             self.release_depth, self.points)
-                if verdict == RELEASE:
-                    nxt = replace(nxt, seed_following=False, compatible_seeds=())
-                elif verdict == PRUNE:
+            if nxt.compatible_seeds:
+                verdict, compat = apply_precondition(nxt, self.seeds, self.cfg,
+                                                     self.release_depth, self.points)
+                if verdict == PRUNE:
                     self.stats.pruned_seed += 1
                     continue
-                else:
-                    compat = tuple(
-                        j for j in nxt.compatible_seeds
-                        if T.holds(nxt.path, self.seeds[j])
-                    )
-                    nxt = replace(nxt, compatible_seeds=compat)
-            feasible = nxt.seed_following and nxt.compatible_seeds
-            if not feasible:
+                nxt = replace(nxt, compatible_seeds=compat)
+            # a state that a seed satisfies is feasible
+            if not nxt.compatible_seeds:
                 res = self.sat(nxt.path)
                 if not res.is_sat:
                     self.stats.pruned_infeasible += 1
@@ -476,7 +472,7 @@ class _Engine:
                 if m in self.targets and m not in s.forked]
         self.stats.states_created += len(mids)
         return [replace(s, mut_id=m, fork_trail=s.trail, checkpoints_passed=0,
-                        branch_count=0, seed_following=False, compatible_seeds=())
+                        branch_count=0, compatible_seeds=())
                 for m in mids]
 
     def infected(self, kids: List[SymbolicState],
@@ -494,7 +490,7 @@ class _Engine:
                 self.stats.pruned_noninfected += 1
             elif self.cfg.mode != "infection-only":
                 live.append(k)
-            elif witness is not None and witness.model is not None:
+            elif witness is not None:
                 self.record_test(k.mut_id, self._complete_model(witness.model),
                                  SITE_CHECKPOINT, k.depth)
         return live
@@ -512,7 +508,7 @@ class _Engine:
             return
         c = build_partial_kill(paired, pruned, self.cfg)
         res = self.sat(c)
-        if res.is_sat and res.model is not None:
+        if res.is_sat:
             model = self._complete_model(res.model)
             self.record_test(pruned.mut_id, model, SITE_CHECKPOINT, pruned.depth)
 
@@ -536,7 +532,7 @@ class _Engine:
                     if o.trail[: len(prefix)] != prefix:
                         continue
                     res = self.sat(build_kill(o, st))
-                    if res.is_sat and res.model is not None:
+                    if res.is_sat:
                         self.record_test(m, self._complete_model(res.model),
                                          SITE_TERMINAL, st.depth)
                         break
@@ -544,7 +540,7 @@ class _Engine:
     def vanilla_tests(self) -> None:
         for o in self.finished_orig:
             res = self.sat(o.path)
-            if res.is_sat and res.model is not None:
+            if res.is_sat:
                 self.record_test(0, self._complete_model(res.model),
                                  SITE_TERMINAL, o.depth)
 
@@ -555,11 +551,10 @@ class _Engine:
         if self.cfg.max_states == 0:
             self.stats.wall_clock = time.monotonic() - start
             return [], self.stats
-        seeded = self.cfg.use_precondition and bool(self.seeds)
         self.stats.states_created += 1
+        followed = range(len(self.seeds)) if self.cfg.use_precondition else ()
         frontier: List[SymbolicState] = [replace(
-            initial_state(self.base), seed_following=seeded,
-            compatible_seeds=tuple(range(len(self.seeds))) if seeded else ())]
+            initial_state(self.base), compatible_seeds=tuple(followed))]
         while frontier and self.budget_left():
             if frontier[0].depth >= self.cfg.max_depth:
                 break

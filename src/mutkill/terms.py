@@ -737,18 +737,12 @@ def _normalize_cmp_shape(op: str, left: IntTerm, right: IntTerm) -> BoolTerm:
             diff = _Poly({m: c_ // g for m, c_ in diff.coeffs.items()})
         if diff.leading_sign() < 0:
             diff = -diff
-        c2 = diff.constant_value()
-        if c2 is not None and safe:
-            return BoolLit(_cmp(op, c2, 0))
         return Cmp(op, diff.to_term(), Lit(0))
     # strict less-than: divide by positive content when it divides the
     # constant as well (sound: k*p + c < 0 with k | c  <=>  p + c/k < 0)
     g = math.gcd(*(abs(c_) for c_ in diff.coeffs.values())) if diff.coeffs else 0
     if g > 1:
         diff = _Poly({m: c_ // g for m, c_ in diff.coeffs.items()})
-    c2 = diff.constant_value()
-    if c2 is not None and safe:
-        return BoolLit(c2 < 0)
     return Cmp("<", diff.to_term(), Lit(0))
 
 

@@ -253,8 +253,8 @@ def test_criterion_7_heuristic_parameter_contracts(fig1):
     seeds = [{"x": 2}, {"x": -5}]
     for states in (_frontier_at(meta, 0, 1), _frontier_at(meta, 0, 2)):
         for s in states:
-            s = X.SymbolicState(**{**s.__dict__, "seed_following": True})
-            verdict = X.apply_precondition(s, seeds, X.Config(), 99, set())
+            s = X.SymbolicState(**{**s.__dict__, "compatible_seeds": tuple(range(len(seeds)))})
+            verdict, _ = X.apply_precondition(s, seeds, X.Config(), 99, set())
             member = any(T.holds(s.path, sd) for sd in seeds)
             if (verdict == X.FOLLOW) != member:
                 failures.append(f"membership mismatch at loc {s.loc}")

@@ -1,19 +1,32 @@
 """Byte-identity gate: the pipeline's output files for every corpus program
 under four configurations, pinned by SHA-256, and the engine's work counts
-in `stats.txt` (every line but `wall_clock=`), pinned the same way.
+in `stats.txt` (every line but `wall_clock=`), pinned the same way.  A fifth
+configuration explores with two seeds that the engine really follows, and
+pins its tests and work counts.
 
 A change that is meant to keep behaviour (a refactor, a faster engine or
 solver) must leave every digest as it is.  A change that alters outputs on
 purpose updates the table and says why.  Every budget here is a work budget;
 BUDGET_SECONDS is far above need, so the digests do not depend on machine
 speed.
+
+`python3 tests/test_golden.py` prints the three tables for the checked-out
+tree, from the same digest functions as the tests.
 """
 
 import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+if __name__ == "__main__":
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 import pytest
 
-from mutkill import cli
+from mutkill import cli, symex
+from mutkill.interp import run_lts
 
 import conftest as C
 
@@ -246,6 +259,43 @@ STATS_GOLDEN = {
 }
 
 
+# the seed-following run: targets the kept mutants at one mutation point
+# that the two bound seeds reach, so the engine follows the seeds until its
+# release depth
+SEED_FOLLOWING = symex.Config(mode="semu", pp=0.5, rng_seed=3, max_states=500,
+                              budget_seconds=600)
+
+# `seed_following_digest` per program: its tests and work counts
+SEED_FOLLOWING_GOLDEN = {
+    'abs':
+        "d53b2967a6644f3d1eaabd7bac6287e5458ef182ca329181a35083f21b1b8551",
+    'callfn':
+        "58c67d45676ecd6086d42aca727f6efd0b4faa8abeec72afbe580ebc28ddec7e",
+    'clamp':
+        "023e8af7ebcf754869432a4c91eb28ba4640d3fc80458c6fee4fae0480d4855b",
+    'classify':
+        "c581c689c54b4bf34d348291ecd6bd58f613d0639609b6220c14a017c239d82c",
+    'countdown':
+        "92f076485a06ca3edd50fa49a5f0d481cbfb05b4390d8e645616bc3fcec2bf28",
+    'divmod':
+        "f433977f65b6c509e8f94b7d4ce88948fdf89cd307b4ef469df2d0c503aaa25f",
+    'fig1':
+        "b1fdf77d2c3ab52ecf6098f1b11c0444719a2c466453d4c5bbda1959cff4622e",
+    'mask':
+        "37387ea14dead73c11d4b60725a4f9f5a0900ae6107b4d300a49a7ee3ca0d7c9",
+    'max2':
+        "67c4d193cad850e37bb7099e2455f525154c42d741c7aeaf76fb9f1b84709753",
+    'parity':
+        "cb195ed88e383204746dc8534d0be87d9ce88e857a1b87a862975075d6b71a2e",
+    'poly':
+        "fa1914bd7e6564e841b715c4039dc47da98e62546ee3f79d01c4387e55a01e3d",
+    'sign':
+        "9972b729e3f1d5fd785fa14402d9c3e54b8e14c899143110c615a05efcd8fec2",
+    'sumloop':
+        "d182cd00b94e9f1afc58f8613ad9e33a8dccd5cf621955519416ab5dfa0663ee",
+}
+
+
 def bound_seeds(name: str) -> str:
     inputs = C.load_lts(name).inputs
     return "".join(", ".join(f"{v}={dom[i]}" for v, dom in inputs) + "\n"
@@ -261,16 +311,21 @@ def outputs_digest(out_dir) -> str:
     return h.hexdigest()
 
 
+def work_counts(stats_text: str) -> str:
+    """`stats.txt` without its `wall_clock=` line: the states, prunings,
+    solver calls and tests per mutant of the exploration."""
+    return "".join(line for line in stats_text.splitlines(keepends=True)
+                   if not line.startswith("wall_clock="))
+
+
 def stats_digest(out_dir) -> str:
-    """Digest of `stats.txt` without its `wall_clock=` line: the states,
-    prunings, solver calls and tests per mutant of the exploration."""
-    lines = (out_dir / "stats.txt").read_text().splitlines(keepends=True)
-    kept = "".join(line for line in lines if not line.startswith("wall_clock="))
+    kept = work_counts((out_dir / "stats.txt").read_text())
     return hashlib.sha256(kept.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("config", sorted(CONFIGS))
-def test_corpus_outputs_unchanged(config, tmp_path):
+def corpus_digests(config: str, tmp_path: Path):
+    """`outputs_digest` and `stats_digest` per corpus program, one full
+    pipeline run each under `config`."""
     got, got_stats = {}, {}
     for name in sorted(C.ALL_PROGRAMS):
         out = tmp_path / name
@@ -284,7 +339,76 @@ def test_corpus_outputs_unchanged(config, tmp_path):
         cli.run_pipeline(manifest)
         got[name] = outputs_digest(out)
         got_stats[name] = stats_digest(out)
+    return got, got_stats
+
+
+def followed_point(meta, kept, seeds) -> int:
+    """The mutation point of a kept mutant whose first visit comes latest in
+    either seed's run of the original; ties go to the higher location."""
+    points = {loc for loc, mids in meta.mutation_points.items() if kept & set(mids)}
+    latest = {}
+    for seed in seeds:
+        first = {}
+        for i, (_, loc) in enumerate(run_lts(meta.program(0), seed).states):
+            if loc in points:
+                first.setdefault(loc, i)
+        for loc, i in first.items():
+            latest[loc] = max(latest.get(loc, i), i)
+    return max(latest, key=lambda loc: (latest[loc], loc))
+
+
+def seed_following_run(name: str):
+    """(tests, stats) of exploring `name` from its two bound seeds with the
+    kept mutants at `followed_point` targeted."""
+    lts, _, tce, meta = C.build(name)
+    seeds = cli.read_seeds(bound_seeds(name))
+    kept = set(tce.kept())
+    targets = kept & set(meta.mutation_points[followed_point(meta, kept, seeds)])
+    return symex.explore(meta, targets, seeds, SEED_FOLLOWING, C.bounded_handle(lts))
+
+
+def seed_following_digest(tests, stats) -> str:
+    text = cli.format_tests(tests) + work_counts(stats.as_text())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_corpus_outputs_unchanged(config, tmp_path):
+    got, got_stats = corpus_digests(config, tmp_path)
     want = {name: GOLDEN[(config, name)] for name in sorted(C.ALL_PROGRAMS)}
     assert got == want
     want_stats = {name: STATS_GOLDEN[(config, name)] for name in sorted(C.ALL_PROGRAMS)}
     assert got_stats == want_stats
+
+
+def test_seed_following_unchanged():
+    got, pruned = {}, {}
+    for name in sorted(C.ALL_PROGRAMS):
+        tests, stats = seed_following_run(name)
+        got[name] = seed_following_digest(tests, stats)
+        pruned[name] = stats.pruned_seed
+    # the configuration does follow seeds: off-seed branches are pruned
+    assert pruned["fig1"] > 0 and pruned["classify"] > 0
+    assert got == SEED_FOLLOWING_GOLDEN
+
+
+def _print_table(title: str, table) -> None:
+    print(f"{title} = {{")
+    for key in sorted(table):
+        print(f"    {key!r}:\n        \"{table[key]}\",")
+    print("}")
+
+
+if __name__ == "__main__":
+    golden, stats_golden = {}, {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for config in sorted(CONFIGS):
+            (Path(tmp) / config).mkdir()
+            got, got_stats = corpus_digests(config, Path(tmp) / config)
+            golden.update(((config, name), d) for name, d in got.items())
+            stats_golden.update(((config, name), d) for name, d in got_stats.items())
+    _print_table("GOLDEN", golden)
+    _print_table("STATS_GOLDEN", stats_golden)
+    _print_table("SEED_FOLLOWING_GOLDEN", {
+        name: seed_following_digest(*seed_following_run(name))
+        for name in sorted(C.ALL_PROGRAMS)})

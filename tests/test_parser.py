@@ -41,10 +41,6 @@ class TestParse:
         with pytest.raises(ValueError):
             P.SourceProgram("")
 
-    def test_reserved_selector_name(self):
-        with pytest.raises(P.MiniImpError):
-            P.parse_text("fn main() { var mutId; output 0; }")
-
     def test_type_confusion_rejected(self):
         with pytest.raises(P.SemanticError):
             P.parse_text("input x: int in [0,1];\n"
@@ -135,8 +131,6 @@ FRONT_END_ERRORS = [
      P.SemanticError, "parameter shadows input: 'x'", (2, 1)),
     ("input x: int in [3, 1];\nfn main() { output x; }",
      P.SemanticError, "empty domain [3,1] for input 'x'", (1, 1)),
-    (_X + "fn main() { var mutId = x; output mutId; }",
-     P.MiniImpSyntaxError, "'mutId' is a reserved name", (2, 17)),
     (_X + "fn main() { output x }",
      P.MiniImpSyntaxError, "expected ';', found '}'", (2, 22)),
 ]

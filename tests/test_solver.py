@@ -60,9 +60,11 @@ class TestBounded:
             S.is_satisfiable(Cmp("<", Var("q"), Lit(0)), H)
 
     def test_enumeration_cap(self):
-        tight = S.SolverHandle.bounded(DOMS, max_points=4)
+        # three inputs over the default domain: 2^24 points
+        wide = S.SolverHandle.bounded({n: (-128, 127) for n in "xyz"})
+        c = And(tuple(Cmp("<", Var(n), Lit(0)) for n in "xyz"))
         with pytest.raises(S.SolverFailure, match="too large"):
-            S.is_satisfiable(And((x_lt(0), Cmp("<", Var("y"), Lit(0)))), tight)
+            S.is_satisfiable(c, wide)
 
     def test_division_by_zero_model_excluded(self):
         # y = 0 would divide by zero; such valuations must not satisfy
@@ -178,8 +180,7 @@ class TestCompiledEnumeration:
                 return iter(range(-SIDE, SIDE))
 
         c = T.normalize_bool(And((Cmp("==", Bin("%", x, Lit(5)), Lit(0)), Cmp(">", y, x))))
-        models = S._enumerator(c, ("x", "y"))(math.inf, time.monotonic,
-                                              range(-SIDE, SIDE), Inner())
+        models = S._enumerator(c, ("x", "y"))(range(-SIDE, SIDE), Inner())
         assert list(models) == brute_force(c, BIG)
         assert len(entered) == len([v for v in range(-SIDE, SIDE) if v % 5 == 0])
 
@@ -202,14 +203,26 @@ class TestCompiledEnumeration:
         assert list(S.enumerate_models(c, h)) == brute_force(c, h)
 
 
-class TestUnknown:
+class TestDecision:
+    """The bounded backend decides every query: no clock enters a verdict."""
+
     @pytest.mark.parametrize("doms", [DOMS, BIG_DOMS], ids=["walked", "compiled"])
-    def test_timeout_before_a_model_is_unknown(self, doms):
-        c = Cmp("==", Bin("+", Bin("*", x, x), Bin("*", y, y)), Lit(3))  # no two squares sum to 3
-        assert S.is_satisfiable(c, S.SolverHandle.bounded(doms)).status == S.UNSAT
-        assert S.is_satisfiable(c, S.SolverHandle.bounded(doms, timeout=0)).status == S.UNKNOWN
-        models = list(S.enumerate_models(c, S.SolverHandle.bounded(doms), time.monotonic()))
-        assert models[-1] is None
+    def test_verdict_ignores_the_clock(self, doms, monkeypatch):
+        h = S.SolverHandle.bounded(doms)
+        squares = Bin("+", Bin("*", x, x), Bin("*", y, y))
+        no_model = Cmp("==", squares, Lit(3))  # no two squares sum to 3
+        some_model = Cmp("==", squares, Lit(25))
+        first = S.is_satisfiable(some_model, h)
+        assert first.model == {"x": -5, "y": 0}
+        now = [time.monotonic()]
+
+        def jumping():
+            now[0] += 1e6
+            return now[0]
+
+        monkeypatch.setattr(time, "monotonic", jumping)
+        assert S.is_satisfiable(no_model, h).status == S.UNSAT
+        assert S.is_satisfiable(some_model, h) == first
 
 
 import sys

@@ -142,28 +142,34 @@ class TestSelectBranches:
 
 
 class TestPrecondition:
-    SEEDS = [{"x": 3}]
+    SEEDS = [{"x": 3}, {"x": 5}]
 
     def test_gmd2ms_releases_at_depth(self):
-        s = state(depth=5, seed_following=True)
+        s = state(depth=5, compatible_seeds=(0, 1))
         assert X.apply_precondition(s, self.SEEDS, X.Config(), 5, set()) \
-            == X.RELEASE
+            == (X.RELEASE, ())
 
     def test_follow_while_a_seed_satisfies(self):
-        s = state(path=Cmp(">", Var("x"), Lit(0)), depth=1, seed_following=True)
+        s = state(path=Cmp(">", Var("x"), Lit(4)), depth=1, compatible_seeds=(0, 1))
         assert X.apply_precondition(s, self.SEEDS, X.Config(), 9, set()) \
-            == X.FOLLOW
+            == (X.FOLLOW, (1,))
 
     def test_prune_when_no_seed_satisfies(self):
-        s = state(path=Cmp("<", Var("x"), Lit(0)), depth=1, seed_following=True)
+        s = state(path=Cmp("<", Var("x"), Lit(0)), depth=1, compatible_seeds=(0, 1))
         assert X.apply_precondition(s, self.SEEDS, X.Config(), 9, set()) \
-            == X.PRUNE
+            == (X.PRUNE, ())
+
+    def test_only_compatible_seeds_are_tested(self):
+        # the parent's path already excluded seed 0
+        s = state(path=Cmp("<", Var("x"), Lit(4)), depth=1, compatible_seeds=(1,))
+        assert X.apply_precondition(s, self.SEEDS, X.Config(), 9, set()) \
+            == (X.PRUNE, ())
 
     def test_smd2ms_releases_at_mutation_point(self):
-        s = state(loc=7, depth=1, seed_following=True)
+        s = state(loc=7, depth=1, compatible_seeds=(0, 1))
         cfg = X.Config(pl="SMD2MS")
-        assert X.apply_precondition(s, self.SEEDS, cfg, None, {7}) == X.RELEASE
-        assert X.apply_precondition(s, self.SEEDS, cfg, None, {9}) == X.FOLLOW
+        assert X.apply_precondition(s, self.SEEDS, cfg, None, {7}) == (X.RELEASE, ())
+        assert X.apply_precondition(s, self.SEEDS, cfg, None, {9}) == (X.FOLLOW, (0, 1))
 
 
 class TestPairing:
