@@ -13,13 +13,12 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import interp, lts as L, mutation, parser as P, solver as S, symex
+from .record import Record
 
 DEFAULT_OPERATORS = mutation.SUPPORTED_OPERATORS
 
@@ -35,16 +34,12 @@ class StageError(Exception):
         self.cause = cause
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    program: str
-    out_dir: str
-    seeds: Optional[str] = None
-    config: symex.Config = field(default_factory=symex.Config)
-    operators: Tuple[str, ...] = DEFAULT_OPERATORS
-    solver: str = "bounded"
-    external_solver_cmd: Optional[str] = None
-    step_budget: int = interp.DEFAULT_STEP_BUDGET
+class RunManifest(Record):
+    __slots__ = ("program", "out_dir", "seeds", "config", "operators", "solver",
+                 "external_solver_cmd", "step_budget")
+    _defaults = {"seeds": None, "config": symex.Config(), "operators": DEFAULT_OPERATORS,
+                 "solver": "bounded", "external_solver_cmd": None,
+                 "step_budget": interp.DEFAULT_STEP_BUDGET}
 
 
 # ---------------------------------------------------------------------------
@@ -289,19 +284,12 @@ def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
             text = f.read()
     manifest = parse_config(text, program=args.program, out_dir=args.out,
                             seeds=args.seeds)
-    cfg = manifest.config
-    if args.mode:
-        cfg = dataclasses.replace(cfg, mode=args.mode)
-    if args.budget_seconds is not None:
-        cfg = dataclasses.replace(cfg, budget_seconds=args.budget_seconds)
-    if args.rng_seed is not None:
-        cfg = dataclasses.replace(cfg, rng_seed=args.rng_seed)
-    operators = manifest.operators
-    if args.operators:
-        operators = _parse_operators(args.operators)
-    return dataclasses.replace(
-        manifest, config=cfg, operators=operators,
-        solver=args.solver, external_solver_cmd=args.external_solver_cmd)
+    overrides = {"mode": args.mode, "budget_seconds": args.budget_seconds,
+                 "rng_seed": args.rng_seed}
+    cfg = manifest.config.replace(**{k: v for k, v in overrides.items() if v is not None})
+    operators = _parse_operators(args.operators) if args.operators else manifest.operators
+    return manifest.replace(config=cfg, operators=operators, solver=args.solver,
+                            external_solver_cmd=args.external_solver_cmd)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

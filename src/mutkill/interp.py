@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
 
 from . import terms as T
 from .lts import GuardedCommand, Lts
 from .mutation import MetaMutant
+from .record import Record
 
 DEFAULT_STEP_BUDGET = 100_000
 
@@ -31,13 +31,11 @@ class DomainViolation(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Trace:
-    names: Tuple[str, ...]  # the program's variables, sorted
-    states: Tuple[Tuple[Tuple[int, ...], int], ...]  # (values of `names`, location)
-    output: Tuple[int, ...]
-    status: str  # terminal | error | timeout
-    steps: int
+class Trace(Record):
+    """`names`: the program's variables, sorted; `states`: (values of
+    `names`, location) per step; `status`: terminal | error | timeout."""
+
+    __slots__ = ("names", "states", "output", "status", "steps")
 
     @property
     def couples(self) -> Tuple[Tuple[Tuple[Tuple[str, int], ...], int], ...]:
@@ -92,7 +90,7 @@ def compile_command(gc: GuardedCommand) -> Tuple[Callable, Callable]:
 def _step_table(lts: Lts) -> Dict[int, List[tuple]]:
     """Location -> [(guard, fire, destination)] in transition order, built on
     first use and kept in the Lts instance's dict: not a field, so equality
-    and `dataclasses.replace` ignore it."""
+    and `replace` ignore it."""
     table = vars(lts).get("_step_table")
     if table is None:
         table = vars(lts)["_step_table"] = {
@@ -148,11 +146,11 @@ def run_concrete(meta: MetaMutant, mut_id: int, test: Dict[str, int],
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KillMatrix:
-    tests: Tuple[Tuple[Tuple[str, int], ...], ...]  # ordered, as sorted item tuples
-    mutant_ids: Tuple[int, ...]
-    cells: Tuple[Tuple[str, ...], ...]  # cells[test][mutant] in {K, S, T}
+class KillMatrix(Record):
+    """`tests`: ordered, each as sorted (name, value) pairs;
+    `cells[test][mutant]`: K, S or T."""
+
+    __slots__ = ("tests", "mutant_ids", "cells")
 
     def killed(self, test_index: int, mutant_id: int) -> bool:
         return self.cells[test_index][self.mutant_ids.index(mutant_id)] == "K"
@@ -276,13 +274,4 @@ def matrix_csv(km: KillMatrix) -> str:
     for i, test in enumerate(km.tests):
         label = ";".join(f"{k}={v}" for k, v in test)
         lines.append(label + "," + ",".join(km.cells[i]))
-    return "\n".join(lines) + "\n"
-
-
-def trace_dump(trace: Trace) -> str:
-    lines = []
-    for snap, loc in trace.couples:
-        vars_txt = " ".join(f"{k}={v}" for k, v in snap)
-        lines.append(f"({loc}, {vars_txt})")
-    lines.append(f"status={trace.status} output={list(trace.output)} steps={trace.steps}")
     return "\n".join(lines) + "\n"

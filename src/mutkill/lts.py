@@ -18,13 +18,13 @@ depth; each inline instance renames the callee's parameters and locals.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from . import parser as P
 from . import terms as T
-from .terms import And, BoolTerm, Cmp, IntTerm, Lit, Var
+from .record import Record
+from .terms import And, BoolTerm, Cmp, Lit, Var
 
 
 class LoweringError(Exception):
@@ -35,38 +35,35 @@ class InliningDepthExceeded(LoweringError):
     pass
 
 
-@dataclass(frozen=True)
-class GuardedCommand:
+class GuardedCommand(Record):
     """A transition label [g]f, optionally emitting one output value.
 
-    ``update`` maps a subset of the program variables to integer terms
-    (identity elsewhere); ``emit`` is the term appended to the output stream
-    when the transition fires, or None.
+    ``guard`` is a boolean term; ``update`` maps a subset of the program
+    variables to integer terms, as (name, term) pairs (identity elsewhere);
+    ``emit`` is the term appended to the output stream when the transition
+    fires, or None.
     """
 
-    guard: BoolTerm = T.TRUE
-    update: Tuple[Tuple[str, IntTerm], ...] = ()
-    emit: Optional[IntTerm] = None
+    __slots__ = ("guard", "update", "emit")
+    _defaults = {"guard": T.TRUE, "update": (), "emit": None}
 
 
 Transition = Tuple[int, GuardedCommand, int]
 
 
-@dataclass(frozen=True)
-class LocInfo:
-    kind: str  # 'assign' | 'output' | 'branch' | 'call' | 'terminal'
-    pos: P.Pos
+class LocInfo(Record):
+    # kind: 'assign' | 'output' | 'branch' | 'call' | 'terminal'
+    __slots__ = ("kind", "pos")
 
 
-@dataclass(frozen=True)
-class Lts:
-    locations: Tuple[int, ...]
-    entry: int
-    terminals: frozenset
-    variables: Tuple[str, ...]  # all program variables, inputs included
-    inputs: Tuple[Tuple[str, Tuple[int, int]], ...]  # name -> inclusive domain
-    transitions: Tuple[Transition, ...]
-    loc_info: Tuple[Tuple[int, LocInfo], ...]
+class Lts(Record):
+    """`variables` are all program variables, inputs included; `inputs`
+    pairs each input with its inclusive domain; `loc_info` pairs each
+    location with its LocInfo."""
+
+    # no slots: the cached properties below live in the instance's dict
+    _fields = ("locations", "entry", "terminals", "variables", "inputs",
+               "transitions", "loc_info")
 
     @property
     def input_domains(self) -> Dict[str, Tuple[int, int]]:

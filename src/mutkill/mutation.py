@@ -17,13 +17,12 @@ dense and 1-based; 0 always selects the original program.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 from . import terms as T
 from .lts import GuardedCommand, Lts, Transition
+from .record import Record
 from .terms import And, Bin, Cmp, Lit, Neg, Not, Or, Var
 
 SUPPORTED_OPERATORS = ("AOR", "CRP", "LCR", "RHS", "ROR", "SDL")
@@ -37,27 +36,24 @@ class IdCollision(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Mutant:
-    id: int
-    operator: str  # e.g. "ROR:<-><="
-    loc: int
-    pos: Tuple[int, int]
-    original: str  # source fragment before mutation
-    mutated: str  # source fragment after mutation
-    removed: Tuple[Transition, ...]
-    replacement: Tuple[Transition, ...]
+class Mutant(Record):
+    """`operator` names the rewrite (e.g. "ROR:<-><="); `original` and
+    `mutated` are the source fragment before and after it; the mutant
+    program is the original with the transitions `removed` replaced by
+    `replacement`."""
+
+    __slots__ = ("id", "operator", "loc", "pos", "original", "mutated",
+                 "removed", "replacement")
 
 
-@dataclass(frozen=True)
-class MetaMutant:
+class MetaMutant(Record):
     """The original program and its mutants, run as one: ID 0 selects the
     original, every other ID its mutant, which forks off the original at
-    its mutation point."""
+    its mutation point.  `index` pairs each ID with its Mutant, `points`
+    each location with the IDs of its mutants."""
 
-    base: Lts
-    index: Tuple[Tuple[int, Mutant], ...]
-    points: Tuple[Tuple[int, Tuple[int, ...]], ...]  # location -> mutant IDs
+    # no slots: the cached properties below live in the instance's dict
+    _fields = ("base", "index", "points")
 
     @cached_property
     def mutants(self) -> Dict[int, Mutant]:
@@ -83,11 +79,12 @@ class MetaMutant:
         return prog
 
 
-@dataclass(frozen=True)
-class TceReport:
-    equivalent: Tuple[int, ...]  # normal form identical to the original's
-    duplicate_groups: Tuple[Tuple[int, ...], ...]  # size >= 2, sorted
-    surviving: Tuple[int, ...]
+class TceReport(Record):
+    """`equivalent`: the mutants whose normal form is the original's;
+    `duplicate_groups`: sorted groups of at least two mutants with one
+    normal form; `surviving`: the other mutants."""
+
+    __slots__ = ("equivalent", "duplicate_groups", "surviving")
 
     def representatives(self) -> Tuple[int, ...]:
         return tuple(g[0] for g in self.duplicate_groups)
@@ -110,7 +107,7 @@ def _rewrites(t, rewriter) -> List[Tuple[object, object, object]]:
 
     def child(attr, sub):
         for new_sub, old_node, new_node in _rewrites(sub, rewriter):
-            out.append((dataclasses.replace(t, **{attr: new_sub}), old_node, new_node))
+            out.append((t.replace(**{attr: new_sub}), old_node, new_node))
 
     if isinstance(t, (Neg, Not)):
         child("operand", t.operand)
@@ -121,19 +118,19 @@ def _rewrites(t, rewriter) -> List[Tuple[object, object, object]]:
         for i, sub in enumerate(t.items):
             for new_sub, old_node, new_node in _rewrites(sub, rewriter):
                 items = t.items[:i] + (new_sub,) + t.items[i + 1:]
-                out.append((dataclasses.replace(t, items=items), old_node, new_node))
+                out.append((t.replace(items=items), old_node, new_node))
     return out
 
 
 def _aor(node):
     if isinstance(node, Bin):
-        return [dataclasses.replace(node, op=op) for op in T.ARITH_OPS if op != node.op]
+        return [node.replace(op=op) for op in T.ARITH_OPS if op != node.op]
     return []
 
 
 def _ror(node):
     if isinstance(node, Cmp):
-        return [dataclasses.replace(node, op=op) for op in T.CMP_OPS if op != node.op]
+        return [node.replace(op=op) for op in T.CMP_OPS if op != node.op]
     return []
 
 
@@ -178,17 +175,17 @@ def _straightline_variants(name: str, loc: int, gc: GuardedCommand, src: int, ds
             for new_term, old_n, new_n in _rewrites(term, rw):
                 upd = gc.update[:i] + ((var, new_term),) + gc.update[i + 1:]
                 yield (_label(name, old_n, new_n), T.render(old_n), T.render(new_n),
-                       ((src, dataclasses.replace(gc, update=upd), dst),))
+                       ((src, gc.replace(update=upd), dst),))
         if gc.emit is not None:
             for new_term, old_n, new_n in _rewrites(gc.emit, rw):
                 yield (_label(name, old_n, new_n), T.render(old_n), T.render(new_n),
-                       ((src, dataclasses.replace(gc, emit=new_term), dst),))
+                       ((src, gc.replace(emit=new_term), dst),))
     elif name == "RHS":
         for i, (var, term) in enumerate(gc.update):
             for delta in (Bin("+", term, Lit(1)), Bin("-", term, Lit(1))):
                 upd = gc.update[:i] + ((var, delta),) + gc.update[i + 1:]
                 yield (_label("RHS", term, delta), T.render(term), T.render(delta),
-                       ((src, dataclasses.replace(gc, update=upd), dst),))
+                       ((src, gc.replace(update=upd), dst),))
     elif name == "SDL":
         if gc.update or gc.emit is not None:
             old = T.render(gc.emit) if gc.emit is not None else T.render(gc.update[0][1])
@@ -205,8 +202,8 @@ def _branch_variants(name: str, loc: int, outs: Sequence[Transition]):
     (s1, gc1, d1), (s2, gc2, d2) = outs
     for new_guard, old_n, new_n in _rewrites(gc1.guard, rw):
         yield (_label(name, old_n, new_n), T.render(old_n), T.render(new_n),
-               ((s1, dataclasses.replace(gc1, guard=new_guard), d1),
-                (s2, dataclasses.replace(gc2, guard=T.negate(new_guard)), d2)))
+               ((s1, gc1.replace(guard=new_guard), d1),
+                (s2, gc2.replace(guard=T.negate(new_guard)), d2)))
 
 
 def generate_mutants(lts: Lts, operators) -> List[Mutant]:
@@ -248,7 +245,7 @@ def apply_mutant(lts: Lts, mutant: Mutant) -> Lts:
     replacements, everything else shared."""
     removed = set(mutant.removed)
     kept = [t for t in lts.transitions if t not in removed]
-    return dataclasses.replace(lts, transitions=tuple(kept) + mutant.replacement)
+    return lts.replace(transitions=tuple(kept) + mutant.replacement)
 
 
 # ---------------------------------------------------------------------------

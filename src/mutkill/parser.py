@@ -1,5 +1,5 @@
-"""MiniImp front end: tokenizer, recursive-descent parser, semantic checks
-and a pretty printer.
+"""MiniImp front end: tokenizer, recursive-descent parser and semantic
+checks.
 
 MiniImp is a small deterministic imperative language over exact integers:
 
@@ -24,10 +24,10 @@ to report an error at it.  Declarations and statements carry a 1-based
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from . import terms as T
+from .record import Record
 from .terms import And, Bin, Cmp, Lit, Neg, Not, Or, Var
 
 DEFAULT_DOMAIN = (-128, 127)
@@ -57,12 +57,12 @@ class SemanticError(MiniImpError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SourceProgram:
-    text: str
-    origin: str = "<inline>"
+class SourceProgram(Record):
+    __slots__ = ("text", "origin")
+    _defaults = {"origin": "<inline>"}
 
-    def __post_init__(self):
+    def __init__(self, *args, **named):
+        super().__init__(*args, **named)
         if not self.text:
             raise ValueError("empty source program")
 
@@ -70,73 +70,51 @@ class SourceProgram:
 Pos = Tuple[int, int]
 
 
-def _pos_field():
-    return field(default=(0, 0), compare=False, repr=False)
+class _Positioned(Record):
+    """A declaration or statement: its trailing `pos` field is neither
+    compared nor printed."""
+
+    __slots__ = ()
+    _defaults = {"pos": (0, 0)}
+    _hidden = ("pos",)
 
 
-@dataclass(frozen=True)
-class SVarDecl:
-    name: str
-    init: Optional[T.IntTerm]
-    pos: Pos = _pos_field()
+class SVarDecl(_Positioned):
+    __slots__ = ("name", "init", "pos")  # init: an IntTerm or None
 
 
-@dataclass(frozen=True)
-class SAssign:
-    name: str
-    expr: T.IntTerm
-    pos: Pos = _pos_field()
+class SAssign(_Positioned):
+    __slots__ = ("name", "expr", "pos")
 
 
-@dataclass(frozen=True)
-class SIf:
-    cond: T.BoolTerm
-    then: tuple
-    els: tuple
-    pos: Pos = _pos_field()
+class SIf(_Positioned):
+    __slots__ = ("cond", "then", "els", "pos")
 
 
-@dataclass(frozen=True)
-class SWhile:
-    cond: T.BoolTerm
-    body: tuple
-    pos: Pos = _pos_field()
+class SWhile(_Positioned):
+    __slots__ = ("cond", "body", "pos")
 
 
-@dataclass(frozen=True)
-class SOutput:
-    expr: T.IntTerm
-    pos: Pos = _pos_field()
+class SOutput(_Positioned):
+    __slots__ = ("expr", "pos")
 
 
-@dataclass(frozen=True)
-class SCall:
-    fn: str
-    args: tuple
-    pos: Pos = _pos_field()
+class SCall(_Positioned):
+    __slots__ = ("fn", "args", "pos")
 
 
-@dataclass(frozen=True)
-class InputDecl:
-    name: str
-    lo: int
-    hi: int
-    pos: Pos = _pos_field()
+class InputDecl(_Positioned):
+    __slots__ = ("name", "lo", "hi", "pos")
 
 
-@dataclass(frozen=True)
-class FnDef:
-    name: str
-    params: tuple
-    body: tuple
-    pos: Pos = _pos_field()
+class FnDef(_Positioned):
+    __slots__ = ("name", "params", "body", "pos")
 
 
-@dataclass(frozen=True)
-class Ast:
-    inputs: tuple  # InputDecl, in declaration order
-    functions: tuple  # FnDef, in declaration order
-    entry: str = "main"
+class Ast(Record):
+    # InputDecls and FnDefs, each in declaration order
+    __slots__ = ("inputs", "functions", "entry")
+    _defaults = {"entry": "main"}
 
     def function(self, name: str) -> FnDef:
         for f in self.functions:
@@ -165,11 +143,8 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'int' | 'name' | 'op' | 'eof'
-    text: str
-    pos: Pos
+class _Token(Record):
+    __slots__ = ("kind", "text", "pos")  # kind: 'int' | 'name' | 'op' | 'eof'
 
 
 def _tokenize(src: str) -> List[_Token]:
@@ -535,54 +510,3 @@ def parse_program(src: SourceProgram) -> Ast:
 
 def parse_text(text: str, origin: str = "<inline>") -> Ast:
     return parse_program(SourceProgram(text, origin))
-
-
-# ---------------------------------------------------------------------------
-# Pretty printer (round-trips through parse_program)
-# ---------------------------------------------------------------------------
-
-
-def _render_stmt(s, indent: str, out: list):
-    if isinstance(s, SVarDecl):
-        if s.init is None:
-            out.append(f"{indent}var {s.name};")
-        else:
-            out.append(f"{indent}var {s.name} = {T.render(s.init)};")
-    elif isinstance(s, SAssign):
-        out.append(f"{indent}{s.name} = {T.render(s.expr)};")
-    elif isinstance(s, SOutput):
-        out.append(f"{indent}output {T.render(s.expr)};")
-    elif isinstance(s, SCall):
-        args = ", ".join(T.render(a) for a in s.args)
-        out.append(f"{indent}call {s.fn}({args});")
-    elif isinstance(s, SIf):
-        out.append(f"{indent}if ({T.render(s.cond)}) {{")
-        for t in s.then:
-            _render_stmt(t, indent + "    ", out)
-        if s.els:
-            out.append(f"{indent}}} else {{")
-            for t in s.els:
-                _render_stmt(t, indent + "    ", out)
-        out.append(f"{indent}}}")
-    elif isinstance(s, SWhile):
-        out.append(f"{indent}while ({T.render(s.cond)}) {{")
-        for t in s.body:
-            _render_stmt(t, indent + "    ", out)
-        out.append(f"{indent}}}")
-    else:
-        raise TypeError(f"not a statement: {s!r}")
-
-
-def render_program(ast: Ast) -> str:
-    out: list = []
-    for d in ast.inputs:
-        out.append(f"input {d.name}: int in [{d.lo}, {d.hi}];")
-    for f in ast.functions:
-        if out:
-            out.append("")
-        params = ", ".join(f.params)
-        out.append(f"fn {f.name}({params}) {{")
-        for s in f.body:
-            _render_stmt(s, "    ", out)
-        out.append("}")
-    return "\n".join(out) + "\n"

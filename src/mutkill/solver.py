@@ -10,7 +10,8 @@ handle type:
   speed, and a larger one raises SolverFailure.  The same machinery doubles
   as the exhaustive oracle used in tests.
 * external process: emits an SMT-LIB v2 script on the subprocess's stdin and
-  parses sat/unsat/unknown plus a get-value model from stdout.
+  parses sat/unsat/unknown plus a get-value model from stdout.  Only this
+  backend imports `subprocess`, when it is used.
 
 Division and modulo truncate toward zero, matching the interpreter; a
 comparison whose evaluation divides by zero is false (the concrete run would
@@ -22,12 +23,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import shlex
-import subprocess
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from . import terms as T
+from .record import Record
 from .terms import And, Bin, BoolLit, BoolTerm, Cmp, Lit, Neg, Not, Or, Var
 
 SAT = "sat"
@@ -46,30 +45,27 @@ class ExternalProcessFailure(SolverFailure):
     pass
 
 
-@dataclass(frozen=True)
-class SolverResult:
-    status: str  # sat | unsat | unknown
-    model: Optional[Dict[str, int]] = None
+class SolverResult(Record):
+    __slots__ = ("status", "model")  # status: sat | unsat | unknown
+    _defaults = {"model": None}
 
     @property
     def is_sat(self) -> bool:
         return self.status == SAT
 
 
-@dataclass(frozen=True)
-class SolverHandle:
+class SolverHandle(Record):
     """Backend selector plus the declared input domains.
 
-    domains: name -> inclusive (lo, hi).  The bounded backend requires every
-    constraint symbol to appear here.  timeout: seconds the external backend
-    allows its solver process before answering unknown; the bounded backend
+    domains: sorted (name, inclusive (lo, hi)) pairs.  The bounded backend
+    requires every constraint symbol to appear here.  backend: bounded |
+    external.  timeout: seconds the external backend allows its solver
+    process (`external_cmd`) before answering unknown; the bounded backend
     has no clock.
     """
 
-    domains: Tuple[Tuple[str, Tuple[int, int]], ...]
-    backend: str = "bounded"  # bounded | external
-    timeout: float = DEFAULT_TIMEOUT
-    external_cmd: Optional[Tuple[str, ...]] = None
+    __slots__ = ("domains", "backend", "timeout", "external_cmd")
+    _defaults = {"backend": "bounded", "timeout": DEFAULT_TIMEOUT, "external_cmd": None}
 
     @staticmethod
     def bounded(domains: Dict[str, Tuple[int, int]]) -> "SolverHandle":
@@ -79,6 +75,7 @@ class SolverHandle:
     def external(domains: Dict[str, Tuple[int, int]], cmd,
                  timeout: float = DEFAULT_TIMEOUT) -> "SolverHandle":
         if isinstance(cmd, str):
+            import shlex
             cmd = tuple(shlex.split(cmd))
         return SolverHandle(tuple(sorted(domains.items())), "external", timeout,
                             tuple(cmd))
@@ -115,22 +112,31 @@ def _enumerator(c: BoolTerm, names: Tuple[str, ...]) -> Callable:
     """`models(r0, r1, ...)`: a generator of the valuations of `names` over
     the ranges `r0, r1, ...` that satisfy the normalized constraint `c` under
     `T.holds`, in `itertools.product` order.  There is one loop per name, the
-    first outermost, and each top-level conjunct of `c` is tested in the
-    outermost loop that binds all its variables."""
+    first outermost; past `_MAX_LOOPS` names, the innermost loop runs over
+    the product of the remaining names' ranges.  Each top-level conjunct of
+    `c` is tested in the outermost loop that binds all its variables."""
     local = {n: f"v{i}" for i, n in enumerate(names)}
     src = T.Source(local, constraint=True)
+    # loops[k]: the indices of the names that loop k binds
+    loops = [[i] for i in range(len(names))]
+    if len(loops) > _MAX_LOOPS:
+        loops[_MAX_LOOPS - 1:] = [list(range(_MAX_LOOPS - 1, len(names)))]
+    binder = {names[i]: k for k, bound in enumerate(loops) for i in bound}
     # levels[k]: the conjuncts whose variables the first k loops bind
-    levels: List[List[str]] = [[] for _ in range(len(names) + 1)]
+    levels: List[List[str]] = [[] for _ in range(len(loops) + 1)]
     for item in c.items if isinstance(c, And) else (c,):
-        k = max((names.index(n) + 1 for n in T.variables(item)), default=0)
+        k = max((binder[n] + 1 for n in T.variables(item)), default=0)
         levels[k].append(src.expr(item))
     body, pad = [], ""
     for k, conjuncts in enumerate(levels):
         if conjuncts:
             body.append(f"{pad}if {' and '.join(conjuncts)}:")
             pad += "    "
-        if k < len(names):
-            body.append(f"{pad}for v{k} in r{k}:")
+        if k < len(loops):
+            bound = ", ".join(f"v{i}" for i in loops[k])
+            ranges = ", ".join(f"r{i}" for i in loops[k])
+            body.append(f"{pad}for {bound} in "
+                        + (ranges if len(loops[k]) == 1 else f"_product({ranges})") + ":")
             pad += "    "
     body.append(pad + "yield {" + ", ".join(f"{n!r}: {v}" for n, v in local.items()) + "}")
     src.define(f"models({', '.join(f'r{k}' for k in range(len(names)))})", body)
@@ -150,7 +156,7 @@ def enumerate_models(c: BoolTerm, h: SolverHandle) -> Iterator[Dict[str, int]]:
     # both paths test the normalized constraint, which is smaller (a kill
     # query's two paths share a prefix) and has the same models
     norm = T.normalize_bool(c)
-    if total >= _COMPILE_MIN_POINTS and len(names) <= _MAX_LOOPS:
+    if total >= _COMPILE_MIN_POINTS:
         yield from _enumerator(norm, names)(*ranges)
         return
     for values in itertools.product(*ranges):
@@ -280,6 +286,7 @@ def _sexpr_int(node) -> int:
 
 
 def _solve_external(c: BoolTerm, h: SolverHandle) -> SolverResult:
+    import subprocess
     if not h.external_cmd:
         raise ExternalProcessFailure("no external solver command configured")
     script = emit_smtlib(c, h.domain_map)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import solver as S
@@ -29,6 +28,7 @@ from . import terms as T
 from .interp import run_lts
 from .lts import GuardedCommand, Lts, Transition, distance_to_output
 from .mutation import MetaMutant
+from .record import Record
 from .terms import BoolTerm, Cmp, IntTerm, Lit, Var
 
 FOLLOW = "follow"
@@ -43,23 +43,26 @@ class DepthMismatch(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Config:
-    pl: str = "GMD2MS"  # GMD2MS | SMD2MS
-    cw: int = 0
-    pp: float = 0.25
-    pss: str = "RND"  # RND | MDO
-    mpd: int = 2
-    nsd: bool = False
-    ntpm: int = 5
-    mode: str = "semu"  # semu | infection-only | vanilla
-    budget_seconds: float = 60.0
-    max_states: Optional[int] = None
-    max_depth: int = 200
-    rng_seed: int = 0
-    use_precondition: bool = True
+class Config(Record):
+    _defaults = {
+        "pl": "GMD2MS",  # GMD2MS | SMD2MS
+        "cw": 0,
+        "pp": 0.25,
+        "pss": "RND",  # RND | MDO
+        "mpd": 2,
+        "nsd": False,
+        "ntpm": 5,
+        "mode": "semu",  # semu | infection-only | vanilla
+        "budget_seconds": 60.0,
+        "max_states": None,
+        "max_depth": 200,
+        "rng_seed": 0,
+        "use_precondition": True,
+    }
+    __slots__ = tuple(_defaults)  # every field has a default
 
-    def __post_init__(self):
+    def __init__(self, *args, **named):
+        super().__init__(*args, **named)
         if self.pl not in ("GMD2MS", "SMD2MS"):
             raise ValueError(f"bad PL {self.pl!r}")
         if self.pss not in ("RND", "MDO"):
@@ -72,51 +75,49 @@ class Config:
             raise ValueError(f"bad mode {self.mode!r}")
 
 
-@dataclass(frozen=True)
-class SymbolicState:
-    path: BoolTerm  # over input symbols
-    store: Tuple[Tuple[str, IntTerm], ...]  # every program variable bound
-    out: Tuple[IntTerm, ...]  # symbolic output trace so far
-    loc: int
-    mut_id: int  # 0 = original
-    depth: int
-    trail: Tuple[int, ...] = ()  # taken-transition indices, for prefix pairing
-    fork_trail: Optional[Tuple[int, ...]] = None
-    checkpoints_passed: int = 0
-    branch_count: int = 0  # post-fork branching locations traversed
-    # seeded mode: the indices of the seeds whose runs this state follows;
-    # empty once released, or when not following seeds
-    compatible_seeds: Tuple[int, ...] = ()
-    forked: frozenset = frozenset()  # mutant IDs already forked on this path
-    status: str = "live"  # live | terminal | error
+class SymbolicState(Record):
+    """`path` is over the input symbols; `store` binds every program
+    variable; `out` is the symbolic output trace so far; `mut_id` 0 is the
+    original.  `trail` holds the taken-transition indices, for prefix
+    pairing; `branch_count` the post-fork branching locations traversed.
+    In seeded mode, `compatible_seeds` holds the indices of the seeds whose
+    runs the state follows; it is empty once released, or when not
+    following seeds.  `forked` holds the mutant IDs already forked on this
+    path; `status` is live | terminal | error."""
+
+    __slots__ = ("path", "store", "out", "loc", "mut_id", "depth", "trail",
+                 "fork_trail", "checkpoints_passed", "branch_count",
+                 "compatible_seeds", "forked", "status")
+    _defaults = {"trail": (), "fork_trail": None, "checkpoints_passed": 0,
+                 "branch_count": 0, "compatible_seeds": (), "forked": frozenset(),
+                 "status": "live"}
 
     def store_map(self) -> Dict[str, IntTerm]:
         return dict(self.store)
 
 
-@dataclass(frozen=True)
-class GeneratedTest:
-    inputs: Tuple[Tuple[str, int], ...]
-    mutant_id: int
-    site: str  # checkpoint | terminal
-    k: int  # prefix length at generation
+class GeneratedTest(Record):
+    # site: checkpoint | terminal; k: the prefix length at generation
+    __slots__ = ("inputs", "mutant_id", "site", "k")
 
     def valuation(self) -> Dict[str, int]:
         return dict(self.inputs)
 
 
-@dataclass
 class ExplorationStats:
-    states_created: int = 0
-    pruned_infeasible: int = 0
-    pruned_noninfected: int = 0
-    pruned_pp: int = 0
-    pruned_seed: int = 0
-    solver_calls: int = 0
-    tests_per_mutant: Dict[int, int] = field(default_factory=dict)
-    wall_clock: float = 0.0
-    checkpoint_events: List[Tuple[int, int, int]] = field(default_factory=list)
-    # (mutant id, location, depth) per checkpoint hit; test instrumentation
+    """The engine's work counts; `checkpoint_events` holds (mutant id,
+    location, depth) per checkpoint hit, for tests."""
+
+    def __init__(self) -> None:
+        self.states_created = 0
+        self.pruned_infeasible = 0
+        self.pruned_noninfected = 0
+        self.pruned_pp = 0
+        self.pruned_seed = 0
+        self.solver_calls = 0
+        self.tests_per_mutant: Dict[int, int] = {}
+        self.wall_clock = 0.0
+        self.checkpoint_events: List[Tuple[int, int, int]] = []
 
     def as_text(self) -> str:
         per = ";".join(f"{m}:{n}" for m, n in sorted(self.tests_per_mutant.items()))
@@ -280,39 +281,13 @@ def step(s: SymbolicState, i: int, transition: Transition
     new_store = dict(store)
     for name, term in update:
         new_store[name] = T.normalize_int(term)
-    nxt = replace(
-        s, path=T.conj([s.path] + ([] if g == T.TRUE else [g])),
+    nxt = s.replace(
+        path=T.conj([s.path] + ([] if g == T.TRUE else [g])),
         store=tuple(sorted(new_store.items())),
         out=s.out + (T.normalize_int(emit),) if emit is not None else s.out,
         loc=dst, depth=s.depth + 1, trail=s.trail + (i,),
     )
     return nxt, GuardedCommand(guard, update, emit)
-
-
-def enumerate_terminals(meta: MetaMutant, mut_id: int, max_depth: int,
-                        through: Optional[int] = None) -> List[SymbolicState]:
-    """All terminal states up to max_depth, with NO feasibility pruning
-    beyond structural falsehood of single guards.  Used for exhaustive path
-    analyses; `through` restricts to paths visiting that location."""
-    lts = meta.program(mut_id)
-    succ = lts.successors
-    frontier = [(initial_state(lts, mut_id), through in (None, lts.entry))]
-    done: List[SymbolicState] = []
-    while frontier:
-        nxt = []
-        for s, visited in frontier:
-            if s.loc in lts.terminals:
-                if visited:
-                    done.append(replace(s, status="terminal"))
-                continue
-            if s.depth >= max_depth:
-                continue
-            for i, transition in enumerate(succ[s.loc]):
-                stepped = step(s, i, transition)
-                if stepped is not None:
-                    nxt.append((stepped[0], visited or transition[2] == through))
-        frontier = nxt
-    return done
 
 
 # ---------------------------------------------------------------------------
@@ -435,14 +410,14 @@ class _Engine:
                 res = self.sat(err_pc)
                 if res.is_sat:
                     self.stats.states_created += 1
-                    self.finish(replace(s, path=err_pc, depth=s.depth + 1,
-                                        trail=s.trail + (i,), status="error"))
+                    self.finish(s.replace(path=err_pc, depth=s.depth + 1,
+                                          trail=s.trail + (i,), status="error"))
             pc = T.conj([nxt.path] + nonzero)
             if T.normalize_bool(pc) == T.FALSE:
                 self.stats.pruned_infeasible += 1
                 continue
-            nxt = replace(
-                nxt, path=pc,
+            nxt = nxt.replace(
+                path=pc,
                 branch_count=s.branch_count + (1 if branching and s.mut_id else 0),
             )
             # seeded mode: release / follow / prune
@@ -452,7 +427,7 @@ class _Engine:
                 if verdict == PRUNE:
                     self.stats.pruned_seed += 1
                     continue
-                nxt = replace(nxt, compatible_seeds=compat)
+                nxt = nxt.replace(compatible_seeds=compat)
             # a state that a seed satisfies is feasible
             if not nxt.compatible_seeds:
                 res = self.sat(nxt.path)
@@ -471,8 +446,8 @@ class _Engine:
         mids = [m for m in self.meta.mutation_points.get(s.loc, ())
                 if m in self.targets and m not in s.forked]
         self.stats.states_created += len(mids)
-        return [replace(s, mut_id=m, fork_trail=s.trail, checkpoints_passed=0,
-                        branch_count=0, compatible_seeds=())
+        return [s.replace(mut_id=m, fork_trail=s.trail, checkpoints_passed=0,
+                          branch_count=0, compatible_seeds=())
                 for m in mids]
 
     def infected(self, kids: List[SymbolicState],
@@ -553,8 +528,8 @@ class _Engine:
             return [], self.stats
         self.stats.states_created += 1
         followed = range(len(self.seeds)) if self.cfg.use_precondition else ()
-        frontier: List[SymbolicState] = [replace(
-            initial_state(self.base), compatible_seeds=tuple(followed))]
+        frontier: List[SymbolicState] = [
+            initial_state(self.base).replace(compatible_seeds=tuple(followed))]
         while frontier and self.budget_left():
             if frontier[0].depth >= self.cfg.max_depth:
                 break
@@ -584,13 +559,13 @@ class _Engine:
 
         for s in frontier:
             if s.loc in self.base.terminals:
-                self.finish(replace(s, status="terminal"))
+                self.finish(s.replace(status="terminal"))
                 continue
             if not self.budget_left():
                 continue
             forks = self.fork(s)
             if forks:
-                s = replace(s, forked=s.forked | {f.mut_id for f in forks})
+                s = s.replace(forked=s.forked | {f.mut_id for f in forks})
             kids = self.expand(s)
             add(s, kids)
             for f in forks:
@@ -614,10 +589,10 @@ class _Engine:
             for c in pruned:
                 self.stats.pruned_pp += 1
                 self.try_early_test(
-                    replace(c, checkpoints_passed=c.checkpoints_passed + 1), originals)
+                    c.replace(checkpoints_passed=c.checkpoints_passed + 1), originals)
             kept_ids = {id(c) for c in kept}
             for i, c in zip(idxs, cands):
-                out[i] = replace(c, checkpoints_passed=c.checkpoints_passed + 1) \
+                out[i] = c.replace(checkpoints_passed=c.checkpoints_passed + 1) \
                     if id(c) in kept_ids else None
         return [x for x in out if x is not None]
 

@@ -6,10 +6,11 @@ the one node with its class and fields, so structurally equal terms are the
 same object, equality is identity and hashing is O(1) however deep the term.
 A node's variables are computed from its children's when it is built.  Terms
 can be used directly as dict keys (monomial atoms during normalization) and
-as `lru_cache` arguments.  Their `repr` is the dataclass one, and
-normalization orders conjuncts and monomial atoms by it, so sorting, and the
-serialization used for duplicate detection, is deterministic and does not
-depend on which terms a process built before.
+as `lru_cache` arguments.  Their `repr` is the dataclass one,
+`Name(field=value, ...)`, and normalization orders conjuncts and monomial
+atoms by it, so sorting, and the serialization used for duplicate
+detection, is deterministic and does not depend on which terms a process
+built before.
 
 Arithmetic is over exact mathematical integers.  Division and modulo use
 truncated-toward-zero semantics (like C); dividing by zero raises
@@ -22,8 +23,9 @@ import functools
 import itertools
 import math
 import weakref
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+
+from .record import Record
 
 
 class EvalError(Exception):
@@ -75,27 +77,28 @@ def _items_vars(items) -> frozenset:
     return functools.reduce(_union, (x._vars for x in items), _NO_VARS)
 
 
-class _Node:
+class _Node(Record):
     """Interned construction, shared by the node classes below.
 
-    Nodes compare and hash by identity (`object`'s methods).  `_vars` holds
-    the node's variables, which each class's `_variables(*fields)` computes
-    from the children's; `_key` holds its sort key once `_sort_key` has
-    asked."""
+    Nodes compare and hash by identity (`object`'s methods) and take their
+    `repr`, frozenness, `replace` and `__reduce__` from `Record`, so
+    replacing, pickling and copying rebuild through the table.  `_vars`
+    holds the node's variables, which each class's `_variables(*fields)`
+    computes from the children's; `_key` holds its sort key once
+    `_sort_key` has asked."""
 
     __slots__ = ("_vars", "_key", "__weakref__")
+    _fields = ()
     # a literal's key includes its value's type: 1 == True, but Lit(1) and
     # Lit(True) print differently, so they must stay two nodes
     _typed = False
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+    __init__ = object.__init__  # `__new__` sets the fields
 
     def __new__(cls, *args, **named):
-        fields = cls.__match_args__
-        if named:
-            args += tuple(named.pop(f) for f in fields[len(args):] if f in named)
-            if named:
-                raise TypeError(f"{cls.__name__}() got unexpected arguments {sorted(named)}")
-        if len(args) != len(fields):
-            raise TypeError(f"{cls.__name__}() takes the fields {fields}, got {args!r}")
+        if named or len(args) != len(cls._fields):
+            args = cls._complete(args, named)
         key = (cls, *args, type(args[0])) if cls._typed else (cls, *args)
         ref = _TABLE.get(key)
         if ref is not None:
@@ -103,7 +106,7 @@ class _Node:
             if node is not None:
                 return node
         node = object.__new__(cls)
-        for f, value in zip(fields, args):
+        for f, value in zip(cls._fields, args):
             object.__setattr__(node, f, value)
         object.__setattr__(node, "_vars", cls._variables(*args))
         object.__setattr__(node, "_key", None)
@@ -112,82 +115,51 @@ class _Node:
         _TABLE[key] = ref
         return node
 
-    def __reduce__(self):
-        # pickling and copying rebuild through the table
-        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
-
-# no generated __init__ (`_Node.__new__` sets the fields) and no __eq__ (and
-# so no __hash__): equality is identity
-_node = dataclass(frozen=True, eq=False, init=False)
-
-
-@_node
 class Lit(_Node):
     __slots__ = ("value",)
-    value: int
     _typed = True
     _variables = staticmethod(_no_vars)
 
 
-@_node
 class Var(_Node):
     __slots__ = ("name",)
-    name: str
     _variables = staticmethod(lambda name: frozenset((name,)))
 
 
-@_node
 class Bin(_Node):
-    __slots__ = ("op", "left", "right")
-    op: str  # one of + - * / %
-    left: "IntTerm"
-    right: "IntTerm"
+    __slots__ = ("op", "left", "right")  # op: one of + - * / %
     _variables = staticmethod(_pair_vars)
 
 
-@_node
 class Neg(_Node):
     __slots__ = ("operand",)
-    operand: "IntTerm"
     _variables = staticmethod(_operand_vars)
 
 
-@_node
 class BoolLit(_Node):
     __slots__ = ("value",)
-    value: bool
     _typed = True
     _variables = staticmethod(_no_vars)
 
 
-@_node
 class Cmp(_Node):
-    __slots__ = ("op", "left", "right")
-    op: str  # one of < <= > >= == !=
-    left: "IntTerm"
-    right: "IntTerm"
+    __slots__ = ("op", "left", "right")  # op: one of < <= > >= == !=
     _variables = staticmethod(_pair_vars)
 
 
-@_node
 class And(_Node):
     __slots__ = ("items",)
-    items: tuple
     _variables = staticmethod(_items_vars)
 
 
-@_node
 class Or(_Node):
     __slots__ = ("items",)
-    items: tuple
     _variables = staticmethod(_items_vars)
 
 
-@_node
 class Not(_Node):
     __slots__ = ("operand",)
-    operand: "BoolTerm"
     _variables = staticmethod(_operand_vars)
 
 
@@ -443,7 +415,8 @@ class Source:
 
     def functions(self, filename: str) -> dict:
         """The namespace in which the defined functions were executed."""
-        scope = {"_div": trunc_div, "_mod": trunc_mod, "EvalError": EvalError}
+        scope = {"_div": trunc_div, "_mod": trunc_mod, "EvalError": EvalError,
+                 "_product": itertools.product}
         exec(compile("".join(self.defs), filename, "exec"), scope)
         return scope
 

@@ -9,6 +9,7 @@ from mutkill import lts as L
 from mutkill import mutation as M
 from mutkill import parser as P
 from mutkill import solver as S
+from mutkill import symex as X
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 BENCH_PROGRAMS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "programs")
@@ -67,6 +68,32 @@ def fig1_mutant(mutants, loc: int, operator: str) -> M.Mutant:
     found = [m for m in mutants if m.loc == loc and m.operator == operator]
     assert len(found) == 1, f"expected one {operator} mutant at {loc}"
     return found[0]
+
+
+def enumerate_terminals(meta: M.MetaMutant, mut_id: int, max_depth: int,
+                        through=None):
+    """All terminal states up to max_depth, with NO feasibility pruning
+    beyond structural falsehood of single guards: the oracle of exhaustive
+    path analyses.  `through` restricts to paths visiting that location."""
+    lts = meta.program(mut_id)
+    succ = lts.successors
+    frontier = [(X.initial_state(lts, mut_id), through in (None, lts.entry))]
+    done = []
+    while frontier:
+        nxt = []
+        for s, visited in frontier:
+            if s.loc in lts.terminals:
+                if visited:
+                    done.append(s.replace(status="terminal"))
+                continue
+            if s.depth >= max_depth:
+                continue
+            for i, transition in enumerate(succ[s.loc]):
+                stepped = X.step(s, i, transition)
+                if stepped is not None:
+                    nxt.append((stepped[0], visited or transition[2] == through))
+        frontier = nxt
+    return done
 
 
 def golden_m1(mutants) -> M.Mutant:

@@ -58,8 +58,8 @@ def test_criterion_1_golden_four_case_analysis(fig1):
             failures.append(f"mutant {mid} on {test}: {got} != {want}")
     # exhaustive four-case kill analysis for the off-by-one mutant
     handle = C.bounded_handle(lts)
-    orig = X.enumerate_terminals(meta, 0, 30, through=8)
-    mut = X.enumerate_terminals(meta, m2.id, 30, through=8)
+    orig = C.enumerate_terminals(meta, 0, 30, through=8)
+    mut = C.enumerate_terminals(meta, m2.id, 30, through=8)
     if len(orig) != 2 or len(mut) != 2:
         failures.append(f"path counts {len(orig)},{len(mut)}")
     out_neg = (T.normalize_int(T.Bin("+", Var("x"), Lit(1))),)
@@ -108,8 +108,8 @@ def test_criterion_2_partial_kill_depth_behavior(fig1):
                 I.run_concrete(meta, m2.id, {"x": -1}).outcome():
             failures.append("x=-1 unexpectedly kills")
     # terminal depth: every model of the full kill constraint kills
-    orig = X.enumerate_terminals(meta, 0, 30, through=8)
-    mut = X.enumerate_terminals(meta, m2.id, 30, through=8)
+    orig = C.enumerate_terminals(meta, 0, 30, through=8)
+    mut = C.enumerate_terminals(meta, m2.id, 30, through=8)
     kill = None
     for o, m in itertools.product(orig, mut):
         c = X.build_kill(o, m)
@@ -253,7 +253,7 @@ def test_criterion_7_heuristic_parameter_contracts(fig1):
     seeds = [{"x": 2}, {"x": -5}]
     for states in (_frontier_at(meta, 0, 1), _frontier_at(meta, 0, 2)):
         for s in states:
-            s = X.SymbolicState(**{**s.__dict__, "compatible_seeds": tuple(range(len(seeds)))})
+            s = s.replace(compatible_seeds=tuple(range(len(seeds))))
             verdict, _ = X.apply_precondition(s, seeds, X.Config(), 99, set())
             member = any(T.holds(s.path, sd) for sd in seeds)
             if (verdict == X.FOLLOW) != member:

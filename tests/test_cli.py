@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -206,6 +208,23 @@ class TestPipeline:
                        "--external-solver-cmd", f"{sys.executable} {C.STUB}"])
         assert rc == 0
         assert cli.read_seeds((out / "tests.txt").read_text())
+
+
+class TestStartup:
+    def test_bounded_path_imports_no_dataclasses_or_subprocess(self, tmp_path):
+        # a fresh interpreter without `site`, so that only mutkill imports
+        code = ("import sys\n"
+                "from mutkill import cli\n"
+                f"assert cli.main(['tce', '--program', {C.corpus_path('abs')!r}, "
+                f"'--out', {str(tmp_path)!r}]) == 0\n"
+                "print(sorted({'dataclasses', 'inspect', 'subprocess', 'shlex'}"
+                " & set(sys.modules)))\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "tce.tsv").exists()
 
 
 class TestErrors:

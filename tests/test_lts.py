@@ -67,8 +67,7 @@ class TestLowering:
 
     def test_flat_sum_lowers(self):
         # the front end makes no recursive pass over a sum, so its length is
-        # not bounded by the recursion limit; the terms are not compared
-        # with ==, since the dataclass __eq__ recurses
+        # not bounded by the recursion limit
         text = "input x: int in [0,3];\nfn main() { output %s; }" % " + ".join(["x"] * 600)
         (_, gc, _), = L.lower_text(text).transitions
         assert T.eval_int(gc.emit, {"x": 2}) == 1200
@@ -87,19 +86,17 @@ class TestValidator:
 
     def test_detects_unreachable(self):
         lts = C.load_lts("abs")
-        import dataclasses
-        broken = dataclasses.replace(
-            lts, locations=lts.locations + (99,),
+        broken = lts.replace(
+            locations=lts.locations + (99,),
             loc_info=lts.loc_info + ((99, L.LocInfo("assign", (0, 0))),))
         with pytest.raises(L.LtsInvariantError, match="unreachable"):
             L.validate_lts(broken)
 
     def test_detects_overlapping_guards(self):
         lts = C.load_lts("abs")
-        import dataclasses
         src, gc, dst = lts.transitions[0]
-        broken = dataclasses.replace(
-            lts, transitions=lts.transitions + ((src, gc, dst),))
+        broken = lts.replace(
+            transitions=lts.transitions + ((src, gc, dst),))
         with pytest.raises(L.LtsInvariantError):
             L.validate_lts(broken)
 

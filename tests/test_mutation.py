@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 
 import pytest
@@ -94,7 +93,7 @@ class TestApply:
             ends = Counter((src, dst) for src, _, dst in lts.transitions)
             for m in M.generate_mutants(lts, M.SUPPORTED_OPERATORS):
                 mutated = M.apply_mutant(lts, m)
-                assert mutated == dataclasses.replace(lts, transitions=mutated.transitions)
+                assert mutated == lts.replace(transitions=mutated.transitions)
                 assert Counter((src, dst) for src, _, dst in mutated.transitions) == ends
                 L.validate_lts(mutated)
 
@@ -186,8 +185,7 @@ class TestMetaMutant:
     def test_id_collision_rejected(self):
         lts = C.load_lts("abs")
         ms = M.generate_mutants(lts, ["SDL"])
-        import dataclasses
-        clash = [ms[0], dataclasses.replace(ms[1], id=ms[0].id)]
+        clash = [ms[0], ms[1].replace(id=ms[0].id)]
         with pytest.raises(M.IdCollision):
             M.build_meta_mutant(lts, clash)
 

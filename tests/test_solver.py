@@ -202,6 +202,27 @@ class TestCompiledEnumeration:
         c = Cmp("==", total, Lit(11))
         assert list(S.enumerate_models(c, h)) == brute_force(c, h)
 
+    @pytest.mark.parametrize("n", [S._MAX_LOOPS + 1, S._MAX_LOOPS + 5])
+    def test_innermost_names_run_as_one_product_loop(self, n, monkeypatch):
+        # 2^12 points over n variables: twelve of them have two values, the
+        # last six among them bound by the product loop past the nested ones
+        names = [f"v{i:02d}" for i in range(n)]
+        wide = {0, 2, 4, 6, 8, 10} | set(range(n - 6, n))
+        h = S.SolverHandle.bounded({v: (0, int(i in wide)) for i, v in enumerate(names)})
+        assert math.prod(hi - lo + 1 for _, (lo, hi) in h.domains) == 1 << 12
+        total = Var(names[0])
+        for v in names[1:]:
+            total = Bin("+", total, Var(v))
+        late = Bin("-", Var(names[-1]), Var(names[-2]))
+        c = And((Cmp("<=", total, Lit(7)), Cmp("<", Var(names[2]), Lit(1)),
+                 Cmp(">=", Bin("/", Lit(4), Bin("+", late, Lit(1))), Lit(2)),
+                 Cmp("!=", Bin("+", Var(names[S._MAX_LOOPS - 1]), late), Lit(1))))
+        want = brute_force(c, h)
+        assert want and len(want) < 1 << 12
+        # the compiled loop nest never walks the tree
+        monkeypatch.setattr(T, "holds", None)
+        assert list(S.enumerate_models(c, h)) == want
+
 
 class TestDecision:
     """The bounded backend decides every query: no clock enters a verdict."""

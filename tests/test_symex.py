@@ -206,7 +206,7 @@ class TestPairing:
 class TestEnumerateTerminals:
     def test_golden_original_paths_through_negative_arm(self, fig1):
         _, _, _, meta = fig1
-        paths = X.enumerate_terminals(meta, 0, 30, through=8)
+        paths = C.enumerate_terminals(meta, 0, 30, through=8)
         assert len(paths) == 2
         outs = [p.out for p in paths]
         assert (T.normalize_int(T.Bin("+", Var("x"), Lit(1))),) in outs
@@ -215,8 +215,8 @@ class TestEnumerateTerminals:
     def test_golden_mutant_pairing(self, fig1):
         _, mutants, _, meta = fig1
         m2 = C.golden_m2(mutants)
-        orig = X.enumerate_terminals(meta, 0, 30, through=8)
-        mut = X.enumerate_terminals(meta, m2.id, 30, through=8)
+        orig = C.enumerate_terminals(meta, 0, 30, through=8)
+        mut = C.enumerate_terminals(meta, m2.id, 30, through=8)
         assert len(mut) == 2
         handle = C.bounded_handle(meta.base)
         verdicts = []
@@ -354,7 +354,7 @@ class TestModes:
     def test_vanilla_covers_all_feasible_paths(self):
         lts, _, _, meta = C.build("classify")
         tests, _ = run(meta, [], mode="vanilla")
-        originals = X.enumerate_terminals(meta, 0, 50)
+        originals = C.enumerate_terminals(meta, 0, 50)
         handle = C.bounded_handle(lts)
         feasible = sum(1 for p in originals
                        if S.is_satisfiable(p.path, handle).is_sat)

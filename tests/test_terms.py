@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import pickle
 
 import pytest
@@ -232,8 +231,8 @@ class TestInterning:
 
     def test_replace_and_rewrites_go_through_the_table(self):
         t = Bin("+", x, Lit(1))
-        assert dataclasses.replace(t, op="-") is Bin("-", x, Lit(1))
-        assert dataclasses.replace(t) is t
+        assert t.replace(op="-") is Bin("-", x, Lit(1))
+        assert t.replace() is t
         assert Bin("*", x, Lit(1)) in M._aor(t)
         assert any(new is Cmp("<", Bin("-", x, Lit(1)), y)
                    for new, _, _ in M._rewrites(Cmp("<", t, y), M._aor))
@@ -244,7 +243,7 @@ class TestInterning:
         assert copy.copy(t) is t and copy.deepcopy(t) is t
 
     def test_nodes_are_immutable(self):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             x.name = "y"
 
     def test_equal_values_of_different_types_stay_apart(self):
