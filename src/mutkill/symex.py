@@ -347,7 +347,7 @@ class _Engine:
         best = None
         for seed in self.seeds:
             # the original program has the meta-mutant's locations
-            tr = run_lts(self.meta.program(0), seed)
+            tr = run_lts(self.meta.program(0), seed, record_states=True)
             for i, (_, loc) in enumerate(tr.states):
                 if loc in self.points:
                     best = i if best is None else min(best, i)

@@ -228,7 +228,9 @@ def trunc_div(a: int, b: int) -> int:
 def trunc_mod(a: int, b: int) -> int:
     if b == 0:
         raise EvalError("modulo by zero")
-    return a - trunc_div(a, b) * b
+    # a - trunc_div(a, b) * b: the remainder takes the dividend's sign
+    r = abs(a) % abs(b)
+    return r if a >= 0 else -r
 
 
 def eval_int(t: IntTerm, env: Mapping[str, int]) -> int:

@@ -349,7 +349,7 @@ def followed_point(meta, kept, seeds) -> int:
     latest = {}
     for seed in seeds:
         first = {}
-        for i, (_, loc) in enumerate(run_lts(meta.program(0), seed).states):
+        for i, (_, loc) in enumerate(run_lts(meta.program(0), seed, record_states=True).states):
             if loc in points:
                 first.setdefault(loc, i)
         for loc, i in first.items():

@@ -1,8 +1,12 @@
+import itertools
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mutkill import interp as I
 from mutkill import lts as L
+from mutkill import mutation as M
 from mutkill import parser as P
 from mutkill import terms as T
 
@@ -10,18 +14,76 @@ import conftest as C
 from test_terms import bool_terms, int_terms
 
 
+def couples(trace: I.Trace):
+    """Every recorded (valuation, location) couple, the valuation as sorted
+    (name, value) pairs."""
+    return tuple((tuple(zip(trace.names, values)), loc) for values, loc in trace.states)
+
+
+def reference(lts: L.Lts, test, step_budget=I.DEFAULT_STEP_BUDGET):
+    """(status, output, steps, states) of a run that evaluates each
+    transition's terms with `eval_bool`/`eval_int`, one step at a time."""
+    names = tuple(sorted(lts.variables))
+    env = dict.fromkeys(names, 0)
+    env.update(test)
+    loc = lts.entry
+    states = [(tuple(env[n] for n in names), loc)]
+    output = []
+    steps = 0
+    while loc not in lts.terminals:
+        if steps >= step_budget:
+            return I.TIMEOUT, tuple(output), steps, tuple(states)
+        try:
+            for _, gc, dst in lts.successors[loc]:
+                if T.eval_bool(gc.guard, env):
+                    break
+            else:
+                raise AssertionError(f"no enabled transition at location {loc}")
+            values = [T.eval_int(term, env) for _, term in gc.update]
+            if gc.emit is not None:
+                output.append(T.eval_int(gc.emit, env))
+        except T.EvalError:
+            return I.ERROR, tuple(output), steps + 1, tuple(states)
+        env.update(zip((name for name, _ in gc.update), values))
+        loc = dst
+        steps += 1
+        states.append((tuple(env[n] for n in names), loc))
+    return I.OK, tuple(output), steps, tuple(states)
+
+
+def observed(trace: I.Trace):
+    return trace.status, trace.output, trace.steps, trace.states
+
+
+def replayed(meta, mut_id: int, test, step_budget=I.DEFAULT_STEP_BUDGET):
+    """observed() of `run_concrete`'s run, with the states that the same
+    kernel records."""
+    got = I.run_concrete(meta, mut_id, test, step_budget)
+    traced = I.run_lts(meta.program(mut_id), test, step_budget, record_states=True)
+    assert traced.replace(states=None) == got
+    return observed(traced)
+
+
 class TestRun:
     def test_golden_trace_positive_input(self, fig1):
         lts, _, _, _ = fig1
-        tr = I.run_lts(lts, {"x": 2})
+        tr = I.run_lts(lts, {"x": 2}, record_states=True)
         assert tr.status == I.OK
         assert tr.output == (2,)
         # entry couple has the raw input and zeroed locals
-        snap0, loc0 = tr.couples[0]
+        snap0, loc0 = couples(tr)[0]
         assert loc0 == lts.entry
         assert dict(snap0) == {"x": 2, "n": 0, "y": 0}
         # final couple sits on the terminal location
-        assert tr.couples[-1][1] in lts.terminals
+        assert couples(tr)[-1][1] in lts.terminals
+
+    def test_states_are_recorded_only_on_request(self, fig1):
+        lts, _, _, meta = fig1
+        assert I.run_lts(lts, {"x": 2}).states is None
+        assert I.run_concrete(meta, 0, {"x": 2}).states is None
+        recorded = I.run_lts(lts, {"x": 2}, record_states=True)
+        assert len(recorded.states) == recorded.steps + 1
+        assert recorded.replace(states=None) == I.run_lts(lts, {"x": 2})
 
     def test_golden_outcomes(self, fig1):
         lts, mutants, _, meta = fig1
@@ -31,11 +93,32 @@ class TestRun:
         assert I.run_concrete(meta, 0, {"x": -1}).output == (0,)
         assert I.run_concrete(meta, m2.id, {"x": -1}).output == (0,)
 
+    def test_unknown_mutant_rejected(self, fig1):
+        _, mutants, _, meta = fig1
+        with pytest.raises(I.DomainViolation):
+            I.run_concrete(meta, len(mutants) + 1, {"x": 2})
+        with pytest.raises(I.DomainViolation):
+            I.compute_kill_matrix(meta, [1, len(mutants) + 1], [{"x": 2}])
+
     def test_zero_step_budget_times_out(self, fig1):
         lts, _, _, _ = fig1
-        tr = I.run_lts(lts, {"x": 2}, step_budget=0)
+        tr = I.run_lts(lts, {"x": 2}, step_budget=0, record_states=True)
         assert tr.status == I.TIMEOUT
         assert tr.outcome() == (I.TIMEOUT,)
+        assert tr.steps == 0 and tr.states == (((0, 2, 0), lts.entry),)
+
+    def test_terminal_reached_exactly_at_the_budget(self, fig1):
+        lts, _, _, _ = fig1
+        steps = I.run_lts(lts, {"x": 2}).steps
+        assert I.run_lts(lts, {"x": 2}, step_budget=steps).status == I.OK
+        short = I.run_lts(lts, {"x": 2}, step_budget=steps - 1)
+        assert (short.status, short.steps) == (I.TIMEOUT, steps - 1)
+
+    def test_empty_program_is_terminal_at_entry(self):
+        lts = L.lower_text("input x: int in [0, 3];\nfn main() {\n}\n")
+        assert lts.entry in lts.terminals
+        tr = I.run_lts(lts, {"x": 1}, step_budget=0)
+        assert (tr.status, tr.output, tr.steps) == (I.OK, (), 0)
 
     def test_division_by_zero_is_an_error_trace(self):
         lts = C.load_lts("divmod")
@@ -44,6 +127,16 @@ class TestRun:
         ok = I.run_lts(lts, {"x": 5, "y": 2})
         assert ok.status == I.OK
         assert tr.outcome() != ok.outcome()
+
+    def test_error_on_the_last_budgeted_step(self):
+        lts = C.load_lts("divmod")
+        test = {"x": 5, "y": 0}
+        steps = I.run_lts(lts, test).steps
+        for budget in (steps, steps + 1):
+            tr = I.run_lts(lts, test, step_budget=budget, record_states=True)
+            assert observed(tr) == reference(lts, test, budget)
+            assert (tr.status, tr.steps) == (I.ERROR, steps)
+        assert I.run_lts(lts, test, step_budget=steps - 1).status == I.TIMEOUT
 
     def test_out_of_domain_input_rejected(self, fig1):
         lts, _, _, _ = fig1
@@ -59,8 +152,8 @@ class TestRun:
         lts = C.load_lts(name)
         succ = lts.successors
         test = {n: lo for n, (lo, hi) in lts.inputs}
-        tr = I.run_lts(lts, test, step_budget=2000)
-        for (snap_a, loc_a), (snap_b, loc_b) in zip(tr.couples, tr.couples[1:]):
+        tr = I.run_lts(lts, test, step_budget=2000, record_states=True)
+        for (snap_a, loc_a), (snap_b, loc_b) in zip(couples(tr), couples(tr)[1:]):
             env = dict(snap_a)
             matching = [t for t in succ[loc_a]
                         if t[2] == loc_b and T.eval_bool(t[1].guard, env)]
@@ -76,51 +169,76 @@ class TestRun:
             assert I.run_lts(lts, {"x": x}) == I.run_lts(lts, {"x": x})
 
 
-def _value(fn, *args):
-    """fn's result, or EvalError when it raised that."""
+def _outcome(fn, *args):
+    """fn's result, or "stuck" when it raised AssertionError."""
     try:
         return fn(*args)
-    except T.EvalError:
-        return T.EvalError
+    except AssertionError:
+        return "stuck"
 
 
-# values near zero, so that divisors often are zero
-small_envs = st.fixed_dictionaries({v: st.integers(-2, 2) for v in ("x", "y", "z")})
+def _lts(transitions, terminal, inputs=(("x", (-2, 2)), ("y", (-2, 2)))):
+    """A hand-built program over x, y and z from location 1."""
+    return L.Lts(locations=tuple(range(1, terminal + 1)), entry=1,
+                 terminals=frozenset({terminal}), variables=("x", "y", "z"),
+                 inputs=inputs, transitions=tuple(transitions), loc_info=())
 
 
-class TestCompiledCommands:
-    @given(bool_terms(division=True), int_terms(division=True),
-           int_terms(division=True), small_envs)
-    @settings(max_examples=300)
-    def test_agrees_with_eval(self, guard, update, emit, env):
-        gc = L.GuardedCommand(guard, (("x", update), ("z", emit)), emit)
-        compiled_guard, fire = I.compile_command(gc)
-        assert _value(compiled_guard, dict(env)) == _value(T.eval_bool, guard, env)
+guards, ints = bool_terms(division=True), int_terms(division=True)
+emits = st.none() | ints
+targets = st.lists(st.sampled_from(("x", "y", "z")), unique=True, max_size=2)
 
-        def evaluated():
-            values = [T.eval_int(update, env), T.eval_int(emit, env)]
-            return dict(env, x=values[0], z=values[1]), [values[1]]
 
-        def compiled():
-            e, out = dict(env), []
-            fire(e, out)
-            return e, out
+@st.composite
+def small_programs(draw):
+    """Up to four non-terminal locations of one or two guarded commands
+    each, in any order and to any location; guards need not be exclusive
+    or complete."""
+    terminal = draw(st.integers(2, 5))
+    transitions = []
+    for loc in range(1, terminal):
+        for _ in range(draw(st.integers(1, 2))):
+            gc = L.GuardedCommand(draw(guards),
+                                  tuple((v, draw(ints)) for v in draw(targets)),
+                                  draw(emits))
+            transitions.append((loc, gc, draw(st.integers(1, terminal))))
+    return _lts(transitions, terminal)
 
-        assert _value(compiled) == _value(evaluated)
+
+small_tests = st.fixed_dictionaries({"x": st.integers(-2, 2), "y": st.integers(-2, 2)})
+
+
+class TestKernel:
+    """`run_lts` against the reference stepper."""
+
+    @given(small_programs(), small_tests, st.integers(0, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_the_reference(self, lts, test, budget):
+        got = _outcome(lambda: observed(I.run_lts(lts, test, budget, record_states=True)))
+        assert got == _outcome(reference, lts, test, budget)
+
+    def test_no_enabled_transition_raises(self):
+        lts = _lts([(1, L.GuardedCommand(T.Cmp(">", T.Var("x"), T.Lit(0))), 2)], 2)
+        assert I.run_lts(lts, {"x": 1, "y": 0}).status == I.OK
+        with pytest.raises(AssertionError, match="no enabled transition at location 1"):
+            I.run_lts(lts, {"x": 0, "y": 0})
 
     def test_short_circuit_skips_a_division_by_zero(self):
         div = T.Cmp("==", T.Bin("/", T.Var("x"), T.Var("y")), T.Lit(0))
-        guard, _ = I.compile_command(L.GuardedCommand(
-            T.And((T.Cmp("!=", T.Var("y"), T.Lit(0)), div))))
-        assert guard({"x": 1, "y": 0}) is False
-        guard, _ = I.compile_command(L.GuardedCommand(T.And((div, T.FALSE))))
-        with pytest.raises(T.EvalError):
-            guard({"x": 1, "y": 0})
+        guarded = _lts([(1, L.GuardedCommand(T.And((T.Cmp("!=", T.Var("y"), T.Lit(0)), div))), 2),
+                        (1, L.GuardedCommand(T.TRUE, (), T.Lit(7)), 2)], 2)
+        assert I.run_lts(guarded, {"x": 1, "y": 0}).output == (7,)
+        unguarded = _lts([(1, L.GuardedCommand(T.And((div, T.FALSE))), 2),
+                          (1, L.GuardedCommand(T.TRUE, (), T.Lit(7)), 2)], 2)
+        tr = I.run_lts(unguarded, {"x": 1, "y": 0})
+        assert (tr.status, tr.steps) == (I.ERROR, 1)
 
-    def test_equal_labels_share_their_functions(self):
-        a = L.GuardedCommand(T.Cmp("<", T.Var("x"), T.Lit(0)))
-        b = L.GuardedCommand(T.Cmp("<", T.Var("x"), T.Lit(0)))
-        assert a is not b and I.compile_command(a) is I.compile_command(b)
+    def test_update_then_emit_then_assign(self):
+        swap = L.GuardedCommand(T.TRUE, (("x", T.Var("y")), ("y", T.Var("x"))),
+                                T.Bin("-", T.Var("x"), T.Var("y")))
+        tr = I.run_lts(_lts([(1, swap, 2)], 2), {"x": 2, "y": -1}, record_states=True)
+        assert tr.output == (3,)
+        assert tr.states[-1] == ((-1, 2, 0), 2)
 
 
 def _deep_output(expr: str) -> L.Lts:
@@ -132,14 +250,84 @@ class TestDeepTerms:
 
     def test_long_left_nested_sum(self):
         lts = _deep_output(" + ".join(["x"] * 300))
-        assert I.run_lts(lts, {"x": 2}).output == (600,)
+        tr = I.run_lts(lts, {"x": 2}, record_states=True)
+        assert tr.output == (600,)
+        assert observed(tr) == reference(lts, {"x": 2})
 
     def test_deep_right_nested_parentheses(self):
         # 80 levels: deeper than one generated function nests, and within
         # what the recursive-descent parser accepts
         lts = _deep_output("(x + " * 80 + "x" + ")" * 80)
         emit = lts.transitions[0][1].emit
-        assert I.run_lts(lts, {"x": 3}).output == (243,) == (T.eval_int(emit, {"x": 3}),)
+        tr = I.run_lts(lts, {"x": 3}, record_states=True)
+        assert tr.output == (243,) == (T.eval_int(emit, {"x": 3}),)
+        assert observed(tr) == reference(lts, {"x": 3})
+
+    def test_every_mutant_of_one_deep_statement(self):
+        # hundreds of mutants at one location, told apart by a tree of
+        # `mid < k` tests nine deep
+        lts = _deep_output(" + ".join(["x"] * 100))
+        mutants = M.generate_mutants(lts, M.SUPPORTED_OPERATORS)
+        assert len(mutants) > 256
+        meta = M.build_meta_mutant(lts, mutants)
+        km = I.compute_kill_matrix(meta, [m.id for m in mutants], [{"x": 2}])
+        for m in mutants:
+            got = replayed(meta, m.id, {"x": 2})
+            assert got == reference(M.apply_mutant(lts, m), {"x": 2}), m
+            assert km.killed(0, m.id) == (got[:2] != (I.OK, (200,)))
+
+
+def _grid(lts: L.Lts):
+    """Each input's bounds and the values -1 to 2, clamped to its domain."""
+    axes = [sorted({min(max(v, lo), hi) for v in (lo, -1, 0, 1, 2, hi)})
+            for _, (lo, hi) in lts.inputs]
+    return [dict(zip([n for n, _ in lts.inputs], point))
+            for point in itertools.product(*axes)]
+
+
+def _schema_sources():
+    for path in C.every_program():
+        with open(path, encoding="utf-8") as f:
+            folder = os.path.basename(os.path.dirname(path))
+            yield pytest.param(f.read(), id=f"{folder}/{os.path.basename(path)}")
+    yield pytest.param(C.DIVIDING_BRANCH, id="dividing-branch")
+
+
+class TestSchema:
+    """One compiled schema per meta-mutant runs each mutant as its
+    standalone program would run."""
+
+    @pytest.mark.parametrize("text", list(_schema_sources()))
+    def test_every_mutant_matches_its_standalone_program(self, text):
+        lts = L.lower_text(text)
+        mutants = M.generate_mutants(lts, M.SUPPORTED_OPERATORS)
+        meta = M.build_meta_mutant(lts, mutants)
+        tests, budget = _grid(lts), 60
+        # one schema over every mutant, compiled by the matrix
+        km = I.compute_kill_matrix(meta, [m.id for m in mutants], tests, budget)
+        for i, test in enumerate(tests):
+            base = reference(lts, test, budget)
+            assert replayed(meta, 0, test, budget) == base
+            for j, m in enumerate(mutants):
+                want = reference(M.apply_mutant(lts, m), test, budget)
+                assert replayed(meta, m.id, test, budget) == want, (m, test)
+                assert km.cells[i][j] == I.outcome_cell(
+                    I.Trace((), None, base[1], base[0], base[2]),
+                    I.Trace((), None, want[1], want[0], want[2]))
+
+    def test_six_thousand_statements(self):
+        # deeper than any `elif` chain CPython compiles
+        text = ("input x: int in [0, 3];\nfn main() {\n  var y;\n"
+                + "  y = y + x;\n" * 6000 + "  output y;\n}\n")
+        lts = L.lower_text(text)
+        assert I.run_lts(lts, {"x": 2}).output == (12000,)
+        mutants = M.generate_mutants(lts, ["AOR", "SDL"])
+        picked = [mutants[0], mutants[len(mutants) // 2], mutants[-1]]
+        meta = M.build_meta_mutant(lts, picked)
+        km = I.compute_kill_matrix(meta, [m.id for m in picked], [{"x": 2}])
+        assert km.cells == (("K", "K", "K"),)
+        assert [I.run_concrete(meta, m.id, {"x": 2}).output for m in picked] == \
+            [(11996,), (11996,), ()]
 
 
 class TestKillMatrix:
@@ -178,6 +366,30 @@ class TestKillMatrix:
         assert I.surviving_mutants(km) == set(ids)
 
 
+class TestTracerCounters:
+    def test_every_replay_goes_through_run_lts(self, monkeypatch):
+        # the benchmark's tracer counts runs, steps and timeouts by wrapping
+        # the module attribute `run_lts`, as this test does
+        lts, mutants, tce, _ = C.build("sumloop")
+        meta = M.build_meta_mutant(lts, mutants)
+        ids, tests, budget = list(tce.kept()), [{"n": n} for n in (0, 3, 15)], 40
+        traces = []
+        unwrapped = I.run_lts
+
+        def counting(*args, **kwargs):
+            trace = unwrapped(*args, **kwargs)
+            traces.append(trace)
+            return trace
+
+        monkeypatch.setattr(I, "run_lts", counting)
+        I.compute_kill_matrix(meta, ids, tests, budget)
+        assert len(traces) == len(tests) * (len(ids) + 1)
+        expected = [reference(meta.program(k), t, budget) for t in tests for k in (0, *ids)]
+        assert sum(t.steps for t in traces) == sum(r[2] for r in expected)
+        timeouts = sum(t.status == I.TIMEOUT for t in traces)
+        assert timeouts == sum(r[0] == I.TIMEOUT for r in expected) > 0
+
+
 def _matrix_from_rows(rows):
     """Synthetic matrix: rows[i][j] in 'KS'."""
     tests = tuple((("t", i),) for i in range(len(rows)))
@@ -197,6 +409,12 @@ class TestGreedyMinimize:
         assert I.greedy_minimize(km) == [2]
         km2 = _matrix_from_rows(["KS", "SK"])
         assert I.greedy_minimize(km2) == [0, 1]
+
+    def test_columns_index_each_mutant_once(self):
+        km = I.KillMatrix(tests=((("t", 0),),), mutant_ids=(5, 3, 5), cells=(("K", "S", "S"),))
+        assert km.columns == {5: 0, 3: 1}
+        assert km.killed(0, 5) and not km.killed(0, 3)
+        assert I.greedy_minimize(km) == [0]
 
     def test_empty_matrix(self):
         km = _matrix_from_rows(["SS"])
@@ -255,7 +473,7 @@ class TestOracle:
 
 def trace_dump(trace: I.Trace) -> str:
     lines = []
-    for snap, loc in trace.couples:
+    for snap, loc in couples(trace):
         vars_txt = " ".join(f"{k}={v}" for k, v in snap)
         lines.append(f"({loc}, {vars_txt})")
     lines.append(f"status={trace.status} output={list(trace.output)} steps={trace.steps}")
@@ -268,6 +486,6 @@ class TestFormatting:
 
     def test_trace_dump_contains_couples_and_status(self, fig1):
         lts, _, _, _ = fig1
-        txt = trace_dump(I.run_lts(lts, {"x": -1}))
+        txt = trace_dump(I.run_lts(lts, {"x": -1}, record_states=True))
         assert txt.startswith("(1, n=0 x=-1 y=0)")
         assert "status=terminal output=[0]" in txt
