@@ -122,19 +122,27 @@ def parse_valuation(line: str) -> Dict[str, int]:
         pair = pair.strip()
         if not pair:
             continue
-        if "=" not in pair:
+        name, eq, value = (p.strip() for p in pair.partition("="))
+        if not (name and eq):
             raise ConfigError(f"expected name=value, got {pair!r}")
-        name, value = (p.strip() for p in pair.split("=", 1))
-        out[name] = int(value)
+        if name in out:
+            raise ConfigError(f"{name!r} given twice, got {pair!r}")
+        try:
+            out[name] = int(value)
+        except ValueError:
+            raise ConfigError(f"expected an integer value, got {pair!r}") from None
     return out
 
 
 def read_seeds(text: str) -> List[Dict[str, int]]:
     seeds = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            seeds.append(parse_valuation(line))
+            try:
+                seeds.append(parse_valuation(line))
+            except ConfigError as e:
+                raise ConfigError(f"line {lineno}: {e}") from None
     return seeds
 
 
@@ -171,7 +179,11 @@ def _read_valuations(path: Optional[str]) -> List[Dict[str, int]]:
     if not path:
         return []
     with open(path, encoding="utf-8") as f:
-        return read_seeds(f.read())
+        text = f.read()
+    try:
+        return read_seeds(text)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
 def _make_handle(manifest: RunManifest, lts: L.Lts) -> S.SolverHandle:

@@ -175,7 +175,7 @@ def _bind(meta: MetaMutant, ids: Iterable[int]) -> None:
     points: Dict[int, List[Tuple[int, Sequence[Transition]]]] = {}
     for k in todo:
         if k:
-            loc = meta.mutants[k].removed[0][0]  # its mutation point
+            loc = meta.mutants[k].loc
             points.setdefault(loc, []).append((k, meta.program(k).successors[loc]))
     names, run = _kernel(meta.base, points)
     for k in todo:

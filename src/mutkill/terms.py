@@ -4,13 +4,14 @@ and the constraint solver.
 Terms are immutable and interned (hash-consed): constructing a node returns
 the one node with its class and fields, so structurally equal terms are the
 same object, equality is identity and hashing is O(1) however deep the term.
-A node's variables are computed from its children's when it is built.  Terms
-can be used directly as dict keys (monomial atoms during normalization) and
-as `lru_cache` arguments.  Their `repr` is the dataclass one,
-`Name(field=value, ...)`, and normalization orders conjuncts and monomial
-atoms by it, so sorting, and the serialization used for duplicate
-detection, is deterministic and does not depend on which terms a process
-built before.
+The intern table, like the memos of normalization, keeps every node for the
+life of the process.  A node's variables are computed from its children's
+when it is built.  Terms can be used directly as dict keys (monomial atoms
+during normalization) and as `functools.cache` arguments.  Their `repr` is
+the dataclass one, `Name(field=value, ...)`, and normalization orders
+conjuncts and monomial atoms by it, so sorting, and the serialization used
+for duplicate detection, is deterministic and does not depend on which
+terms a process built before.
 
 Arithmetic is over exact mathematical integers.  Division and modulo use
 truncated-toward-zero semantics (like C); dividing by zero raises
@@ -22,8 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import weakref
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Union
 
 from .record import Record
 
@@ -36,22 +36,13 @@ class EvalError(Exception):
 # Term node types
 # ---------------------------------------------------------------------------
 #
-# The intern table maps (class, *fields) to a weak reference to the node, so
-# a term no longer referenced anywhere leaves the table.  A node's children
-# are interned before it, so its key hashes and compares them by identity:
-# one lookup costs the same at any depth.
+# The intern table maps (class, *fields) to the node and keeps it for the
+# life of the process, as the normalization memos keep the terms they were
+# given.  A node's children are interned before it, so its key hashes and
+# compares them by identity: one lookup costs the same at any depth.
 
 
-class _Ref(weakref.ref):
-    __slots__ = ("key",)
-
-
-def _forget(ref: _Ref) -> None:
-    if _TABLE.get(ref.key) is ref:
-        del _TABLE[ref.key]
-
-
-_TABLE: Dict[tuple, _Ref] = {}
+_TABLE: Dict[tuple, "_Node"] = {}
 _NO_VARS: frozenset = frozenset()
 
 
@@ -87,7 +78,7 @@ class _Node(Record):
     computes from the children's; `_key` holds its sort key once
     `_sort_key` has asked."""
 
-    __slots__ = ("_vars", "_key", "__weakref__")
+    __slots__ = ("_vars", "_key")
     _fields = ()
     # a literal's key includes its value's type: 1 == True, but Lit(1) and
     # Lit(True) print differently, so they must stay two nodes
@@ -100,19 +91,14 @@ class _Node(Record):
         if named or len(args) != len(cls._fields):
             args = cls._complete(args, named)
         key = (cls, *args, type(args[0])) if cls._typed else (cls, *args)
-        ref = _TABLE.get(key)
-        if ref is not None:
-            node = ref()
-            if node is not None:
-                return node
-        node = object.__new__(cls)
-        for f, value in zip(cls._fields, args):
-            object.__setattr__(node, f, value)
-        object.__setattr__(node, "_vars", cls._variables(*args))
-        object.__setattr__(node, "_key", None)
-        ref = _Ref(node, _forget)
-        ref.key = key
-        _TABLE[key] = ref
+        node = _TABLE.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for f, value in zip(cls._fields, args):
+                object.__setattr__(node, f, value)
+            object.__setattr__(node, "_vars", cls._variables(*args))
+            object.__setattr__(node, "_key", None)
+            _TABLE[key] = node
         return node
 
 
@@ -394,10 +380,10 @@ _MAX_NESTING = 50
 class Source:
     """Python source of functions that evaluate terms.
 
-    Variables are read from the valuation dict `e` as `e[name]`, or, given
-    `local` (variable name -> Python local name), from those locals.  A
-    generated helper takes `e`, or the locals of just the variables its
-    subterm reads, so a call to it is valid wherever those are bound.
+    Variables are read from Python locals, named by `local` (variable name
+    -> local name).  A generated helper takes the locals of just the
+    variables its subterm reads, so a call to it is valid wherever those
+    are bound.
 
     Expressions have the value, evaluation order, short-circuiting and
     EvalError of `eval_int`/`eval_bool`.  In `constraint` mode a comparison
@@ -405,8 +391,7 @@ class Source:
     EvalError, which is the meaning `holds` gives it: no comparison raises,
     so conjuncts may be tested in any order."""
 
-    def __init__(self, local: Optional[Mapping[str, str]] = None,
-                 constraint: bool = False) -> None:
+    def __init__(self, local: Mapping[str, str], constraint: bool = False) -> None:
         self.local = local
         self.constraint = constraint
         self.defs: List[str] = []
@@ -424,10 +409,7 @@ class Source:
 
     def _helper(self, t: Term, body: Sequence[str]) -> str:
         """Define a function of `t`'s variables with `body`; its call."""
-        if self.local is None:
-            args = "e"
-        else:
-            args = ", ".join(self.local[n] for n in sorted(variables(t)))
+        args = ", ".join(self.local[n] for n in sorted(variables(t)))
         name = f"_h{next(self.helpers)}"
         self.define(f"{name}({args})", body)
         return f"{name}({args})"
@@ -440,7 +422,7 @@ class Source:
         if isinstance(t, (Lit, BoolLit)):
             return f"({t.value!r})"
         if isinstance(t, Var):
-            return f"e[{t.name!r}]" if self.local is None else self.local[t.name]
+            return self.local[t.name]
         if isinstance(t, Neg):
             return f"(-{self.expr(t.operand, d)})"
         if isinstance(t, Not):
@@ -642,7 +624,7 @@ class _Poly:
 # terms are immutable and the produced polynomials are never mutated, so
 # the normalization pipeline can be memoized wholesale; path conditions in
 # the symbolic engine re-normalize the same conjuncts thousands of times
-@functools.lru_cache(maxsize=1 << 16)
+@functools.cache
 def _to_poly(t: IntTerm) -> _Poly:
     if isinstance(t, Lit):
         return _Poly.const(t.value)
@@ -675,19 +657,6 @@ def normalize_int(t: IntTerm) -> IntTerm:
     return _to_poly(t).to_term()
 
 
-@functools.lru_cache(maxsize=1 << 16)
-def _normalize_cmp(op: str, left: IntTerm, right: IntTerm) -> BoolTerm:
-    core = _normalize_cmp_shape(op, left, right)
-    if not (has_division(left) or has_division(right)):
-        return core
-    # a division that cancels out or folds away (x/y - x/y, 0 * (x/y)) still
-    # makes the comparison false where its divisor is zero: keep that guard
-    kept = set(divisors(core))
-    guards = [Cmp("!=", d, Lit(0)) for d in dict.fromkeys(
-        normalize_int(d) for d in divisors(left) + divisors(right)) if d not in kept]
-    return normalize_bool(conj(guards + [core])) if guards else core
-
-
 def _normalize_cmp_shape(op: str, left: IntTerm, right: IntTerm) -> BoolTerm:
     diff = _to_poly(left) - _to_poly(right)
     c = diff.constant_value()
@@ -704,29 +673,23 @@ def _normalize_cmp_shape(op: str, left: IntTerm, right: IntTerm) -> BoolTerm:
     if op == "<=":
         diff = diff - _Poly.const(1)  # p <= 0  <=>  p - 1 < 0 over integers
         op = "<"
-    elif op == "<":
-        pass
-    if op in ("==", "!="):
-        g = diff.content()
-        if g > 1:
-            diff = _Poly({m: c_ // g for m, c_ in diff.coeffs.items()})
-        if diff.leading_sign() < 0:
-            diff = -diff
-        return Cmp(op, diff.to_term(), Lit(0))
-    # strict less-than: divide by positive content when it divides the
-    # constant as well (sound: k*p + c < 0 with k | c  <=>  p + c/k < 0)
-    g = math.gcd(*(abs(c_) for c_ in diff.coeffs.values())) if diff.coeffs else 0
+    # divide by the content, which divides the constant as well (sound for
+    # `<`: k*p + c < 0 with k | c  <=>  p + c/k < 0); an (in)equation also
+    # takes the sign that makes its leading coefficient positive
+    g = diff.content()
     if g > 1:
         diff = _Poly({m: c_ // g for m, c_ in diff.coeffs.items()})
-    return Cmp("<", diff.to_term(), Lit(0))
+    if op != "<" and diff.leading_sign() < 0:
+        diff = -diff
+    return Cmp(op, diff.to_term(), Lit(0))
 
 
-@functools.lru_cache(maxsize=1 << 14)
+@functools.cache
 def _norm_negate(t: BoolTerm) -> BoolTerm:
     return normalize_bool(negate(t))
 
 
-@functools.lru_cache(maxsize=1 << 16)
+@functools.cache
 def _contradicts(a: BoolTerm, b: BoolTerm) -> bool:
     """Cheap syntactic contradiction check on two normalized atoms.
     Normalized comparisons have the shape `p < 0`, `p == 0`, `p != 0`."""
@@ -758,7 +721,7 @@ def _contradicts(a: BoolTerm, b: BoolTerm) -> bool:
     return False
 
 
-@functools.lru_cache(maxsize=1 << 16)
+@functools.cache
 def normalize_bool(t: BoolTerm) -> BoolTerm:
     """Canonical (negation-normal, flattened, sorted) form of a boolean term.
 
@@ -768,7 +731,16 @@ def normalize_bool(t: BoolTerm) -> BoolTerm:
     if isinstance(t, BoolLit):
         return t
     if isinstance(t, Cmp):
-        return _normalize_cmp(t.op, t.left, t.right)
+        core = _normalize_cmp_shape(t.op, t.left, t.right)
+        if not has_division(t):
+            return core
+        # a division that cancels out or folds away (x/y - x/y, 0 * (x/y))
+        # still makes the comparison false where its divisor is zero: keep
+        # that guard
+        kept = set(divisors(core))
+        guards = [Cmp("!=", d, Lit(0)) for d in dict.fromkeys(
+            normalize_int(d) for d in divisors(t)) if d not in kept]
+        return normalize_bool(conj(guards + [core])) if guards else core
     if isinstance(t, Not):
         inner = normalize_bool(t.operand)
         neg = negate(inner)
@@ -790,10 +762,7 @@ def normalize_bool(t: BoolTerm) -> BoolTerm:
                 flat.extend(nx.items)
             else:
                 flat.append(nx)
-        seen = []
-        for x in flat:
-            if x not in seen:
-                seen.append(x)
+        seen = list(dict.fromkeys(flat))
         if is_and:
             for i, a in enumerate(seen):
                 for b in seen[i + 1:]:

@@ -13,6 +13,8 @@ from mutkill import symex as X
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 BENCH_PROGRAMS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "programs")
+# `&&`, `||` and `!`, which no corpus or benchmark program uses
+LOGIC = os.path.join(os.path.dirname(__file__), "logic.mimp")
 STUB = os.path.join(os.path.dirname(__file__), "smt_stub.py")
 
 # a branch whose guard divides by zero at y = 1, where none of its mutants
@@ -30,9 +32,9 @@ def corpus_path(name: str) -> str:
 
 
 def every_program():
-    """Paths of the corpus and benchmark programs."""
+    """Paths of the corpus and benchmark programs, and of LOGIC."""
     return sorted(glob.glob(os.path.join(CORPUS, "*.mimp"))
-                  + glob.glob(os.path.join(BENCH_PROGRAMS, "*.mimp")))
+                  + glob.glob(os.path.join(BENCH_PROGRAMS, "*.mimp")) + [LOGIC])
 
 
 @functools.lru_cache(maxsize=None)

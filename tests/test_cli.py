@@ -250,6 +250,19 @@ class TestErrors:
         assert rc == 1
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--seeds", "--tests"])
+    @pytest.mark.parametrize("pairs", ["x=abc", "x=", "x=1=2", "=1", "x=1, x=2"])
+    def test_bad_valuation_file(self, tmp_path, capsys, flag, pairs):
+        # the error names the file, the line and the pair
+        bad = tmp_path / "valuations.txt"
+        bad.write_text(f"x=0\n{pairs}\n")
+        rc = run_main(["matrix", "--program", C.corpus_path("abs"), flag, str(bad),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: line 2: ")
+        assert repr(pairs.split(", ")[-1]) in err
+
     def test_external_without_command(self, tmp_path, capsys):
         rc = run_main(["gen", "--program", C.corpus_path("abs"),
                        "--out", str(tmp_path / "out"), "--solver", "external"])

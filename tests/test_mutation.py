@@ -54,6 +54,25 @@ class TestGeneration:
         g_pos, g_neg = m.replacement[0][1].guard, m.replacement[1][1].guard
         assert T.normalize_bool(T.conj([g_pos, g_neg])) == T.FALSE
 
+    def test_lcr_swaps_and_and_or(self):
+        with open(C.LOGIC, encoding="utf-8") as f:
+            lts = lower(f.read())
+        ms = M.generate_mutants(lts, ["LCR"])
+        assert [(m.loc, m.operator) for m in ms] == [
+            (2, "LCR:x > 0 && y > 0->x > 0 || y > 0"),
+            (4, "LCR:x < -1 || !(y == 0)->x < -1 && !(y == 0)"),
+            (6, "LCR:!(x / y > 0) && (x != 0 || y < 0)->!(x / y > 0) || (x != 0 || y < 0)"),
+            (6, "LCR:x != 0 || y < 0->x != 0 && y < 0"),
+        ]
+        # the rewritten guard takes the branch's first arm, its negation the other
+        guards = [T.render(m.replacement[0][1].guard) for m in ms]
+        assert guards == ["x > 0 || y > 0", "x < -1 && !(y == 0)",
+                          "!(x / y > 0) || (x != 0 || y < 0)",
+                          "!(x / y > 0) && (x != 0 && y < 0)"]
+        for m in ms:
+            (_, pos, _), (_, neg, _) = m.replacement
+            assert neg.guard is T.negate(pos.guard)
+
     def test_ids_dense_from_one(self):
         _, mutants, _, _ = C.build("fig1")
         assert [m.id for m in mutants] == list(range(1, len(mutants) + 1))

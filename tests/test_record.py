@@ -88,6 +88,10 @@ REPR_DIGESTS = {
         "09d32a7decd4d2855faddbf5737f1b87dc8c7753fe66059a20fedb2c1de1d410",
         "f0fae53b4f5d95535dfcf188c21db3bc61ae664021aee580f659a8586a3e9bd2",
         "2e41be5ba248dd6606ad621503938907b3db5ff804798b8a1775120f211a0e0d"),
+    "tests/logic.mimp": (
+        "a9e8bb05f74f099e881224952bd698f19ace7e4383a4a9ceeb1f147257325fde",
+        "f83dcc37a4409d5b6d72809a40a142a1f3727b901d06aa7cd7018289f56b7fd7",
+        "a0b29d68bbeb37aa12128a557a50889107530b616333cd6667e2942749826ec8"),
 }
 
 CONFIG_REPR = ("Config(pl='GMD2MS', cw=0, pp=0.25, pss='RND', mpd=2, nsd=False, ntpm=5, "

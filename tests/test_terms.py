@@ -184,6 +184,31 @@ class TestNormalizeBool:
         assert holds(negate(t), env) == (not holds(t, env))
 
 
+class TestTracerCounters:
+    def test_normalize_bool_cache_counts_every_call(self, monkeypatch):
+        # the benchmark's tracer wraps the module attribute `normalize_bool`
+        # and reads the hit ratio off `cache_info()` of the function under
+        # the wrapper's `__wrapped__`, as this test does
+        calls = []
+        cached = T.normalize_bool
+
+        def counting(t):
+            calls.append(t)
+            return cached(t)
+
+        counting.__wrapped__ = cached
+        monkeypatch.setattr(T, "normalize_bool", counting)
+        before = counting.__wrapped__.cache_info()
+        # a term no other test builds, so its first normalization misses
+        q, d = Var("tracer_q"), Var("tracer_d")
+        t = And((Cmp("<", q, Lit(0)), Not(Cmp("<=", Bin("/", q, d), q)),
+                 Or((Cmp("==", d, Lit(2)), Not(Cmp(">", q, d))))))
+        assert T.normalize_bool(t) is T.normalize_bool(t)
+        after = counting.__wrapped__.cache_info()
+        assert after.misses > before.misses and after.hits > before.hits
+        assert (after.hits + after.misses) - (before.hits + before.misses) == len(calls)
+
+
 class TestRender:
     def test_precedence(self):
         t = Bin("*", Bin("+", Var("x"), Lit(1)), Lit(2))
