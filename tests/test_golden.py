@@ -2,7 +2,9 @@
 under four configurations, pinned by SHA-256, and the engine's work counts
 in `stats.txt` (every line but `wall_clock=`), pinned the same way.  A fifth
 configuration explores with two seeds that the engine really follows, and
-pins its tests and work counts.
+pins its tests and work counts.  The benchmark's two-input programs over the
+default domains, whose queries are large enough to run as the solver's
+generated loop nest, pin their tests, kill matrix and work counts as well.
 
 A change that is meant to keep behaviour (a refactor, a faster engine or
 solver) must leave every digest as it is.  A change that alters outputs on
@@ -10,7 +12,7 @@ purpose updates the table and says why.  Every budget here is a work budget;
 BUDGET_SECONDS is far above need, so the digests do not depend on machine
 speed.
 
-`python3 tests/test_golden.py` prints the three tables for the checked-out
+`python3 tests/test_golden.py` prints the five tables for the checked-out
 tree, from the same digest functions as the tests.
 """
 
@@ -296,15 +298,47 @@ SEED_FOLLOWING_GOLDEN = {
 }
 
 
+# the benchmark's `wide` configuration with a fixed RNG_SEED: its programs
+# take two inputs over the default domains, so every two-input query
+# enumerates 65 536 points and runs as the solver's generated loop nest
+WIDE_CONFIG = ("MODE = semu\nPP = 0.25\nCW = 0\nMPD = 2\nPSS = RND\nMAX_STATES = 200\n"
+               "MAX_DEPTH = 200\nSTEP_BUDGET = 100000\nBUDGET_SECONDS = 600\nRNG_SEED = 1\n")
+WIDE_FILES = ("tests.txt", "matrix.csv")
+
+# `outputs_digest` of WIDE_FILES per benchmark program
+WIDE_GOLDEN = {
+    'classify':
+        "7a5bec356658ec2e0842049a4cef69d5f204d31c092914b95956c33d7abe7b36",
+    'divmod':
+        "f887ae86ec8e5f213e297c90751978c066e3442b818cea13495d0c8021ab716c",
+    'linear':
+        "ed60d9a48cd88a80eb3a3b09777683986992b5cdf47e8daad068fd7569b56fb4",
+    'max2':
+        "f6e727c59929a2ec3739a007f6b2574656347e76a4415664b42ad026be09bd73",
+}
+
+# `stats_digest` per benchmark program
+WIDE_STATS_GOLDEN = {
+    'classify':
+        "fbd75ab7448bc4e7c0c61cf88a080e697f62fea5f60e4ee5917ccbbda7079af9",
+    'divmod':
+        "c77c154ed8f0e8712d7d42654af1a3ae8e5a37cc0882f09a5881ae9bfc6feabc",
+    'linear':
+        "1eaacf260efa1e6890b3a709bcbff3b875a3a87f255e3515441da4e1ed678494",
+    'max2':
+        "0d4f623da05dcd1badff5393204402f802e8dde397935749f38256b7b1847bff",
+}
+
+
 def bound_seeds(name: str) -> str:
     inputs = C.load_lts(name).inputs
     return "".join(", ".join(f"{v}={dom[i]}" for v, dom in inputs) + "\n"
                    for i in (0, 1))
 
 
-def outputs_digest(out_dir) -> str:
+def outputs_digest(out_dir, files=FILES) -> str:
     h = hashlib.sha256()
-    for name in FILES:
+    for name in files:
         h.update(name.encode() + b"\0")
         h.update((out_dir / name).read_bytes())
         h.update(b"\0")
@@ -339,6 +373,18 @@ def corpus_digests(config: str, tmp_path: Path):
         cli.run_pipeline(manifest)
         got[name] = outputs_digest(out)
         got_stats[name] = stats_digest(out)
+    return got, got_stats
+
+
+def wide_digests(tmp_path: Path):
+    """`outputs_digest` of WIDE_FILES and `stats_digest` per benchmark
+    program, one full pipeline run each under WIDE_CONFIG."""
+    got, got_stats = {}, {}
+    for path in sorted(Path(C.BENCH_PROGRAMS).glob("*.mimp")):
+        out = tmp_path / path.stem
+        cli.run_pipeline(cli.parse_config(WIDE_CONFIG, program=str(path), out_dir=str(out)))
+        got[path.stem] = outputs_digest(out, WIDE_FILES)
+        got_stats[path.stem] = stats_digest(out)
     return got, got_stats
 
 
@@ -381,6 +427,12 @@ def test_corpus_outputs_unchanged(config, tmp_path):
     assert got_stats == want_stats
 
 
+def test_wide_outputs_unchanged(tmp_path):
+    got, got_stats = wide_digests(tmp_path)
+    assert got == WIDE_GOLDEN
+    assert got_stats == WIDE_STATS_GOLDEN
+
+
 def test_seed_following_unchanged():
     got, pruned = {}, {}
     for name in sorted(C.ALL_PROGRAMS):
@@ -412,3 +464,7 @@ if __name__ == "__main__":
     _print_table("SEED_FOLLOWING_GOLDEN", {
         name: seed_following_digest(*seed_following_run(name))
         for name in sorted(C.ALL_PROGRAMS)})
+    with tempfile.TemporaryDirectory() as tmp:
+        wide, wide_stats = wide_digests(Path(tmp))
+    _print_table("WIDE_GOLDEN", wide)
+    _print_table("WIDE_STATS_GOLDEN", wide_stats)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import time
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mutkill import solver as S
 from mutkill import terms as T
-from mutkill.terms import And, Bin, Cmp, Lit, Not, Or, Var
+from mutkill.terms import And, Bin, Cmp, Lit, Neg, Not, Or, Var
 
 import conftest as C
 
@@ -18,6 +19,8 @@ H = S.SolverHandle.bounded(DOMS)
 SIDE = math.isqrt(S._COMPILE_MIN_POINTS) // 2
 BIG_DOMS = {"x": (-SIDE, SIDE - 1), "y": (-SIDE, SIDE - 1)}
 BIG = S.SolverHandle.bounded(BIG_DOMS)
+# three inputs over [-8, 7]: as many points as BIG
+CUBE = S.SolverHandle.bounded({n: (-8, 7) for n in "xyz"})
 
 
 def x_lt(k):
@@ -133,15 +136,44 @@ def brute_force(c, h):
 x, y = Var("x"), Var("y")
 
 
+def linear_atoms(names):
+    """`+v` or `-v` compared, either side first, with a sum of small
+    multiples of the other names and a constant in [-300, 300], so that a
+    bound falls inside, outside or across the domain.  At least half of the
+    time v is the innermost loop's name and the constant lies in [-16, 16]."""
+    def atom(v, sign, multiples, const, op, flip):
+        side = Var(v) if sign > 0 else Neg(Var(v))
+        rest = Lit(const)
+        for n, k in zip([n for n in names if n != v], multiples):
+            if k:
+                rest = Bin("+", rest, Bin("*", Lit(k), Var(n)))
+        return Cmp(op, rest, side) if flip else Cmp(op, side, rest)
+    return st.builds(atom, st.just(names[-1]) | st.sampled_from(names),
+                     st.sampled_from((1, -1)),
+                     st.lists(st.integers(-2, 2), min_size=len(names) - 1,
+                              max_size=len(names) - 1),
+                     st.integers(-16, 16) | st.integers(-300, 300),
+                     st.sampled_from(T.CMP_OPS), st.booleans())
+
+
+def linear_queries():
+    """(handle, conjunction of `linear_atoms`) on the two- and three-input
+    handles of the compiled side."""
+    return st.sampled_from([BIG, CUBE]).flatmap(lambda h: st.tuples(
+        st.just(h), st.lists(linear_atoms([n for n, _ in h.domains]), min_size=1,
+                             max_size=3).map(lambda atoms: And(tuple(atoms)))))
+
+
 class TestCompiledEnumeration:
     """Queries of at least `_COMPILE_MIN_POINTS` points run as a generated
     loop nest over the normalized constraint."""
 
     def test_big_handle_is_on_the_compiled_side(self):
         assert math.prod(hi - lo + 1 for lo, hi in BIG_DOMS.values()) >= S._COMPILE_MIN_POINTS
+        assert math.prod(hi - lo + 1 for _, (lo, hi) in CUBE.domains) >= S._COMPILE_MIN_POINTS
 
-    # both sides of the threshold test the normalized constraint: the tree
-    # walk over the small handle as well as the generated loop nest
+    # both sides of the threshold test the normalized constraint: the truth
+    # sets over the small handle as well as the generated loop nest
     @pytest.mark.parametrize("h", [H, BIG], ids=["walked", "compiled"])
     @given(c=bool_constraints())
     # dividing comparisons of one variable each: a helper call tested before
@@ -151,6 +183,38 @@ class TestCompiledEnumeration:
     @settings(max_examples=100, deadline=None)
     def test_models_equal_brute_force(self, h, c):
         assert list(S.enumerate_models(c, h)) == brute_force(c, h)
+
+    @given(q=linear_queries())
+    # y > x + 20 && y <= 10: y's range is empty for every x >= -10
+    @example(q=(BIG, And((Cmp(">", y, Bin("+", x, Lit(20))), Cmp("<=", y, Lit(10))))))
+    # y == 2 * x + 3 normalizes to 3 + 2 * x - y == 0: y's coefficient is -1
+    @example(q=(BIG, Cmp("==", y, Bin("+", Bin("*", Lit(2), x), Lit(3)))))
+    @settings(max_examples=80, deadline=None)
+    def test_linear_bounds_equal_brute_force(self, q):
+        h, c = q
+        assert list(S.enumerate_models(c, h)) == brute_force(c, h)
+
+    def test_equality_visits_one_inner_value_per_outer_value(self):
+        # x + y == 3 pins y for each x: the generated code runs a few lines
+        # per x (both loop headers and at most one model), not one per point
+        lines = []
+
+        def trace(frame, event, arg):
+            if frame.f_code.co_filename != "<mutkill constraint>":
+                return None
+            if event == "line":
+                lines.append(frame.f_lineno)
+            return trace
+
+        c = Cmp("==", Bin("+", x, y), Lit(3))
+        before = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            models = list(S.enumerate_models(c, BIG))
+        finally:
+            sys.settrace(before)
+        assert models == brute_force(c, BIG)
+        assert len(lines) <= 4 * 2 * SIDE + 1
 
     def test_negated_dividing_comparison_holds_at_zero_divisor(self):
         # x / y == 1 is false at y = 0, so its negation is true there
@@ -173,7 +237,15 @@ class TestCompiledEnumeration:
         entered = []
 
         class Inner:
-            """y's range, recording each time its loop starts."""
+            """y's range, recording each time its loop starts: by iterating
+            it, or by reading its start to narrow it."""
+
+            stop = SIDE
+
+            @property
+            def start(self):
+                entered.append(True)
+                return -SIDE
 
             def __iter__(self):
                 entered.append(True)
@@ -222,6 +294,32 @@ class TestCompiledEnumeration:
         # the compiled loop nest never walks the tree
         monkeypatch.setattr(T, "holds", None)
         assert list(S.enumerate_models(c, h)) == want
+
+
+class TestTruthSets:
+    """Queries of fewer than `_COMPILE_MIN_POINTS` points AND the truth sets
+    of their conjuncts, each computed once per conjunct and domain."""
+
+    def test_prefix_sharing_queries_evaluate_each_conjunct_once_per_point(self, monkeypatch):
+        atoms = [Cmp("!=", Bin("+", x, y), Lit(2)), Cmp(">", x, Lit(-6)),
+                 Cmp("<", y, Lit(6)), Cmp("<=", Bin("-", x, y), Lit(4)),
+                 Cmp(">=", Bin("*", x, y), Lit(-20))]
+        # a path condition growing one branch at a time
+        chain = [T.conj(atoms[:i]) for i in range(1, len(atoms) + 1)]
+        want = [brute_force(c, H) for c in chain]
+        assert len({T.normalize_bool(a) for a in atoms}) == len(atoms)
+        calls = []
+        holds = T.holds
+
+        def counting(t, env):
+            calls.append(t)
+            return holds(t, env)
+
+        monkeypatch.setattr(T, "holds", counting)
+        got = [list(S.enumerate_models(c, H)) for c in chain]
+        assert got == want
+        points = math.prod(hi - lo + 1 for lo, hi in DOMS.values())
+        assert len(calls) <= points * len(atoms)
 
 
 class TestDecision:
