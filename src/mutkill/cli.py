@@ -8,14 +8,18 @@ ran; `matrix` and `minimize` replay the seeds plus a test file instead of
 generating tests.  Configuration is a key=value file; unknown keys are
 rejected.  Identical manifests (including the RNG seed) produce
 byte-identical output files.
+
+Command line: `mutkill STAGE --flag value ...`.  The stage comes first;
+flag names are spelled in full (no abbreviations); `--flag=value` is
+accepted; `-h`/`--help` anywhere prints the help.  Exit codes: 0 done,
+1 a stage or configuration error, 2 a usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import interp, lts as L, mutation, parser as P, solver as S, symex
 from .record import Record
@@ -273,57 +277,128 @@ def run_pipeline(manifest: RunManifest, stop: str = "report",
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--program", required=True, help="MiniImp source file (.mimp)")
-    p.add_argument("--seeds", help="seed file, one name=value list per line")
-    p.add_argument("--mode", choices=["semu", "infection-only", "vanilla"],
-                   default=None)
-    p.add_argument("--config", help="key=value configuration file")
-    p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--budget-seconds", type=float, default=None)
-    p.add_argument("--rng-seed", type=int, default=None)
-    p.add_argument("--solver", choices=["bounded", "external"], default="bounded")
-    p.add_argument("--external-solver-cmd", default=None)
-    p.add_argument("--operators", default=None,
-                   help="comma-separated operator subset")
-    p.add_argument("--tests", help="test file replayed by matrix and minimize")
+# flag -> (value type, or the tuple of accepted values; default; help)
+_FLAGS = {
+    "--program": (str, None, "MiniImp source file (.mimp); required"),
+    "--seeds": (str, None, "seed file, one name=value list per line"),
+    "--mode": (("semu", "infection-only", "vanilla"), None, "exploration mode"),
+    "--config": (str, None, "key=value configuration file"),
+    "--out": (str, "out", "output directory (default: out)"),
+    "--budget-seconds": (float, None, "wall-clock budget of gen"),
+    "--rng-seed": (int, None, "seed of the random choices"),
+    "--solver": (("bounded", "external"), "bounded", "solver backend (default: bounded)"),
+    "--external-solver-cmd": (str, None, "SMT-LIB solver command of --solver external"),
+    "--operators": (str, None, "comma-separated operator subset"),
+    "--tests": (str, None, "test file replayed by matrix and minimize"),
+}
+_COMMANDS = STAGES + ("all",)
+_USAGE = "usage: mutkill {" + ",".join(_COMMANDS) + "} --program PROGRAM [--flag value ...]"
 
 
-def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
+class UsageError(Exception):
+    """A malformed command line; `main` prints the usage and returns 2."""
+
+
+def _key(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _help() -> str:
+    lines = [_USAGE, "", "mutation-based test generation over MiniImp programs", "",
+             "flags, spelled in full (--flag=value also works):"]
+    for flag, (kind, _, text) in _FLAGS.items():
+        value = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else _key(flag).upper()
+        lines.append(f"  {flag} {value}\n      {text}")
+    lines.append("  -h, --help\n      show this help and exit")
+    return "\n".join(lines) + "\n"
+
+
+def parse_args(argv: Sequence[str]) -> Tuple[str, Dict[str, Any]]:
+    """Parse `STAGE --flag value ...` into the stage and every flag's value,
+    keyed by the flag name without `--` and with `_` for `-`; unset flags
+    take their defaults.  Raises UsageError for an unknown stage or flag, a
+    missing or bad value, or no --program."""
+    if not argv or argv[0] not in _COMMANDS:
+        got = f"invalid stage {argv[0]!r}" if argv else "missing stage"
+        raise UsageError(f"{got} (choose from {', '.join(_COMMANDS)})")
+    args = {_key(flag): default for flag, (_, default, _) in _FLAGS.items()}
+    rest = iter(argv[1:])
+    for arg in rest:
+        flag, eq, value = arg.partition("=")
+        if flag not in _FLAGS:
+            raise UsageError(f"unrecognized argument {arg!r}")
+        if not eq:
+            value = next(rest, None)
+            if value is None or value.startswith("--"):
+                raise UsageError(f"argument {flag}: expected one value")
+        kind = _FLAGS[flag][0]
+        if isinstance(kind, tuple):
+            if value not in kind:
+                raise UsageError(f"argument {flag}: invalid choice {value!r} "
+                                 f"(choose from {', '.join(kind)})")
+        else:
+            try:
+                value = kind(value)
+            except ValueError:
+                raise UsageError(f"argument {flag}: invalid {kind.__name__} value "
+                                 f"{value!r}") from None
+        args[_key(flag)] = value
+    if args["program"] is None:
+        raise UsageError("the following argument is required: --program")
+    return argv[0], args
+
+
+def _manifest_from_args(args: Dict[str, Any]) -> RunManifest:
     text = ""
-    if args.config:
-        with open(args.config, encoding="utf-8") as f:
+    if args["config"]:
+        with open(args["config"], encoding="utf-8") as f:
             text = f.read()
-    manifest = parse_config(text, program=args.program, out_dir=args.out,
-                            seeds=args.seeds)
-    overrides = {"mode": args.mode, "budget_seconds": args.budget_seconds,
-                 "rng_seed": args.rng_seed}
-    cfg = manifest.config.replace(**{k: v for k, v in overrides.items() if v is not None})
-    operators = _parse_operators(args.operators) if args.operators else manifest.operators
-    return manifest.replace(config=cfg, operators=operators, solver=args.solver,
-                            external_solver_cmd=args.external_solver_cmd)
-
-
-def build_arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="mutkill",
-        description="mutation-based test generation over MiniImp programs")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name in STAGES + ("all",):
-        _add_common(sub.add_parser(name))
-    return ap
+    manifest = parse_config(text, program=args["program"], out_dir=args["out"],
+                            seeds=args["seeds"])
+    overrides = {k: args[k] for k in ("mode", "budget_seconds", "rng_seed")
+                 if args[k] is not None}
+    try:
+        cfg = manifest.config.replace(**overrides)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    operators = _parse_operators(args["operators"]) if args["operators"] else manifest.operators
+    return manifest.replace(config=cfg, operators=operators, solver=args["solver"],
+                            external_solver_cmd=args["external_solver_cmd"])
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_arg_parser().parse_args(argv)
-    stop = "report" if args.command == "all" else args.command
+    """Run one command line; return its exit code: 0 done, 1 a stage or
+    configuration error, 2 a usage error."""
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(_help(), end="")
+        return 0
     try:
-        print(run_pipeline(_manifest_from_args(args), stop, args.tests), end="")
+        command, args = parse_args(argv)
+    except UsageError as e:
+        print(f"{_USAGE}\nmutkill: error: {e}", file=sys.stderr)
+        return 2
+    stop = "report" if command == "all" else command
+    try:
+        print(run_pipeline(_manifest_from_args(args), stop, args["tests"]), end="")
     except (StageError, ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0
 
 
+def entry() -> None:
+    """Process entry of `python -m mutkill.cli` and the `mutkill` script.
+    Runs `main` on sys.argv, flushes the standard streams and ends the
+    process with `os._exit`: interpreter finalization, which frees the
+    intern table, the memos and every module one by one, would take longer
+    than most stages.  Every output file is closed by then.  An exception
+    still propagates and exits normally with its traceback."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

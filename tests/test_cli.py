@@ -210,21 +210,124 @@ class TestPipeline:
         assert cli.read_seeds((out / "tests.txt").read_text())
 
 
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+
 class TestStartup:
     def test_bounded_path_imports_no_dataclasses_or_subprocess(self, tmp_path):
-        # a fresh interpreter without `site`, so that only mutkill imports
+        # a fresh interpreter without `site`, so that only mutkill imports;
+        # it prints what `tce`, then `gen`, then `matrix` has imported
+        common = ["--program", C.corpus_path("abs"), "--out", str(tmp_path)]
+        runs = [["tce"] + common, ["gen"] + common,
+                ["matrix"] + common + ["--tests", str(tmp_path / "tests.txt")]]
         code = ("import sys\n"
                 "from mutkill import cli\n"
-                f"assert cli.main(['tce', '--program', {C.corpus_path('abs')!r}, "
-                f"'--out', {str(tmp_path)!r}]) == 0\n"
-                "print(sorted({'dataclasses', 'inspect', 'subprocess', 'shlex'}"
-                " & set(sys.modules)))\n")
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+                f"for argv in {runs!r}:\n"
+                "    assert cli.main(argv) == 0\n"
+                "    print(sorted({'argparse', 'gettext', 'locale', 'dataclasses',"
+                " 'inspect', 'subprocess', 'shlex'} & set(sys.modules)))\n")
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
-                              text=True, env=dict(os.environ, PYTHONPATH=src))
+                              text=True, env=dict(os.environ, PYTHONPATH=SRC))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]"
-        assert (tmp_path / "tce.tsv").exists()
+        assert proc.stdout.splitlines()[1::2] == ["[]"] * 3
+        assert (tmp_path / "matrix.csv").exists()
+
+
+def spawn(args):
+    """`python -m mutkill.cli ARGS` with its standard streams as pipes, which
+    Python buffers unless PYTHONUNBUFFERED is set."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    return subprocess.run([sys.executable, "-m", "mutkill.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
+class TestProcess:
+    def test_summary_reaches_a_pipe(self, tmp_path):
+        proc = spawn(["tce", "--program", C.corpus_path("abs"), "--out", str(tmp_path)])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"equivalent=0 duplicates=2 surviving=7 -> {tmp_path}/tce.tsv\n"
+        assert proc.stderr == ""
+
+    def test_missing_program_file(self, tmp_path):
+        proc = spawn(["tce", "--program", str(tmp_path / "nope.mimp"),
+                      "--out", str(tmp_path)])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: [parse] ")
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("args", [
+        ["tce", "--program", "p.mimp", "--bogus", "1"],
+        ["tce", "--program", "p.mimp", "--mode", "bogus"],
+        ["tce", "--out", "out"],
+        ["tce", "--program", "p.mimp", "--rng-seed", "x"],
+    ])
+    def test_usage_error(self, args):
+        proc = spawn(args)
+        assert proc.returncode == 2
+        usage, error = proc.stderr.splitlines()
+        assert usage.startswith("usage: mutkill ")
+        assert error.startswith("mutkill: error: ")
+
+    def test_help(self):
+        proc = spawn(["--help"])
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: mutkill ")
+        assert all(flag in proc.stdout for flag in cli._FLAGS)
+
+    def test_outputs_equal_an_in_process_run(self, workdir):
+        tmp, cfg = workdir
+        outs = []
+        for d, run in (("spawned", lambda a: spawn(a).returncode), ("in_process", cli.main)):
+            out = tmp / d
+            common = ["--program", C.corpus_path("fig1"), "--config", cfg, "--out", str(out)]
+            assert run(["gen"] + common) == 0
+            assert run(["matrix"] + common + ["--tests", str(out / "tests.txt")]) == 0
+            outs.append({n: (out / n).read_bytes() for n in ("tests.txt", "matrix.csv")})
+        assert outs[0] == outs[1]
+
+
+class TestArgs:
+    def test_defaults(self):
+        command, args = cli.parse_args(["all", "--program", "p.mimp"])
+        assert command == "all"
+        assert args == {"program": "p.mimp", "seeds": None, "mode": None, "config": None,
+                        "out": "out", "budget_seconds": None, "rng_seed": None,
+                        "solver": "bounded", "external_solver_cmd": None,
+                        "operators": None, "tests": None}
+
+    def test_equals_form(self):
+        spaced = cli.parse_args(["gen", "--program", "p.mimp", "--budget-seconds", "-1",
+                                 "--external-solver-cmd", "z3 -in", "--operators", "SDL"])
+        joined = cli.parse_args(["gen", "--program=p.mimp", "--budget-seconds=-1",
+                                 "--external-solver-cmd=z3 -in", "--operators=SDL"])
+        assert spaced == joined
+        assert joined[1]["budget_seconds"] == -1.0
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "missing stage"),
+        (["run", "--program", "p.mimp"], "invalid stage 'run'"),
+        (["gen", "--prog", "p.mimp"], "unrecognized argument '--prog'"),
+        (["gen", "--program"], "argument --program: expected one value"),
+        (["gen", "--program", "--out", "o"], "argument --program: expected one value"),
+        (["gen", "--program", "p.mimp", "extra"], "unrecognized argument 'extra'"),
+        (["gen", "--program", "p.mimp", "--solver", "z3"], "invalid choice 'z3'"),
+        (["gen", "--program", "p.mimp", "--budget-seconds", "soon"],
+         "invalid float value 'soon'"),
+        (["gen", "--out", "o"], "required: --program"),
+    ])
+    def test_usage_errors(self, argv, message, capsys):
+        with pytest.raises(cli.UsageError, match=message):
+            cli.parse_args(argv)
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: mutkill ") and "mutkill: error: " in err
+
+    def test_bad_config_value_is_a_config_error(self, capsys):
+        _, args = cli.parse_args(["gen", "--program", "p.mimp"])
+        args["mode"] = "bogus"
+        with pytest.raises(cli.ConfigError, match="bad mode 'bogus'"):
+            cli._manifest_from_args(args)
 
 
 class TestErrors:

@@ -264,7 +264,7 @@ class TestPerClass:
         assert depths[1] - depths[0] == 20
 
     def test_manifest_overrides(self):
-        args = cli.build_arg_parser().parse_args(
+        _, args = cli.parse_args(
             ["gen", "--program", "p.mimp", "--mode", "vanilla", "--budget-seconds", "3",
              "--rng-seed", "4", "--operators", "SDL,ROR", "--solver", "external",
              "--external-solver-cmd", "z3 -in"])
@@ -272,7 +272,7 @@ class TestPerClass:
             "p.mimp", "out", config=X.Config(mode="vanilla", budget_seconds=3.0, rng_seed=4),
             operators=("SDL", "ROR"), solver="external", external_solver_cmd="z3 -in")
         assert cli._manifest_from_args(args) == want
-        args = cli.build_arg_parser().parse_args(["gen", "--program", "p.mimp"])
+        _, args = cli.parse_args(["gen", "--program", "p.mimp"])
         assert cli._manifest_from_args(args) == cli.RunManifest("p.mimp", "out")
 
 
