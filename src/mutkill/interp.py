@@ -72,7 +72,7 @@ def _check_domains(lts: Lts, test: Dict[str, int]) -> None:
 #             while steps < budget:
 #                 if loc < 3:               # balanced tree over locations
 #                     if loc < 2:
-#                         if mid == 4:      # only at a mutation point
+#                         if mid in {4}:    # only at a mutation point
 #                             <mutant 4's transitions at location 1>
 #                         else:
 #                             <the original's>
@@ -83,13 +83,20 @@ def _check_domains(lts: Lts, test: Dict[str, int]) -> None:
 #         return ('terminal' if loc in (9,) else 'timeout'), out, steps
 #
 # A location's transitions are tried in order; the first enabled one
-# evaluates its update terms, then its emit, then assigns.  A terminal
-# location returns `terminal`, also when it is reached at exactly the
-# budget.  An `elif` chain would cost a test per location per step, and
+# evaluates its update terms, then its emit, then assigns.  A straight-line
+# location, whose only transition is guarded by `true`, gets neither a test
+# nor an `else: raise`, and a transition with one update and no emit
+# assigns without a temporary: `v1 = (v1 + v0)` then `loc = 3`.  Stepping
+# does not pay for the longer form, since CPython compiles away an
+# `if (True):`, but compiling costs about 10 µs per generated line.  A
+# terminal location returns `terminal`, also when it is reached at exactly
+# the budget.  An `elif` chain would cost a test per location per step, and
 # CPython's compiler recurses once per `elif`, so both the locations and a
 # point's mutant IDs are told apart by a balanced tree of `<` tests.  The
 # kill matrix compiles one schema over the mutants it replays, so the
-# function grows with them, not with every mutant of the program.
+# function grows with them, not with every mutant of the program, and it
+# runs the schema once per distinct test: a repeated valuation copies the
+# row of its first occurrence.
 
 _INDENT = "    "
 
@@ -121,6 +128,9 @@ def _kernel(lts: Lts, points: Dict[int, List[Tuple[int, Sequence[Transition]]]]
     succ = lts.successors
 
     def fire(gc: GuardedCommand, dst: int, pad: str) -> List[str]:
+        if len(gc.update) == 1 and gc.emit is None:
+            (name, term), = gc.update
+            return [f"{pad}{local[name]} = {src.expr(term)}", f"{pad}loc = {dst}"]
         lines = [f"{pad}_t{i} = {src.expr(term)}" for i, (_, term) in enumerate(gc.update)]
         if gc.emit is not None:
             lines.append(f"{pad}out.append({src.expr(gc.emit)})")
@@ -128,7 +138,8 @@ def _kernel(lts: Lts, points: Dict[int, List[Tuple[int, Sequence[Transition]]]]
         return lines + [f"{pad}loc = {dst}"]
 
     def block(loc: int, outs: Sequence[Transition], pad: str) -> List[str]:
-        # CPython compiles away the test of an `if (True):` and what follows it
+        if len(outs) == 1 and outs[0][1].guard is T.TRUE:
+            return fire(outs[0][1], outs[0][2], pad)
         lines: List[str] = []
         for _, gc, dst in outs:
             lines.append(f"{pad}{'elif' if lines else 'if'} {src.expr(gc.guard)}:")
@@ -251,17 +262,20 @@ def outcome_cell(base: Trace, mutant: Trace) -> str:
 def compute_kill_matrix(meta: MetaMutant, mutant_ids: Sequence[int],
                         tests: Sequence[Dict[str, int]],
                         step_budget: int = DEFAULT_STEP_BUDGET) -> KillMatrix:
+    """One row per test, in order.  Runs are deterministic, so only the first
+    test with a given valuation runs the original and the mutants; a later
+    one gets a copy of its row.  An out-of-domain test or an unknown mutant
+    ID raises DomainViolation at its first occurrence."""
     _bind(meta, (0, *mutant_ids))
-    rows: List[Tuple[str, ...]] = []
-    for test in tests:
-        base = run_concrete(meta, 0, test, step_budget)
-        rows.append(tuple(outcome_cell(base, run_concrete(meta, m, test, step_budget))
-                          for m in mutant_ids))
-    return KillMatrix(
-        tests=tuple(tuple(sorted(t.items())) for t in tests),
-        mutant_ids=tuple(mutant_ids),
-        cells=tuple(rows),
-    )
+    keys = tuple(tuple(sorted(t.items())) for t in tests)
+    rows: Dict[tuple, Tuple[str, ...]] = {}
+    for key, test in zip(keys, tests):
+        if key not in rows:
+            base = run_concrete(meta, 0, test, step_budget)
+            rows[key] = tuple(outcome_cell(base, run_concrete(meta, m, test, step_budget))
+                              for m in mutant_ids)
+    return KillMatrix(tests=keys, mutant_ids=tuple(mutant_ids),
+                      cells=tuple(rows[key] for key in keys))
 
 
 def surviving_mutants(km: KillMatrix) -> Set[int]:

@@ -73,6 +73,12 @@ class Config(Record):
             raise ValueError("bad heuristic parameter")
         if self.mode not in ("semu", "infection-only", "vanilla"):
             raise ValueError(f"bad mode {self.mode!r}")
+        if not self.budget_seconds >= 0:  # also rejects NaN
+            raise ValueError(f"BUDGET_SECONDS must be >= 0: {self.budget_seconds}")
+        if self.max_states is not None and self.max_states < 0:
+            raise ValueError(f"MAX_STATES must be >= 0: {self.max_states}")
+        if self.max_depth < 0:
+            raise ValueError(f"MAX_DEPTH must be >= 0: {self.max_depth}")
 
 
 class SymbolicState(Record):

@@ -366,6 +366,22 @@ class TestErrors:
         assert err.startswith(f"error: {bad}: line 2: ")
         assert repr(pairs.split(", ")[-1]) in err
 
+    @pytest.mark.parametrize("flags, config", [
+        (["--budget-seconds=-1"], ""),
+        (["--budget-seconds=nan"], ""),
+        ([], "MAX_STATES = -5\n"),
+        ([], "MAX_DEPTH = -1\n"),
+    ])
+    def test_bad_limit_writes_no_tests(self, tmp_path, capsys, flags, config):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        rc = run_main(["gen", "--program", C.corpus_path("abs"), "--config", str(cfg),
+                       "--out", str(out), *flags])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "tests.txt").exists()
+
     def test_external_without_command(self, tmp_path, capsys):
         rc = run_main(["gen", "--program", C.corpus_path("abs"),
                        "--out", str(tmp_path / "out"), "--solver", "external"])

@@ -329,6 +329,33 @@ class TestSchema:
         assert [I.run_concrete(meta, m.id, {"x": 2}).output for m in picked] == \
             [(11996,), (11996,), ()]
 
+    def test_straight_line_location_takes_two_lines(self, monkeypatch):
+        # a location whose only transition is guarded by `true` and makes
+        # one update is `v = ...` and `loc = ...`; the balanced tree that
+        # selects it adds one `if loc < k:` and one `else:` per inner node
+        text = ("input x: int in [0, 3];\nfn main() {\n  var y;\n"
+                + "  y = y + x;\n" * 6000 + "  output y;\n}\n")
+        lts = L.lower_text(text)
+        mutants = M.generate_mutants(lts, ["AOR"])
+        picked = [mutants[0], mutants[-1]]
+        meta = M.build_meta_mutant(lts, picked)
+        sources = []
+        functions = T.Source.functions
+
+        def spy(self, filename):
+            if filename == "<mutkill replay>":
+                sources.append("".join(self.defs))
+            return functions(self, filename)
+
+        monkeypatch.setattr(T.Source, "functions", spy)
+        km = I.compute_kill_matrix(meta, [m.id for m in picked], [{"x": 2}])
+        assert km.cells == (("K", "K"),)
+        [source] = sources
+        lines = source.count("\n")
+        tree = 2 * source.count("if loc < ")
+        assert tree == 2 * (len(lts.locations) - 1)
+        assert lines - tree <= 2 * len(lts.locations) + 40
+
 
 class TestKillMatrix:
     @pytest.fixture
@@ -357,6 +384,40 @@ class TestKillMatrix:
         assert lines[0] == f"test,{m1.id},{m2.id}"
         assert lines[1] == "x=2,K,S"
         assert lines[2] == "x=-1,S,S"
+
+    # divmod's original errors at y = 0; x=1,y=2 appears with its keys in
+    # another order, and the first row, a seed say, again as a test
+    REPEATING = [{"x": 0, "y": 0}, {"x": 7, "y": -4}, {"x": 1, "y": 2},
+                 {"y": 2, "x": 1}, {"x": 0, "y": 0}, {"x": -8, "y": 3},
+                 {"x": 1, "y": 2}, {"x": 7, "y": -4}]
+
+    def test_repeated_tests_match_row_by_row_replay(self):
+        _, _, tce, meta = C.build("divmod")
+        ids = list(tce.kept())
+        km = I.compute_kill_matrix(meta, ids, self.REPEATING)
+        expected = []
+        for test in self.REPEATING:
+            base = I.run_concrete(meta, 0, test)
+            expected.append(tuple(I.outcome_cell(base, I.run_concrete(meta, m, test))
+                                  for m in ids))
+        assert km.cells == tuple(expected)
+        assert len(set(km.cells)) > 1 and set().union(*km.cells) == {"K", "S"}
+        assert km.tests == tuple(tuple(sorted(t.items())) for t in self.REPEATING)
+        lines = I.matrix_csv(km).splitlines()
+        assert len(lines) == len(self.REPEATING) + 1
+        assert lines[3] == lines[4] == lines[7] and lines[1] == lines[5]
+
+    @pytest.mark.parametrize("bad", [{"x": 0, "y": 9}, {"x": 0}, {"x": 0, "y": 0, "z": 1}])
+    def test_repeated_out_of_domain_test_rejected(self, bad):
+        _, _, tce, meta = C.build("divmod")
+        for suite in ([bad, bad], [{"x": 1, "y": 1}, bad, {"x": 1, "y": 1}, bad]):
+            with pytest.raises(I.DomainViolation):
+                I.compute_kill_matrix(meta, list(tce.kept()), suite)
+
+    def test_unknown_mutant_rejected_with_repeated_tests(self):
+        _, _, tce, meta = C.build("divmod")
+        with pytest.raises(I.DomainViolation, match="unknown mutant id 999"):
+            I.compute_kill_matrix(meta, [*tce.kept(), 999], self.REPEATING)
 
     def test_timeout_cells(self):
         lts, mutants, _, meta = C.build("sumloop")
@@ -388,6 +449,23 @@ class TestTracerCounters:
         assert sum(t.steps for t in traces) == sum(r[2] for r in expected)
         timeouts = sum(t.status == I.TIMEOUT for t in traces)
         assert timeouts == sum(r[0] == I.TIMEOUT for r in expected) > 0
+
+    def test_each_distinct_test_runs_once(self, monkeypatch):
+        lts, mutants, tce, _ = C.build("sumloop")
+        meta = M.build_meta_mutant(lts, mutants)
+        ids, distinct, budget = list(tce.kept()), [{"n": n} for n in (0, 3, 15)], 40
+        calls = []
+        unwrapped = I.run_lts
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return unwrapped(*args, **kwargs)
+
+        monkeypatch.setattr(I, "run_lts", counting)
+        km = I.compute_kill_matrix(meta, ids, distinct + distinct[::-1], budget)
+        assert len(calls) == len(distinct) * (len(ids) + 1)
+        assert calls == [t for t in distinct for _ in range(len(ids) + 1)]
+        assert km.cells == km.cells[:3] + km.cells[2::-1]
 
 
 def _matrix_from_rows(rows):

@@ -36,10 +36,19 @@ class TestConfig:
     @pytest.mark.parametrize("kw", [
         {"pl": "XX"}, {"pss": "XX"}, {"pp": -0.1}, {"pp": 1.5},
         {"cw": -1}, {"mpd": -1}, {"ntpm": 0}, {"mode": "other"},
+        {"budget_seconds": -1.0}, {"budget_seconds": float("nan")},
+        {"max_states": -5}, {"max_depth": -1},
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
             X.Config(**kw)
+
+    @pytest.mark.parametrize("kw", [
+        {"budget_seconds": 0.0}, {"budget_seconds": float("inf")},
+        {"max_states": 0}, {"max_states": None}, {"max_depth": 0},
+    ])
+    def test_accepts_limits_at_their_edges(self, kw):
+        assert X.Config().replace(**kw) == X.Config(**kw)
 
 
 class TestConstraintBuilders:
