@@ -39,10 +39,8 @@ class StageError(Exception):
 
 
 class RunManifest(Record):
-    __slots__ = ("program", "out_dir", "seeds", "config", "operators", "solver",
-                 "external_solver_cmd", "step_budget")
+    __slots__ = ("program", "out_dir", "seeds", "config", "operators", "step_budget")
     _defaults = {"seeds": None, "config": symex.Config(), "operators": DEFAULT_OPERATORS,
-                 "solver": "bounded", "external_solver_cmd": None,
                  "step_budget": interp.DEFAULT_STEP_BUDGET}
 
 
@@ -107,6 +105,8 @@ def parse_config(text: str, program: str = "", out_dir: str = "",
         except (ValueError, ConfigError) as e:
             raise ConfigError(f"line {lineno}: {e}") from None
     run = {name: cfg.pop(name) for name in _MANIFEST_FIELDS if name in cfg}
+    if run.get("step_budget", 1) < 1:  # no replay could take a step
+        raise ConfigError(f"STEP_BUDGET must be >= 1: {run['step_budget']}")
     try:
         config = symex.Config(**cfg)
     except ValueError as e:
@@ -190,15 +190,6 @@ def _read_valuations(path: Optional[str]) -> List[Dict[str, int]]:
         raise ConfigError(f"{path}: {e}") from None
 
 
-def _make_handle(manifest: RunManifest, lts: L.Lts) -> S.SolverHandle:
-    domains = lts.input_domains
-    if manifest.solver == "external":
-        if not manifest.external_solver_cmd:
-            raise ConfigError("--external-solver-cmd required with --solver external")
-        return S.SolverHandle.external(domains, manifest.external_solver_cmd)
-    return S.SolverHandle.bounded(domains)
-
-
 def _write(out_dir: str, name: str, content: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, name), "w", encoding="utf-8") as f:
@@ -234,9 +225,8 @@ def run_pipeline(manifest: RunManifest, stop: str = "report",
     if stop in ("matrix", "minimize"):
         suite = seeds + _read_valuations(tests_file)
     else:
-        handle = _make_handle(manifest, lts)
         tests, stats = _stage("gen", symex.explore, meta, set(kept), seeds,
-                              manifest.config, handle)
+                              manifest.config, S.SolverHandle.bounded(lts.input_domains))
         _write(out, "tests.txt", format_tests(tests))
         _write(out, "stats.txt", stats.as_text())
         if stop == "gen":
@@ -286,8 +276,6 @@ _FLAGS = {
     "--out": (str, "out", "output directory (default: out)"),
     "--budget-seconds": (float, None, "wall-clock budget of gen"),
     "--rng-seed": (int, None, "seed of the random choices"),
-    "--solver": (("bounded", "external"), "bounded", "solver backend (default: bounded)"),
-    "--external-solver-cmd": (str, None, "SMT-LIB solver command of --solver external"),
     "--operators": (str, None, "comma-separated operator subset"),
     "--tests": (str, None, "test file replayed by matrix and minimize"),
 }
@@ -362,8 +350,7 @@ def _manifest_from_args(args: Dict[str, Any]) -> RunManifest:
     except ValueError as e:
         raise ConfigError(str(e)) from None
     operators = _parse_operators(args["operators"]) if args["operators"] else manifest.operators
-    return manifest.replace(config=cfg, operators=operators, solver=args["solver"],
-                            external_solver_cmd=args["external_solver_cmd"])
+    return manifest.replace(config=cfg, operators=operators)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

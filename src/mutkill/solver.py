@@ -1,20 +1,15 @@
 """Constraint solving over declared finite input domains.
 
-Constraints are the boolean term trees from `terms`.  Two backends share one
-handle type:
-
-* bounded enumeration: walks the declared domains in a fixed order
-  (lexicographic symbol names, ascending values) and returns the first
-  satisfying valuation.  A decision procedure: every query of at most
-  `MAX_POINTS` points is answered sat or unsat, whatever the machine's
-  speed, and a larger one raises SolverFailure.  It skips the points it can
-  rule out without testing them: a large query runs as a generated loop nest
-  whose ranges its linear conjuncts narrow, and a small one ANDs the truth
-  sets of its conjuncts, each computed once per conjunct and domain.  The
-  same machinery doubles as the exhaustive oracle used in tests.
-* external process: emits an SMT-LIB v2 script on the subprocess's stdin and
-  parses sat/unsat/unknown plus a get-value model from stdout.  Only this
-  backend imports `subprocess`, when it is used.
+Constraints are the boolean term trees from `terms`.  The solver enumerates
+the declared domains in a fixed order (lexicographic symbol names, ascending
+values) and returns the first satisfying valuation.  It is a decision
+procedure: every query of at most `MAX_POINTS` points is answered sat or
+unsat, whatever the machine's speed, and a larger one raises SolverFailure.
+It skips the points it can rule out without testing them: a large query runs
+as a generated loop nest whose ranges its linear conjuncts narrow, and a
+small one ANDs the truth sets of its conjuncts, each computed once per
+conjunct and domain.  The same machinery doubles as the exhaustive oracle
+used in tests.
 
 Division and modulo truncate toward zero, matching the interpreter; a
 comparison whose evaluation divides by zero is false (the concrete run would
@@ -30,26 +25,20 @@ from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from . import terms as T
 from .record import Record
-from .terms import And, Bin, BoolLit, BoolTerm, Cmp, Lit, Neg, Not, Or, Var
+from .terms import And, Bin, BoolTerm, Cmp, Lit, Neg, Var
 
 SAT = "sat"
 UNSAT = "unsat"
-UNKNOWN = "unknown"
 
-DEFAULT_TIMEOUT = 5.0  # seconds per external solver process
-MAX_POINTS = 1 << 20  # enumeration cap per bounded query
+MAX_POINTS = 1 << 20  # enumeration cap per query
 
 
 class SolverFailure(Exception):
     pass
 
 
-class ExternalProcessFailure(SolverFailure):
-    pass
-
-
 class SolverResult(Record):
-    __slots__ = ("status", "model")  # status: sat | unsat | unknown
+    __slots__ = ("status", "model")  # status: sat | unsat
     _defaults = {"model": None}
 
     @property
@@ -58,30 +47,14 @@ class SolverResult(Record):
 
 
 class SolverHandle(Record):
-    """Backend selector plus the declared input domains.
+    """The declared input domains: sorted (name, inclusive (lo, hi)) pairs.
+    Every constraint symbol must appear here."""
 
-    domains: sorted (name, inclusive (lo, hi)) pairs.  The bounded backend
-    requires every constraint symbol to appear here.  backend: bounded |
-    external.  timeout: seconds the external backend allows its solver
-    process (`external_cmd`) before answering unknown; the bounded backend
-    has no clock.
-    """
-
-    __slots__ = ("domains", "backend", "timeout", "external_cmd")
-    _defaults = {"backend": "bounded", "timeout": DEFAULT_TIMEOUT, "external_cmd": None}
+    __slots__ = ("domains",)
 
     @staticmethod
     def bounded(domains: Dict[str, Tuple[int, int]]) -> "SolverHandle":
         return SolverHandle(tuple(sorted(domains.items())))
-
-    @staticmethod
-    def external(domains: Dict[str, Tuple[int, int]], cmd,
-                 timeout: float = DEFAULT_TIMEOUT) -> "SolverHandle":
-        if isinstance(cmd, str):
-            import shlex
-            cmd = tuple(shlex.split(cmd))
-        return SolverHandle(tuple(sorted(domains.items())), "external", timeout,
-                            tuple(cmd))
 
     @property
     def domain_map(self) -> Dict[str, Tuple[int, int]]:
@@ -207,7 +180,9 @@ def enumerate_models(c: BoolTerm, h: SolverHandle) -> Iterator[Dict[str, int]]:
     doms = _query_domains(c, h)
     total = math.prod(hi - lo + 1 for _, (lo, hi) in doms)
     if total > MAX_POINTS:
-        raise SolverFailure(f"domain too large for enumeration: {total} points")
+        raise SolverFailure(f"domain too large for enumeration: {total} points over "
+                            f"{', '.join(n for n, _ in doms)} (limit {MAX_POINTS}); "
+                            "narrow their declared domains")
     names = tuple(n for n, _ in doms)
     # both paths test the normalized constraint, which is smaller (a kill
     # query's two paths share a prefix) and has the same models
@@ -231,166 +206,14 @@ def enumerate_models(c: BoolTerm, h: SolverHandle) -> Iterator[Dict[str, int]]:
 
 
 def is_satisfiable(c: BoolTerm, h: SolverHandle) -> SolverResult:
-    """First-model satisfiability check.  The bounded backend decides the
-    query over the declared domains: sat with its first model, or unsat.
-    The external backend defers to the tool and may answer unknown."""
-    if h.backend == "external":
-        return _solve_external(c, h)
+    """First-model satisfiability check, decided over the declared domains:
+    sat with its first model, or unsat."""
     if T.normalize_bool(c) == T.FALSE:
         return SolverResult(UNSAT)
     # enumerate over the original constraint's symbols so the model is total
     for model in enumerate_models(c, h):
         return SolverResult(SAT, model)
     return SolverResult(UNSAT)
-
-
-# ---------------------------------------------------------------------------
-# SMT-LIB emission
-# ---------------------------------------------------------------------------
-
-_SMT_TDIV = (
-    "(define-fun tdiv ((a Int) (b Int)) Int"
-    " (ite (= (mod a b) 0) (div a b)"
-    " (ite (< a 0) (ite (> b 0) (+ (div a b) 1) (- (div a b) 1)) (div a b))))"
-)
-_SMT_TMOD = "(define-fun tmod ((a Int) (b Int)) Int (- a (* b (tdiv a b))))"
-
-
-def _smt_int(t) -> str:
-    if isinstance(t, Lit):
-        return str(t.value) if t.value >= 0 else f"(- {-t.value})"
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Neg):
-        return f"(- {_smt_int(t.operand)})"
-    if isinstance(t, Bin):
-        op = {"+": "+", "-": "-", "*": "*", "/": "tdiv", "%": "tmod"}[t.op]
-        return f"({op} {_smt_int(t.left)} {_smt_int(t.right)})"
-    raise SolverFailure(f"not an integer term: {t!r}")
-
-
-def _smt_bool(t) -> str:
-    if isinstance(t, BoolLit):
-        return "true" if t.value else "false"
-    if isinstance(t, Cmp):
-        l, r = _smt_int(t.left), _smt_int(t.right)
-        if t.op == "==":
-            core = f"(= {l} {r})"
-        elif t.op == "!=":
-            core = f"(not (= {l} {r}))"
-        else:
-            core = f"({t.op} {l} {r})"
-        # a comparison that divides by zero is false as a whole, so every
-        # divisor must be pinned nonzero inside the atom, not outside the
-        # enclosing negation
-        guards = [f"(not (= {_smt_int(d)} 0))"
-                  for d in T.divisors(t)]
-        if guards:
-            return "(and " + " ".join(dict.fromkeys(guards)) + f" {core})"
-        return core
-    if isinstance(t, And):
-        return "(and " + " ".join(_smt_bool(i) for i in t.items) + ")" if t.items else "true"
-    if isinstance(t, Or):
-        return "(or " + " ".join(_smt_bool(i) for i in t.items) + ")" if t.items else "false"
-    if isinstance(t, Not):
-        return f"(not {_smt_bool(t.operand)})"
-    raise SolverFailure(f"not a boolean term: {t!r}")
-
-
-def emit_smtlib(c: BoolTerm, domains: Dict[str, Tuple[int, int]]) -> str:
-    """Self-contained SMT-LIB v2 script: symbol declarations, domain bound
-    assertions, the constraint, check-sat and a get-value for the model."""
-    names = sorted(T.variables(c))
-    lines = ["(set-logic ALL)", "(set-option :produce-models true)"]
-    if T.has_division(c):
-        lines += [_SMT_TDIV, _SMT_TMOD]
-    for n in names:
-        lines.append(f"(declare-const {n} Int)")
-    for n in names:
-        if n not in domains:
-            raise SolverFailure(f"symbol {n!r} has no declared domain")
-        lo, hi = domains[n]
-        lines.append(f"(assert (>= {n} {_smt_int(Lit(lo))}))")
-        lines.append(f"(assert (<= {n} {_smt_int(Lit(hi))}))")
-    lines.append(f"(assert {_smt_bool(c)})")
-    lines.append("(check-sat)")
-    if names:
-        lines.append("(get-value (" + " ".join(names) + "))")
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# External backend
-# ---------------------------------------------------------------------------
-
-
-def _parse_sexpr(text: str):
-    """Minimal s-expression reader for get-value responses."""
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-
-    def read(i):
-        if tokens[i] == "(":
-            out = []
-            i += 1
-            while tokens[i] != ")":
-                node, i = read(i)
-                out.append(node)
-            return out, i + 1
-        return tokens[i], i + 1
-
-    node, _ = read(0)
-    return node
-
-
-def _sexpr_int(node) -> int:
-    if isinstance(node, str):
-        return int(node)
-    if isinstance(node, list) and len(node) == 2 and node[0] == "-":
-        return -_sexpr_int(node[1])
-    raise ExternalProcessFailure(f"unparseable model value: {node!r}")
-
-
-def _solve_external(c: BoolTerm, h: SolverHandle) -> SolverResult:
-    import subprocess
-    if not h.external_cmd:
-        raise ExternalProcessFailure("no external solver command configured")
-    script = emit_smtlib(c, h.domain_map)
-    try:
-        proc = subprocess.run(
-            list(h.external_cmd), input=script, capture_output=True,
-            text=True, timeout=h.timeout,
-        )
-    except subprocess.TimeoutExpired:
-        return SolverResult(UNKNOWN)
-    except OSError as e:
-        raise ExternalProcessFailure(f"cannot run {h.external_cmd}: {e}") from e
-    out = proc.stdout.strip().splitlines()
-    if proc.returncode not in (0, 1) or not out:
-        raise ExternalProcessFailure(
-            f"solver exited {proc.returncode}: {proc.stderr.strip()[:200]}"
-        )
-    verdict = out[0].strip()
-    if verdict == "unsat":
-        return SolverResult(UNSAT)
-    if verdict == "unknown":
-        return SolverResult(UNKNOWN)
-    if verdict != "sat":
-        raise ExternalProcessFailure(f"unexpected verdict line: {verdict!r}")
-    names = sorted(T.variables(c))
-    model: Dict[str, int] = {}
-    if names:
-        rest = "\n".join(out[1:]).strip()
-        if not rest:
-            raise ExternalProcessFailure("sat verdict but no model response")
-        for pair in _parse_sexpr(rest):
-            if isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str):
-                model[pair[0]] = _sexpr_int(pair[1])
-        missing = [n for n in names if n not in model]
-        if missing:
-            raise ExternalProcessFailure(f"model missing symbols: {missing}")
-        if not T.holds(c, model):
-            raise ExternalProcessFailure(f"external model does not satisfy constraint: {model}")
-    return SolverResult(SAT, model)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 import functools
 import glob
 import os
-import sys
 
 import pytest
 
@@ -15,7 +14,6 @@ CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 BENCH_PROGRAMS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "programs")
 # `&&`, `||` and `!`, which no corpus or benchmark program uses
 LOGIC = os.path.join(os.path.dirname(__file__), "logic.mimp")
-STUB = os.path.join(os.path.dirname(__file__), "smt_stub.py")
 
 # a branch whose guard divides by zero at y = 1, where none of its mutants
 # that change `y - 1` does
@@ -55,10 +53,6 @@ def build(name: str):
 
 def bounded_handle(lts: L.Lts) -> S.SolverHandle:
     return S.SolverHandle.bounded(lts.input_domains)
-
-
-def external_handle(lts: L.Lts) -> S.SolverHandle:
-    return S.SolverHandle.external(lts.input_domains, (sys.executable, STUB))
 
 
 @pytest.fixture

@@ -198,17 +198,6 @@ class TestPipeline:
         assert rows
         assert all(row.split("\t")[1].startswith("SDL") for row in rows)
 
-    def test_external_solver_backend(self, workdir):
-        import sys
-        tmp, cfg = workdir
-        out = tmp / "out"
-        rc = run_main(["gen", "--program", C.corpus_path("abs"),
-                       "--config", cfg, "--out", str(out),
-                       "--solver", "external",
-                       "--external-solver-cmd", f"{sys.executable} {C.STUB}"])
-        assert rc == 0
-        assert cli.read_seeds((out / "tests.txt").read_text())
-
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -293,14 +282,13 @@ class TestArgs:
         assert command == "all"
         assert args == {"program": "p.mimp", "seeds": None, "mode": None, "config": None,
                         "out": "out", "budget_seconds": None, "rng_seed": None,
-                        "solver": "bounded", "external_solver_cmd": None,
                         "operators": None, "tests": None}
 
     def test_equals_form(self):
         spaced = cli.parse_args(["gen", "--program", "p.mimp", "--budget-seconds", "-1",
-                                 "--external-solver-cmd", "z3 -in", "--operators", "SDL"])
+                                 "--seeds", "my seeds.txt", "--operators", "SDL"])
         joined = cli.parse_args(["gen", "--program=p.mimp", "--budget-seconds=-1",
-                                 "--external-solver-cmd=z3 -in", "--operators=SDL"])
+                                 "--seeds=my seeds.txt", "--operators=SDL"])
         assert spaced == joined
         assert joined[1]["budget_seconds"] == -1.0
 
@@ -311,10 +299,15 @@ class TestArgs:
         (["gen", "--program"], "argument --program: expected one value"),
         (["gen", "--program", "--out", "o"], "argument --program: expected one value"),
         (["gen", "--program", "p.mimp", "extra"], "unrecognized argument 'extra'"),
-        (["gen", "--program", "p.mimp", "--solver", "z3"], "invalid choice 'z3'"),
+        (["gen", "--program", "p.mimp", "--mode", "z3"], "invalid choice 'z3'"),
         (["gen", "--program", "p.mimp", "--budget-seconds", "soon"],
          "invalid float value 'soon'"),
         (["gen", "--out", "o"], "required: --program"),
+        # the flags of the deleted external solver backend
+        (["gen", "--program", "p.mimp", "--solver", "bounded"],
+         "unrecognized argument '--solver'"),
+        (["gen", "--program", "p.mimp", "--external-solver-cmd", "x"],
+         "unrecognized argument '--external-solver-cmd'"),
     ])
     def test_usage_errors(self, argv, message, capsys):
         with pytest.raises(cli.UsageError, match=message):
@@ -371,6 +364,8 @@ class TestErrors:
         (["--budget-seconds=nan"], ""),
         ([], "MAX_STATES = -5\n"),
         ([], "MAX_DEPTH = -1\n"),
+        ([], "STEP_BUDGET = 0\n"),
+        ([], "STEP_BUDGET = -5\n"),
     ])
     def test_bad_limit_writes_no_tests(self, tmp_path, capsys, flags, config):
         cfg = tmp_path / "cfg.txt"
@@ -379,11 +374,7 @@ class TestErrors:
         rc = run_main(["gen", "--program", C.corpus_path("abs"), "--config", str(cfg),
                        "--out", str(out), *flags])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert (config.split(" =")[0] or "BUDGET_SECONDS") in err
         assert not (out / "tests.txt").exists()
-
-    def test_external_without_command(self, tmp_path, capsys):
-        rc = run_main(["gen", "--program", C.corpus_path("abs"),
-                       "--out", str(tmp_path / "out"), "--solver", "external"])
-        assert rc == 1
-        assert "external-solver-cmd" in capsys.readouterr().err

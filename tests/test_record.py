@@ -98,8 +98,7 @@ CONFIG_REPR = ("Config(pl='GMD2MS', cw=0, pp=0.25, pss='RND', mpd=2, nsd=False, 
                "mode='semu', budget_seconds=60.0, max_states=None, max_depth=200, "
                "rng_seed=0, use_precondition=True)")
 MANIFEST_REPR = (f"RunManifest(program='p', out_dir='o', seeds=None, config={CONFIG_REPR}, "
-                 "operators=('AOR', 'CRP', 'LCR', 'RHS', 'ROR', 'SDL'), solver='bounded', "
-                 "external_solver_cmd=None, step_budget=100000)")
+                 "operators=('AOR', 'CRP', 'LCR', 'RHS', 'ROR', 'SDL'), step_budget=100000)")
 
 
 def _sha(value) -> str:
@@ -147,7 +146,7 @@ SAMPLES = [
     (I.Trace(("x",), (((0,), 1),), (), "terminal", 0), "status", "error"),
     (I.KillMatrix(((("x", 0),),), (1,), (("K",),)), "cells", (("S",),)),
     (S.SolverResult("unsat"), "model", {"x": 1}),
-    (S.SolverHandle.bounded({"x": (0, 1)}), "timeout", 1.0),
+    (S.SolverHandle.bounded({"x": (0, 1)}), "domains", (("x", (0, 2)),)),
     (X.Config(), "pp", 1.0),
     (X.initial_state(LTS), "depth", 3),
     (X.GeneratedTest((("x", 1),), 1, "terminal", 2), "k", 3),
@@ -266,11 +265,10 @@ class TestPerClass:
     def test_manifest_overrides(self):
         _, args = cli.parse_args(
             ["gen", "--program", "p.mimp", "--mode", "vanilla", "--budget-seconds", "3",
-             "--rng-seed", "4", "--operators", "SDL,ROR", "--solver", "external",
-             "--external-solver-cmd", "z3 -in"])
+             "--rng-seed", "4", "--operators", "SDL,ROR"])
         want = cli.RunManifest(
             "p.mimp", "out", config=X.Config(mode="vanilla", budget_seconds=3.0, rng_seed=4),
-            operators=("SDL", "ROR"), solver="external", external_solver_cmd="z3 -in")
+            operators=("SDL", "ROR"))
         assert cli._manifest_from_args(args) == want
         _, args = cli.parse_args(["gen", "--program", "p.mimp"])
         assert cli._manifest_from_args(args) == cli.RunManifest("p.mimp", "out")
