@@ -17,8 +17,9 @@ dense and 1-based; 0 always selects the original program.
 
 from __future__ import annotations
 
+import functools
 from functools import cached_property
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import terms as T
 from .lts import GuardedCommand, Lts, Transition
@@ -253,25 +254,31 @@ def apply_mutant(lts: Lts, mutant: Mutant) -> Lts:
 # ---------------------------------------------------------------------------
 
 
-def _normal_form(lts: Lts) -> str:
+def _row(transition: Transition) -> tuple:
+    """A transition's row of the normal form: its ends and the printed
+    normal forms of its guard, update terms and output term."""
+    src, gc, dst = transition
+    guard = T.normalize_bool(gc.guard)
+    # identity updates (v = v) are no-ops and must not mask duplicates
+    update = tuple(sorted(
+        (v, repr(norm)) for v, e in gc.update
+        if (norm := T.normalize_int(e)) != Var(v)))
+    emit = repr(T.normalize_int(gc.emit)) if gc.emit is not None else ""
+    return (src, dst, repr(guard), update, emit)
+
+
+def _normal_form(lts: Lts, row: Callable[[Transition], tuple] = _row) -> str:
     """Canonical serialization after algebraic normalization of every guard,
-    update term, and output term."""
-    rows = []
-    for src, gc, dst in lts.transitions:
-        guard = T.normalize_bool(gc.guard)
-        # identity updates (v = v) are no-ops and must not mask duplicates
-        update = tuple(sorted(
-            (v, repr(norm)) for v, e in gc.update
-            if (norm := T.normalize_int(e)) != Var(v)))
-        emit = repr(T.normalize_int(gc.emit)) if gc.emit is not None else ""
-        rows.append((src, dst, repr(guard), update, emit))
-    rows.sort()
-    return repr(rows)
+    update term, and output term: the sorted rows of the transitions."""
+    return repr(sorted(map(row, lts.transitions)))
 
 
 def tce_filter(lts: Lts, mutants: Sequence[Mutant]) -> TceReport:
-    original = _normal_form(lts)
-    forms: Dict[int, str] = {m.id: _normal_form(apply_mutant(lts, m)) for m in mutants}
+    # a mutant shares all but its replaced transitions with the original:
+    # each transition's row is computed once
+    row = functools.cache(_row)
+    original = _normal_form(lts, row)
+    forms: Dict[int, str] = {m.id: _normal_form(apply_mutant(lts, m), row) for m in mutants}
     equivalent = tuple(sorted(i for i, f in forms.items() if f == original))
     by_form: Dict[str, List[int]] = {}
     for i, f in sorted(forms.items()):

@@ -1,8 +1,23 @@
 """Frozen records: the fields, defaults, `repr`, equality, hashing and
 `replace` of a frozen dataclass, from one base class instead of code
-generated per class."""
+generated per class.
+
+A record's fields are set through each class's setters: a slot's member
+descriptor, or a store into the instance's `__dict__` for a field kept
+there.  Neither goes through `__setattr__`, which refuses every assignment.
+`replace` copies the fields into a new instance of a class that takes its
+construction from `Record`; a class with its own `__init__` or `__new__`,
+which checks its values or interns its instances, is rebuilt through it."""
 
 import operator
+import types
+
+
+def _dict_setter(name: str):
+    """The setter of the field `name` kept in the instance's `__dict__`."""
+    def set_field(record, value) -> None:
+        record.__dict__[name] = value
+    return set_field
 
 
 class Record:
@@ -26,6 +41,13 @@ class Record:
         if cls._shown:
             # the compared value: a tuple, or the one field's value
             cls._compared = staticmethod(operator.attrgetter(*cls._shown))
+        # field -> setter(record, value), in field order
+        cls._setters = {}
+        for f in cls._fields:
+            slot = getattr(cls, f, None)
+            cls._setters[f] = (slot.__set__ if isinstance(slot, types.MemberDescriptorType)
+                               else _dict_setter(f))
+        cls._copied = cls.__init__ is Record.__init__ and cls.__new__ is object.__new__
 
     @classmethod
     def _complete(cls, args: tuple, named: dict) -> tuple:
@@ -43,13 +65,21 @@ class Record:
     def __init__(self, *args, **named) -> None:
         if named or len(args) != len(self._fields):
             args = self._complete(args, named)
-        for f, value in zip(self._fields, args):
-            object.__setattr__(self, f, value)
+        for setter, value in zip(self._setters.values(), args):
+            setter(self, value)
 
     def replace(self, **changes):
         """A copy with the named fields changed."""
-        return type(self)(*[changes.pop(f) if f in changes else getattr(self, f)
-                            for f in self._fields], **changes)
+        cls = type(self)
+        if not cls._copied:
+            return cls(*[changes.pop(f) if f in changes else getattr(self, f)
+                         for f in cls._fields], **changes)
+        new = object.__new__(cls)
+        for f, setter in cls._setters.items():
+            setter(new, changes.pop(f) if f in changes else getattr(self, f))
+        if changes:
+            raise TypeError(f"{cls.__name__}() takes the fields {cls._fields}")
+        return new
 
     def __repr__(self) -> str:
         # a plain loop: one Python frame per level of a nested record

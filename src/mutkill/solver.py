@@ -7,9 +7,12 @@ procedure: every query of at most `MAX_POINTS` points is answered sat or
 unsat, whatever the machine's speed, and a larger one raises SolverFailure.
 It skips the points it can rule out without testing them: a large query runs
 as a generated loop nest whose ranges its linear conjuncts narrow, and a
-small one ANDs the truth sets of its conjuncts, each computed once per
-conjunct and domain.  The same machinery doubles as the exhaustive oracle
-used in tests.
+small one ANDs the truth sets of its conjuncts.  A truth set is computed
+column-wise, once per conjunct and domain: each integer subterm is evaluated
+once over all the domain's points, and the comparisons and connectives
+combine the columns as bitmasks.  Decisions are memoized by constraint and
+domains, so a query posed again costs one lookup.  The same machinery
+doubles as the exhaustive oracle used in tests.
 
 Division and modulo truncate toward zero, matching the interpreter; a
 comparison whose evaluation divides by zero is false (the concrete run would
@@ -19,18 +22,22 @@ have errored out before reaching the comparison).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import operator
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from . import terms as T
 from .record import Record
-from .terms import And, Bin, BoolTerm, Cmp, Lit, Neg, Var
+from .terms import And, Bin, BoolLit, BoolTerm, Cmp, Lit, Neg, Not, Or, Var
 
 SAT = "sat"
 UNSAT = "unsat"
 
 MAX_POINTS = 1 << 20  # enumeration cap per query
+
+
+# sorted (name, inclusive (lo, hi)) pairs
+Domains = Tuple[Tuple[str, Tuple[int, int]], ...]
 
 
 class SolverFailure(Exception):
@@ -56,29 +63,29 @@ class SolverHandle(Record):
     def bounded(domains: Dict[str, Tuple[int, int]]) -> "SolverHandle":
         return SolverHandle(tuple(sorted(domains.items())))
 
-    @property
-    def domain_map(self) -> Dict[str, Tuple[int, int]]:
-        return dict(self.domains)
 
-
-def _query_domains(c: BoolTerm, h: SolverHandle) -> List[Tuple[str, Tuple[int, int]]]:
-    dom = h.domain_map
+@functools.cache
+def _query_domains(c: BoolTerm, domains: Domains) -> Domains:
+    """The declared domains of `c`'s symbols, in name order."""
+    dom = dict(domains)
     out = []
     for name in sorted(T.variables(c)):
         if name not in dom:
             raise SolverFailure(f"symbol {name!r} has no declared domain")
         out.append((name, dom[name]))
-    return out
+    return tuple(out)
 
 
 # Enumerations of at least this many points run as a generated loop nest
 # (`_enumerator`); smaller ones AND the cached truth sets of their conjuncts
-# (`_truth_set`).  The bound lies between the corpus' largest query (16 x 16
-# = 256 points) and two inputs over default domains (65 536 points).  A
-# small query's conjuncts mostly recur in the next query down the same path,
-# so evaluating each once over the whole domain pays; generating code for
-# such queries only costs: compiling every query made countdown no faster
-# and raised the corpus' peak memory by a sixth.
+# (`_truth_set`), which compare the cached value columns of their integer
+# subterms (`_column`).  The bound lies between the corpus' largest query
+# (16 x 16 = 256 points) and two inputs over default domains (65 536
+# points).  A small query's conjuncts mostly recur in the next query down
+# the same path, and its store terms in many conjuncts, so evaluating each
+# once over the whole domain pays; generating code for such queries only
+# costs: compiling every query made countdown no faster and raised the
+# corpus' peak memory by a sixth.
 _COMPILE_MIN_POINTS = 4096
 # CPython nests at most 20 blocks in one function, and each loop is one
 _MAX_LOOPS = 20
@@ -162,23 +169,70 @@ def _enumerator(c: BoolTerm, names: Tuple[str, ...]) -> Callable:
     return src.functions("<mutkill constraint>")["models"]
 
 
+def _count(doms: Domains) -> int:
+    """The number of points of the product of `doms`."""
+    return math.prod(hi - lo + 1 for _, (lo, hi) in doms)
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": T.trunc_div, "%": T.trunc_mod}
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+            ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+
+
 @functools.cache
-def _truth_set(c: BoolTerm, doms: Tuple[Tuple[str, Tuple[int, int]], ...]) -> int:
+def _column(t: T.IntTerm, doms: Domains) -> tuple:
+    """The values of `t` at the points of the product of `doms`, in
+    `itertools.product` order; None where evaluating `t` divides by zero."""
+    if isinstance(t, Lit):
+        return (t.value,) * _count(doms)
+    if isinstance(t, Var):
+        sizes = [hi - lo + 1 for _, (lo, hi) in doms]
+        k = [n for n, _ in doms].index(t.name)
+        lo, hi = doms[k][1]
+        inner, outer = math.prod(sizes[k + 1:]), math.prod(sizes[:k])
+        return tuple([v for v in range(lo, hi + 1) for _ in range(inner)] * outer)
+    if isinstance(t, Neg):
+        return tuple(None if a is None else -a for a in _column(t.operand, doms))
+    fn = _ARITH[t.op]
+    divides = t.op in ("/", "%")
+    return tuple(None if a is None or b is None or divides and b == 0 else fn(a, b)
+                 for a, b in zip(_column(t.left, doms), _column(t.right, doms)))
+
+
+@functools.cache
+def _truth_set(c: BoolTerm, doms: Domains) -> int:
     """The points of the product of `doms` at which `c` holds, as a bitmask:
-    bit i stands for the i-th point in `itertools.product` order."""
-    names = [n for n, _ in doms]
-    holds = T.holds
-    bits = "".join("1" if holds(c, dict(zip(names, values))) else "0"
-                   for values in itertools.product(*(range(lo, hi + 1) for _, (lo, hi) in doms)))
-    return int(bits[::-1], 2)
+    bit i stands for the i-th point in `itertools.product` order.  A
+    comparison is false where either side divides by zero, as in `T.holds`."""
+    if isinstance(c, Cmp):
+        fn = _COMPARE[c.op]
+        bits = ["0" if a is None or b is None or not fn(a, b) else "1"
+                for a, b in zip(_column(c.left, doms), _column(c.right, doms))]
+        return int("".join(reversed(bits)), 2)
+    everywhere = (1 << _count(doms)) - 1
+    if isinstance(c, BoolLit):
+        return everywhere if c.value else 0
+    if isinstance(c, Not):
+        return everywhere ^ _truth_set(c.operand, doms)
+    if isinstance(c, And):
+        return functools.reduce(operator.and_, [_truth_set(x, doms) for x in c.items], everywhere)
+    if isinstance(c, Or):
+        return functools.reduce(operator.or_, [_truth_set(x, doms) for x in c.items], 0)
+    raise TypeError(f"not a boolean term: {c!r}")
 
 
 def enumerate_models(c: BoolTerm, h: SolverHandle) -> Iterator[Dict[str, int]]:
     """All satisfying valuations in deterministic order (lexicographic symbol
     names, ascending values).  Complete over the declared domains; a query
     of more than `MAX_POINTS` points raises SolverFailure."""
-    doms = _query_domains(c, h)
-    total = math.prod(hi - lo + 1 for _, (lo, hi) in doms)
+    return _models(c, h.domains)
+
+
+def _models(c: BoolTerm, domains: Domains) -> Iterator[Dict[str, int]]:
+    """`enumerate_models` over a handle's `domains`."""
+    doms = _query_domains(c, domains)
+    total = _count(doms)
     if total > MAX_POINTS:
         raise SolverFailure(f"domain too large for enumeration: {total} points over "
                             f"{', '.join(n for n, _ in doms)} (limit {MAX_POINTS}); "
@@ -190,10 +244,9 @@ def enumerate_models(c: BoolTerm, h: SolverHandle) -> Iterator[Dict[str, int]]:
     if total >= _COMPILE_MIN_POINTS:
         yield from _enumerator(norm, names)(*(range(lo, hi + 1) for _, (lo, hi) in doms))
         return
-    key = tuple(doms)
     mask = (1 << total) - 1
     for item in _conjuncts(norm):
-        mask &= _truth_set(item, key)
+        mask &= _truth_set(item, doms)
     while mask:
         # the lowest point left, decoded in mixed radix (last name fastest)
         i = (mask & -mask).bit_length() - 1
@@ -207,11 +260,17 @@ def enumerate_models(c: BoolTerm, h: SolverHandle) -> Iterator[Dict[str, int]]:
 
 def is_satisfiable(c: BoolTerm, h: SolverHandle) -> SolverResult:
     """First-model satisfiability check, decided over the declared domains:
-    sat with its first model, or unsat."""
+    sat with its first model, or unsat.  A repeated query gets the result
+    it got first (the same object: its model must not be changed)."""
+    return _decide(c, h.domains)
+
+
+@functools.cache
+def _decide(c: BoolTerm, domains: Domains) -> SolverResult:
     if T.normalize_bool(c) == T.FALSE:
         return SolverResult(UNSAT)
     # enumerate over the original constraint's symbols so the model is total
-    for model in enumerate_models(c, h):
+    for model in _models(c, domains):
         return SolverResult(SAT, model)
     return SolverResult(UNSAT)
 

@@ -269,13 +269,12 @@ def initial_state(lts: Lts, mut_id: int = 0) -> SymbolicState:
                          mut_id=mut_id, depth=0)
 
 
-def step(s: SymbolicState, i: int, transition: Transition
-         ) -> Optional[Tuple[SymbolicState, GuardedCommand]]:
-    """The successor of `s` along `transition`, the i-th transition out of
-    its location in the program of the state's mutant, together with the
-    transition's label with the store substituted but not normalized, so
-    that its divisors are the ones a concrete run evaluates.  None when the
-    guard is false outright."""
+def _take(s: SymbolicState, i: int, transition: Transition):
+    """Taking `transition`, the i-th transition out of the location of `s`
+    in the program of the state's mutant: None when the guard is false
+    outright, else the transition's label (guard, update, emit) with the
+    store substituted but not normalized, so that its divisors are the ones
+    a concrete run evaluates, and the successor's changed fields."""
     _, gc, dst = transition
     store = s.store_map()
     guard = T.subst(gc.guard, store)
@@ -284,16 +283,29 @@ def step(s: SymbolicState, i: int, transition: Transition
         return None
     update = tuple((name, T.subst(term, store)) for name, term in gc.update)
     emit = T.subst(gc.emit, store) if gc.emit is not None else None
-    new_store = dict(store)
     for name, term in update:
-        new_store[name] = T.normalize_int(term)
-    nxt = s.replace(
-        path=T.conj([s.path] + ([] if g == T.TRUE else [g])),
-        store=tuple(sorted(new_store.items())),
-        out=s.out + (T.normalize_int(emit),) if emit is not None else s.out,
-        loc=dst, depth=s.depth + 1, trail=s.trail + (i,),
-    )
-    return nxt, GuardedCommand(guard, update, emit)
+        store[name] = T.normalize_int(term)
+    fields = {
+        "path": T.conj([s.path] + ([] if g == T.TRUE else [g])),
+        "store": tuple(sorted(store.items())),
+        "out": s.out + (T.normalize_int(emit),) if emit is not None else s.out,
+        "loc": dst, "depth": s.depth + 1, "trail": s.trail + (i,),
+    }
+    return (guard, update, emit), fields
+
+
+def step(s: SymbolicState, i: int, transition: Transition
+         ) -> Optional[Tuple[SymbolicState, GuardedCommand]]:
+    """The successor of `s` along `transition`, the i-th transition out of
+    its location in the program of the state's mutant, together with the
+    transition's label with the store substituted but not normalized, so
+    that its divisors are the ones a concrete run evaluates.  None when the
+    guard is false outright."""
+    taken = _take(s, i, transition)
+    if taken is None:
+        return None
+    label, fields = taken
+    return s.replace(**fields), GuardedCommand(*label)
 
 
 # ---------------------------------------------------------------------------
@@ -390,15 +402,15 @@ class _Engine:
         results: List[SymbolicState] = []
         error_keys: Set[IntTerm] = set()
         for i, transition in enumerate(self.meta.program(s.mut_id).successors[s.loc]):
-            stepped = step(s, i, transition)
-            if stepped is None:
+            taken = _take(s, i, transition)
+            if taken is None:
                 continue
-            nxt, label = stepped
+            (guard, update, emit), fields = taken
             # division safety: split off error paths, guard the main path
-            guard_divs = T.divisors(label.guard)
-            divs = guard_divs + [d for _, term in label.update for d in T.divisors(term)]
-            if label.emit is not None:
-                divs += T.divisors(label.emit)
+            guard_divs = T.divisors(guard)
+            divs = guard_divs + [d for _, term in update for d in T.divisors(term)]
+            if emit is not None:
+                divs += T.divisors(emit)
             nonzero = [Cmp("!=", d, Lit(0)) for d in divs]
             for j, d in enumerate(divs):
                 key = T.normalize_int(d)
@@ -407,7 +419,7 @@ class _Engine:
                     continue  # complementary guard shares the same divisors
                 # a guard divisor errors before the guard is decided; a later
                 # one errors on the taken branch
-                err_pc = T.conj([s.path if in_guard else nxt.path]
+                err_pc = T.conj([s.path if in_guard else fields["path"]]
                                 + nonzero[:j] + [Cmp("==", d, Lit(0))])
                 if T.normalize_bool(err_pc) == T.FALSE:
                     continue
@@ -416,16 +428,16 @@ class _Engine:
                 res = self.sat(err_pc)
                 if res.is_sat:
                     self.stats.states_created += 1
-                    self.finish(s.replace(path=err_pc, depth=s.depth + 1,
-                                          trail=s.trail + (i,), status="error"))
-            pc = T.conj([nxt.path] + nonzero)
+                    self.finish(s.replace(path=err_pc, depth=fields["depth"],
+                                          trail=fields["trail"], status="error"))
+            pc = T.conj([fields["path"]] + nonzero)
             if T.normalize_bool(pc) == T.FALSE:
                 self.stats.pruned_infeasible += 1
                 continue
-            nxt = nxt.replace(
-                path=pc,
-                branch_count=s.branch_count + (1 if branching and s.mut_id else 0),
-            )
+            fields["path"] = pc
+            if branching and s.mut_id:
+                fields["branch_count"] = s.branch_count + 1
+            nxt = s.replace(**fields)
             # seeded mode: release / follow / prune
             if nxt.compatible_seeds:
                 verdict, compat = apply_precondition(nxt, self.seeds, self.cfg,

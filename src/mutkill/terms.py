@@ -691,9 +691,12 @@ def _norm_negate(t: BoolTerm) -> BoolTerm:
 
 @functools.cache
 def _contradicts(a: BoolTerm, b: BoolTerm) -> bool:
-    """Cheap syntactic contradiction check on two normalized atoms.
-    Normalized comparisons have the shape `p < 0`, `p == 0`, `p != 0`."""
-    if a == _norm_negate(b):
+    """Cheap syntactic contradiction check on two normalized atoms, the same
+    in either order.  Normalized comparisons have the shape `p < 0`,
+    `p == 0`, `p != 0`."""
+    # negating twice need not give the atom back (`2*x - 1 < 0` comes back
+    # as `x - 1 < 0`), so compare both ways
+    if a == _norm_negate(b) or b == _norm_negate(a):
         return True
     if isinstance(a, Not) and a.operand == b:
         return True
@@ -751,24 +754,29 @@ def normalize_bool(t: BoolTerm) -> BoolTerm:
         is_and = isinstance(t, And)
         absorb = FALSE if is_and else TRUE
         identity = TRUE if is_and else FALSE
-        flat = []
-        for x in t.items:
+        # each flattened item, with one bit per child that held it
+        held: Dict[BoolTerm, int] = {}
+        for bit, x in enumerate(t.items):
             nx = normalize_bool(x)
             if nx == absorb:
                 return absorb
             if nx == identity:
                 continue
-            if isinstance(nx, And if is_and else Or):
-                flat.extend(nx.items)
-            else:
-                flat.append(nx)
-        seen = list(dict.fromkeys(flat))
+            for item in nx.items if isinstance(nx, And if is_and else Or) else (nx,):
+                held[item] = held.get(item, 0) | 1 << bit
         if is_and:
-            for i, a in enumerate(seen):
-                for b in seen[i + 1:]:
-                    if _contradicts(a, b):
+            # two items of one normalized conjunction do not contradict: a
+            # path that grows by a guard checks the guard against the path
+            groups: Dict[int, List[BoolTerm]] = {}
+            for item, children in held.items():
+                groups.setdefault(children, []).append(item)
+            masks = list(groups)
+            for i, in_a in enumerate(masks):
+                for in_b in masks[i + 1:]:
+                    if not in_a & in_b and any(_contradicts(a, b) for a in groups[in_a]
+                                               for b in groups[in_b]):
                         return FALSE
-        seen.sort(key=_sort_key)
+        seen = sorted(held, key=_sort_key)
         if not seen:
             return identity
         if len(seen) == 1:

@@ -1,3 +1,4 @@
+import os
 from collections import Counter
 
 import pytest
@@ -159,6 +160,24 @@ class TestTce:
         lts, mutants, tce, meta = C.build(name)
         killable = I.killable_mutants(meta, tce.equivalent, step_budget=2000)
         assert killable == set()
+
+    @pytest.mark.parametrize("path", C.every_program(), ids=os.path.basename)
+    def test_report_equals_one_normal_form_per_mutant(self, path):
+        # the reference normalizes each mutant program whole, with nothing
+        # shared between mutants
+        with open(path, encoding="utf-8") as f:
+            lts = L.lower_text(f.read(), path)
+        mutants = M.generate_mutants(lts, M.SUPPORTED_OPERATORS)
+        original = M._normal_form(lts)
+        forms = {m.id: M._normal_form(M.apply_mutant(lts, m)) for m in mutants}
+        by_form = {}
+        for i, form in sorted(forms.items()):
+            by_form.setdefault(form, []).append(i)
+        equivalent = tuple(by_form.pop(original, ()))
+        groups = tuple(tuple(ids) for _, ids in sorted(by_form.items()) if len(ids) > 1)
+        surviving = tuple(ids[0] for ids in by_form.values() if len(ids) == 1)
+        want = M.TceReport(equivalent, groups, tuple(sorted(surviving)))
+        assert M.tce_filter(lts, mutants) == want
 
     def test_duplicates_behave_identically(self):
         lts, mutants, tce, meta = C.build("abs")

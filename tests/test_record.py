@@ -2,8 +2,10 @@
 equality, hashing, frozenness and `replace` that their frozen dataclasses
 had, and term nodes keep their interned identity."""
 
+import copy
 import hashlib
 import os
+import pickle
 import sys
 
 import pytest
@@ -204,6 +206,11 @@ class TestRecord:
         named = {f: getattr(rec, f) for f in rec._fields}
         assert type(rec)(**named) == rec
 
+    def test_pickle_and_copy_round_trip(self, rec, field, value):
+        for r in (rec, rec.replace(**{field: value})):
+            for twin in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
+                assert type(twin) is type(r) and twin == r and repr(twin) == repr(r)
+
 
 class TestPerClass:
     def test_statement_positions_are_neither_compared_nor_printed(self):
@@ -236,6 +243,33 @@ class TestPerClass:
             L.LocInfo("branch")
         assert cli.RunManifest("p", "o").config == X.Config()
         assert L.GuardedCommand() == L.GuardedCommand(T.TRUE, (), None)
+
+    def test_replace_names_only_fields(self):
+        state = X.initial_state(LTS)
+        with pytest.raises(TypeError, match="takes the fields"):
+            state.replace(depth=1, no_such_field=1)
+        with pytest.raises(TypeError, match="takes the fields"):
+            LTS.replace(entry=2, no_such_field=1)
+        with pytest.raises(TypeError, match="misses the field"):
+            X.SymbolicState(T.TRUE)
+
+    def test_replace_checks_and_interns_through_the_constructor(self):
+        with pytest.raises(ValueError, match="PP"):
+            X.Config().replace(pp=2.0)
+        with pytest.raises(ValueError, match="MAX_STATES"):
+            X.Config().replace(max_states=-5)
+        with pytest.raises(ValueError, match="empty"):
+            P.SourceProgram("fn main() { }").replace(text="")
+        t = Cmp("<", x, Lit(0))
+        assert t.replace(op=">=") is Cmp(">=", x, Lit(0))
+
+    def test_replace_leaves_the_cached_properties_behind(self):
+        lts = LTS.replace()
+        assert lts.successors[lts.entry]
+        emptied = lts.replace(transitions=())
+        assert "successors" not in vars(emptied)
+        assert emptied.successors == {loc: [] for loc in LTS.locations}
+        assert lts.successors == LTS.successors
 
     def test_exploration_stats_are_mutable_and_own_their_containers(self):
         a, b = X.ExplorationStats(), X.ExplorationStats()

@@ -311,6 +311,122 @@ class TestTruthSets:
         assert len(calls) <= points * len(atoms)
 
 
+# one-, two- and three-input domains, each with 0 inside, small enough to
+# walk point by point
+SMALL_DOMAINS = [(("x", (-3, 3)),),
+                 (("x", (-2, 3)), ("y", (-3, 1))),
+                 (("x", (-2, 1)), ("y", (-1, 2)), ("z", (0, 2)))]
+
+
+def truth_set_queries():
+    """(domains, boolean term over their names): comparisons of sums,
+    products, quotients and remainders, which divide by zero at some points
+    or at all, under Neg, Not, nested And/Or and literals."""
+    def terms(doms):
+        names = [n for n, _ in doms]
+        ints = st.recursive(
+            st.one_of(st.integers(-3, 3).map(Lit), st.sampled_from(names).map(Var)),
+            lambda kids: st.one_of(
+                kids.map(Neg),
+                st.tuples(st.sampled_from(T.ARITH_OPS), kids, kids).map(
+                    lambda t: Bin(t[0], t[1], t[2]))),
+            max_leaves=6)
+        cmps = st.tuples(st.sampled_from(T.CMP_OPS), ints, ints).map(
+            lambda t: Cmp(t[0], t[1], t[2]))
+        bools = st.recursive(
+            st.one_of(cmps, st.booleans().map(T.BoolLit)),
+            lambda kids: st.one_of(
+                kids.map(Not),
+                st.lists(kids, max_size=3).map(lambda items: And(tuple(items))),
+                st.lists(kids, max_size=3).map(lambda items: Or(tuple(items)))),
+            max_leaves=6)
+        return st.tuples(st.just(doms), bools)
+    return st.sampled_from(SMALL_DOMAINS).flatmap(terms)
+
+
+def holds_mask(c, doms):
+    """Bit i set where `T.holds(c, ...)` at the i-th point of the product of
+    `doms`."""
+    names = [n for n, _ in doms]
+    points = itertools.product(*(range(lo, hi + 1) for _, (lo, hi) in doms))
+    return sum(1 << i for i, values in enumerate(points)
+               if T.holds(c, dict(zip(names, values))))
+
+
+class TestTruthSetColumns:
+    """A truth set evaluates each integer subterm once over all the points
+    of the domain, as a column, and combines the columns as bitmasks."""
+
+    @given(q=truth_set_queries())
+    # x / (y - y) divides by zero everywhere: the comparison is false at
+    # every point and its negation true
+    @example(q=(SMALL_DOMAINS[1], Not(Cmp("<", Bin("/", x, Bin("-", y, y)), Lit(0)))))
+    # a remainder by an input that is 0 at some points, under Neg
+    @example(q=(SMALL_DOMAINS[2], Or((Cmp("==", Neg(Bin("%", Var("z"), x)), Lit(1)),
+                                      And((T.FALSE, Cmp("<", x, y)))))))
+    @settings(max_examples=200, deadline=None)
+    def test_truth_set_is_the_holds_mask(self, q):
+        doms, c = q
+        assert S._truth_set(c, doms) == holds_mask(c, doms)
+
+    def test_building_a_truth_set_walks_no_tree(self, monkeypatch):
+        # domains and terms that no other test builds, so nothing is cached
+        doms = (("tsa", (-4, 4)), ("tsb", (-2, 5)))
+        a, b = Var("tsa"), Var("tsb")
+        shared = Bin("*", Bin("-", a, b), Bin("%", a, b))
+        c = And((Cmp("<", shared, Lit(3)), Not(Cmp("==", Bin("/", shared, a), b)),
+                 Or((Cmp(">", Neg(a), b), T.BoolLit(False)))))
+        h = S.SolverHandle.bounded(dict(doms))
+        want = holds_mask(c, doms), brute_force(c, h)
+        calls = []
+        holds = T.holds
+
+        def counting(t, env):
+            calls.append(t)
+            return holds(t, env)
+
+        monkeypatch.setattr(T, "holds", counting)
+        assert (S._truth_set(c, doms), list(S.enumerate_models(c, h))) == want
+        assert calls == []
+
+
+class TestDecisionMemo:
+    """`is_satisfiable` memoizes each decision by constraint and domains."""
+
+    def test_repeated_query_is_answered_from_the_memo(self, monkeypatch):
+        c = And((Cmp(">=", Var("memo_x"), Lit(2)), Cmp("!=", Var("memo_x"), Lit(4))))
+        h = S.SolverHandle.bounded({"memo_x": (0, 7)})
+        first = S.is_satisfiable(c, h)
+        assert first == S.SolverResult(S.SAT, {"memo_x": 2})
+        # deciding a query normalizes it first; a repeated one is looked up
+        normalized = []
+        normalize = T.normalize_bool
+
+        def counting(t):
+            normalized.append(t)
+            return normalize(t)
+
+        monkeypatch.setattr(T, "normalize_bool", counting)
+        assert S.is_satisfiable(c, S.SolverHandle.bounded({"memo_x": (0, 7)})) == first
+        assert normalized == []
+
+    def test_other_domains_get_their_own_answer(self):
+        c = And((Cmp(">=", Var("memo_y"), Lit(2)), Cmp("!=", Var("memo_y"), Lit(4))))
+        wide = S.SolverHandle.bounded({"memo_y": (-8, 7)})
+        narrow = S.SolverHandle.bounded({"memo_y": (3, 5)})
+        none = S.SolverHandle.bounded({"memo_y": (-8, 1)})
+        for _ in range(2):
+            assert S.is_satisfiable(c, wide).model == {"memo_y": 2}
+            assert S.is_satisfiable(c, narrow).model == {"memo_y": 3}
+            assert S.is_satisfiable(c, none).status == S.UNSAT
+
+    def test_a_missing_domain_fails_every_time(self):
+        c = Cmp("<", Var("memo_q"), Lit(0))
+        for _ in range(2):
+            with pytest.raises(S.SolverFailure, match="memo_q"):
+                S.is_satisfiable(c, H)
+
+
 class TestDecision:
     """The bounded backend decides every query: no clock enters a verdict."""
 

@@ -2,13 +2,17 @@ import copy
 import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from mutkill import cli
 from mutkill import mutation as M
+from mutkill import solver as S
 from mutkill import terms as T
 from mutkill.terms import (And, Bin, BoolLit, Cmp, Lit, Neg, Not, Or, Var,
                            eval_bool, eval_int, holds, negate, normalize_bool,
                            normalize_int, render, subst)
+
+import conftest as C
 
 
 names = st.sampled_from(["x", "y", "z"])
@@ -182,6 +186,89 @@ class TestNormalizeBool:
     @settings(max_examples=100)
     def test_negate_flips_truth(self, t, env):
         assert holds(negate(t), env) == (not holds(t, env))
+
+
+def pairwise_conjunction(children):
+    """`normalize_bool(And(children))` for normalized children, with every
+    pair of the flattened items checked for a contradiction."""
+    flat = []
+    for c in children:
+        if c == T.FALSE:
+            return T.FALSE
+        if c != T.TRUE:
+            flat.extend(c.items if isinstance(c, And) else (c,))
+    seen = list(dict.fromkeys(flat))
+    if any(T._contradicts(a, b) for i, a in enumerate(seen) for b in seen[i + 1:]):
+        return T.FALSE
+    return T.conj(sorted(seen, key=T._sort_key))
+
+
+def linear_atoms():
+    """`k*x + m*y + c OP d` with small coefficients: over one pool of them,
+    contradictions are common, some only after dividing by a content."""
+    side = st.builds(lambda k, m, c: Bin("+", Bin("+", Bin("*", Lit(k), Var("x")),
+                                                   Bin("*", Lit(m), Var("y"))), Lit(c)),
+                     st.integers(-2, 2), st.sampled_from((0, 0, 1, -1)), st.integers(-3, 3))
+    return st.builds(Cmp, st.sampled_from(T.CMP_OPS), side, st.integers(-2, 2).map(Lit))
+
+
+def normalized_children():
+    """Normalized conjunctions of atoms drawn from one pool, so that
+    children share items, and normalized random terms."""
+    def children(pool):
+        conjunction = st.lists(st.sampled_from(pool), min_size=1, max_size=4).map(
+            lambda atoms: normalize_bool(And(tuple(atoms))))
+        return st.lists(conjunction | bool_terms(division=True).map(normalize_bool),
+                        min_size=1, max_size=4)
+    return st.lists(linear_atoms(), min_size=2, max_size=6).flatmap(children)
+
+
+X_POS = Cmp(">", Var("x"), Lit(0))
+TWICE_X_NONPOS = Cmp("<=", Bin("*", Lit(2), Var("x")), Lit(0))
+Y_NEG = Cmp("<", Var("y"), Lit(0))
+
+
+class TestConjunctions:
+    @given(normalized_children())
+    # the two children share y < 0, and the pair that contradicts is one
+    # item of each, whose negations come back only after dividing by 2
+    @example([normalize_bool(And((Y_NEG, TWICE_X_NONPOS))), normalize_bool(And((Y_NEG, X_POS)))])
+    # the contradiction is between the second and the third child
+    @example([normalize_bool(t) for t in (Y_NEG, X_POS, TWICE_X_NONPOS)])
+    @settings(max_examples=300, deadline=None)
+    def test_incremental_checks_equal_every_pair(self, children):
+        assert normalize_bool(And(tuple(children))) == pairwise_conjunction(children)
+
+    def test_contradiction_does_not_depend_on_the_order(self):
+        # x > 0 negates to 0 - x >= 0, i.e. x - 1 < 0 after normalization,
+        # not to 2*x - 1 < 0; the check compares both negations
+        assert normalize_bool(And((X_POS, TWICE_X_NONPOS))) == T.FALSE
+        assert normalize_bool(And((TWICE_X_NONPOS, X_POS))) == T.FALSE
+
+    def test_countdown_gen_checks_the_new_guard_only(self, monkeypatch, tmp_path):
+        # countdown's gen under the benchmark's corpus configuration, from
+        # empty memos as in a fresh process: a path that grows by a guard
+        # checks the guard against the path's items (3 116 checks), not
+        # every pair of them again (49 360)
+        for module in (T, S):
+            for value in list(vars(module).values()):
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+        checks = []
+        contradicts = T._contradicts
+
+        def counting(a, b):
+            checks.append((a, b))
+            return contradicts(a, b)
+
+        monkeypatch.setattr(T, "_contradicts", counting)
+        manifest = cli.parse_config(
+            "MODE = semu\nPP = 1.0\nMAX_STATES = 1000\nMAX_DEPTH = 200\n"
+            "BUDGET_SECONDS = 600\nRNG_SEED = 1\n",
+            program=C.corpus_path("countdown"), out_dir=str(tmp_path))
+        cli.run_pipeline(manifest, stop="gen")
+        assert "states_created=1000\n" in (tmp_path / "stats.txt").read_text()
+        assert len(checks) <= 5000
 
 
 class TestTracerCounters:
