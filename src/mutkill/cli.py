@@ -349,7 +349,8 @@ def _manifest_from_args(args: Dict[str, Any]) -> RunManifest:
         cfg = manifest.config.replace(**overrides)
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    operators = _parse_operators(args["operators"]) if args["operators"] else manifest.operators
+    operators = (manifest.operators if args["operators"] is None
+                 else _parse_operators(args["operators"]))
     return manifest.replace(config=cfg, operators=operators)
 
 

@@ -83,9 +83,10 @@ class Config(Record):
 
 class SymbolicState(Record):
     """`path` is over the input symbols; `store` binds every program
-    variable; `out` is the symbolic output trace so far; `mut_id` 0 is the
-    original.  `trail` holds the taken-transition indices, for prefix
-    pairing; `branch_count` the post-fork branching locations traversed.
+    variable, in name order; `out` is the symbolic output trace so far;
+    `mut_id` 0 is the original.  `trail` holds the taken-transition
+    indices, for prefix pairing; `branch_count` the post-fork branching
+    locations traversed.
     In seeded mode, `compatible_seeds` holds the indices of the seeds whose
     runs the state follows; it is empty once released, or when not
     following seeds.  `forked` holds the mutant IDs already forked on this
@@ -264,9 +265,22 @@ def pair_states(mutant_state: SymbolicState,
 def initial_state(lts: Lts, mut_id: int = 0) -> SymbolicState:
     """The entry state: inputs symbolic, every other program variable 0."""
     dom = dict(lts.inputs)
-    store = tuple((v, Var(v) if v in dom else Lit(0)) for v in lts.variables)
+    store = tuple((v, Var(v) if v in dom else Lit(0)) for v in sorted(lts.variables))
     return SymbolicState(path=T.TRUE, store=store, out=(), loc=lts.entry,
                          mut_id=mut_id, depth=0)
+
+
+def _may_be_zero(t: T.Term) -> List[IntTerm]:
+    """The divisors of `t` that get an error branch: all but those whose
+    normal form is a nonzero literal and whose own term does not divide.
+    For those `d == 0` normalizes to false and `d != 0` to true, so they
+    add no error state, no solver call and nothing to the normalized path."""
+    out = []
+    for d in T.divisors(t):
+        n = T.normalize_int(d)
+        if not isinstance(n, Lit) or n.value == 0 or T.has_division(d):
+            out.append(d)
+    return out
 
 
 def _take(s: SymbolicState, i: int, transition: Transition):
@@ -287,7 +301,7 @@ def _take(s: SymbolicState, i: int, transition: Transition):
         store[name] = T.normalize_int(term)
     fields = {
         "path": T.conj([s.path] + ([] if g == T.TRUE else [g])),
-        "store": tuple(sorted(store.items())),
+        "store": tuple(sorted(store.items())) if update else s.store,
         "out": s.out + (T.normalize_int(emit),) if emit is not None else s.out,
         "loc": dst, "depth": s.depth + 1, "trail": s.trail + (i,),
     }
@@ -407,10 +421,10 @@ class _Engine:
                 continue
             (guard, update, emit), fields = taken
             # division safety: split off error paths, guard the main path
-            guard_divs = T.divisors(guard)
-            divs = guard_divs + [d for _, term in update for d in T.divisors(term)]
+            guard_divs = _may_be_zero(guard)
+            divs = guard_divs + [d for _, term in update for d in _may_be_zero(term)]
             if emit is not None:
-                divs += T.divisors(emit)
+                divs += _may_be_zero(emit)
             nonzero = [Cmp("!=", d, Lit(0)) for d in divs]
             for j, d in enumerate(divs):
                 key = T.normalize_int(d)

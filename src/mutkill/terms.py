@@ -5,13 +5,15 @@ Terms are immutable and interned (hash-consed): constructing a node returns
 the one node with its class and fields, so structurally equal terms are the
 same object, equality is identity and hashing is O(1) however deep the term.
 The intern table, like the memos of normalization, keeps every node for the
-life of the process.  A node's variables are computed from its children's
-when it is built.  Terms can be used directly as dict keys (monomial atoms
-during normalization) and as `functools.cache` arguments.  Their `repr` is
-the dataclass one, `Name(field=value, ...)`, and normalization orders
-conjuncts and monomial atoms by it, so sorting, and the serialization used
-for duplicate detection, is deterministic and does not depend on which
-terms a process built before.
+life of the process.  A node's variables, and whether it divides, are
+computed from its children's when it is built; its divisors, normal form
+and sort key from its children's when first asked, once.  Terms can be
+used directly as dict keys (monomial atoms during normalization) and as
+`functools.cache` arguments.  Their `repr` is the dataclass one,
+`Name(field=value, ...)`, and normalization orders conjuncts and monomial
+atoms by it, so sorting, and the serialization used for duplicate
+detection, is deterministic and does not depend on which terms a process
+built before.
 
 Arithmetic is over exact mathematical integers.  Division and modulo use
 truncated-toward-zero semantics (like C); dividing by zero raises
@@ -68,17 +70,34 @@ def _items_vars(items) -> frozenset:
     return functools.reduce(_union, (x._vars for x in items), _NO_VARS)
 
 
+# `_dividing` of the node classes: whether the node divides or takes a modulus
+def _no_division(value) -> bool:
+    return False
+
+
+def _operand_divides(operand) -> bool:
+    return operand._divides
+
+
+def _pair_divides(op, left, right) -> bool:
+    return op in ("/", "%") or left._divides or right._divides
+
+
+def _items_divide(items) -> bool:
+    return any(x._divides for x in items)
+
+
 class _Node(Record):
     """Interned construction, shared by the node classes below.
 
     Nodes compare and hash by identity (`object`'s methods) and take their
     `repr`, frozenness, `replace` and `__reduce__` from `Record`, so
     replacing, pickling and copying rebuild through the table.  `_vars`
-    holds the node's variables, which each class's `_variables(*fields)`
-    computes from the children's; `_key` holds its sort key once
-    `_sort_key` has asked."""
+    holds the node's variables and `_divides` whether it divides, which each
+    class's `_variables(*fields)` and `_dividing(*fields)` compute from the
+    children's; `_key` holds its sort key once `_sort_key` has asked."""
 
-    __slots__ = ("_vars", "_key")
+    __slots__ = ("_vars", "_divides", "_key")
     _fields = ()
     # a literal's key includes its value's type: 1 == True, but Lit(1) and
     # Lit(True) print differently, so they must stay two nodes
@@ -97,6 +116,7 @@ class _Node(Record):
             for f, value in zip(cls._fields, args):
                 object.__setattr__(node, f, value)
             object.__setattr__(node, "_vars", cls._variables(*args))
+            object.__setattr__(node, "_divides", cls._dividing(*args))
             object.__setattr__(node, "_key", None)
             _TABLE[key] = node
         return node
@@ -106,47 +126,56 @@ class Lit(_Node):
     __slots__ = ("value",)
     _typed = True
     _variables = staticmethod(_no_vars)
+    _dividing = staticmethod(_no_division)
 
 
 class Var(_Node):
     __slots__ = ("name",)
     _variables = staticmethod(lambda name: frozenset((name,)))
+    _dividing = staticmethod(_no_division)
 
 
 class Bin(_Node):
     __slots__ = ("op", "left", "right")  # op: one of + - * / %
     _variables = staticmethod(_pair_vars)
+    _dividing = staticmethod(_pair_divides)
 
 
 class Neg(_Node):
     __slots__ = ("operand",)
     _variables = staticmethod(_operand_vars)
+    _dividing = staticmethod(_operand_divides)
 
 
 class BoolLit(_Node):
     __slots__ = ("value",)
     _typed = True
     _variables = staticmethod(_no_vars)
+    _dividing = staticmethod(_no_division)
 
 
 class Cmp(_Node):
     __slots__ = ("op", "left", "right")  # op: one of < <= > >= == !=
     _variables = staticmethod(_pair_vars)
+    _dividing = staticmethod(_pair_divides)
 
 
 class And(_Node):
     __slots__ = ("items",)
     _variables = staticmethod(_items_vars)
+    _dividing = staticmethod(_items_divide)
 
 
 class Or(_Node):
     __slots__ = ("items",)
     _variables = staticmethod(_items_vars)
+    _dividing = staticmethod(_items_divide)
 
 
 class Not(_Node):
     __slots__ = ("operand",)
     _variables = staticmethod(_operand_vars)
+    _dividing = staticmethod(_operand_divides)
 
 
 IntTerm = Union[Lit, Var, Bin, Neg]
@@ -329,40 +358,71 @@ def variables(t: Term) -> frozenset:
     return t._vars
 
 
-def divisors(t: Term) -> list:
-    """All divisor/modulus subterms of ``t`` (for error-path splitting),
-    in deterministic preorder."""
-    out = []
+def _subterms(t: Term) -> tuple:
+    if isinstance(t, (Bin, Cmp)):
+        return t.left, t.right
+    if isinstance(t, (Neg, Not)):
+        return (t.operand,)
+    if isinstance(t, (And, Or)):
+        return t.items
+    return ()
 
-    def walk(u):
-        if isinstance(u, Bin):
-            walk(u.left)
-            walk(u.right)
-            if u.op in ("/", "%"):
-                out.append(u.right)
-        elif isinstance(u, (Neg, Not)):
-            walk(u.operand)
-        elif isinstance(u, Cmp):
-            walk(u.left)
-            walk(u.right)
-        elif isinstance(u, (And, Or)):
-            for x in u.items:
-                walk(x)
 
-    walk(t)
-    return out
+# Facts about a node (its divisors, its polynomial) are each computed once,
+# from its subterms' facts.  A walk that meets a node without one gives it
+# one post-order on an explicit stack, so a term of any depth costs a few
+# Python frames; the memo it consults is what tells it where to stop.
+
+
+@functools.cache
+def _memo(fact) -> dict:
+    """node -> `fact`'s value, for every node a walk has given it; kept, like
+    the caches in front of it, until `cache_clear`."""
+    return {}
+
+
+def _bottom_up(fact, t: Term, subterms=_subterms):
+    """The value `fact(t, memo)` for `t`, where `fact` builds a node's value
+    from the values in `memo` of its `subterms`; those without one get
+    theirs first."""
+    memo = _memo(fact)
+    stack = [t]
+    while stack:
+        u = stack[-1]
+        if u in memo:
+            stack.pop()
+            continue
+        missing = [c for c in subterms(u) if c not in memo]
+        if missing:
+            stack.extend(missing)
+        else:
+            memo[stack.pop()] = fact(u, memo)
+    return memo[t]
+
+
+def _dividing_subterms(t: Term) -> list:
+    return [u for u in _subterms(t) if u._divides]
+
+
+def _divisors_of(t: Term, memo: dict) -> tuple:
+    out = ()
+    for u in _dividing_subterms(t):
+        out += memo[u]
+    return out + (t.right,) if isinstance(t, Bin) and t.op in ("/", "%") else out
+
+
+@functools.cache
+def divisors(t: Term) -> tuple:
+    """All divisor/modulus subterms of ``t`` (for error-path splitting), in
+    post-order: a divisor follows the divisors inside its dividend and
+    inside itself, and items keep their order."""
+    return _bottom_up(_divisors_of, t, _dividing_subterms) if t._divides else ()
 
 
 def has_division(t: Term) -> bool:
-    if isinstance(t, Bin):
-        return t.op in ("/", "%") or has_division(t.left) or has_division(t.right)
-    if isinstance(t, (Neg, Not)):
-        return has_division(t.operand)
-    if isinstance(t, Cmp):
-        return has_division(t.left) or has_division(t.right)
-    if isinstance(t, (And, Or)):
-        return any(has_division(x) for x in t.items)
-    return False
+    """Whether ``t`` divides or takes a modulus (computed when ``t`` was
+    built)."""
+    return t._divides
 
 
 # ---------------------------------------------------------------------------
@@ -499,13 +559,32 @@ def _render(t: Term, parent_prec: int) -> str:
 # semantic equivalence; the reverse does not hold.
 
 
+def _field_key(value) -> str:
+    """The `repr` of a node's field, from its subterms' sort keys."""
+    if isinstance(value, _Node):
+        return value._key
+    if isinstance(value, tuple):
+        keys = [x._key for x in value]
+        return f"({', '.join(keys)}{',' if len(keys) == 1 else ''})"
+    return repr(value)
+
+
 def _sort_key(t: Term) -> str:
-    """`repr(t)`, computed once per node."""
-    key = t._key
-    if key is None:
-        key = repr(t)
-        object.__setattr__(t, "_key", key)
-    return key
+    """`repr(t)`, computed once per node from its subterms' keys, post-order
+    on an explicit stack (the record `repr` recurses once per level)."""
+    if t._key is None:
+        stack = [t]
+        while stack:
+            u = stack[-1]
+            missing = [c for c in _subterms(u) if c._key is None]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            if u._key is None:  # a subterm met twice gets its key once
+                fields = ", ".join(f"{f}={_field_key(getattr(u, f))}" for f in u._shown)
+                object.__setattr__(u, "_key", f"{type(u).__qualname__}({fields})")
+    return t._key
 
 
 def _mono_key(m: tuple) -> tuple:
@@ -568,6 +647,18 @@ class _Poly:
             return self.coeffs[()]
         return None
 
+    def offset(self, other: "_Poly", sign: int):
+        """`(self + sign * other).constant_value()`, without building the
+        sum: it is constant where the non-constant monomials cancel (no
+        coefficient is ever 0)."""
+        a, b = self.coeffs, other.coeffs
+        if len(a) - (() in a) != len(b) - (() in b):
+            return None
+        for m, c in a.items():
+            if m and b.get(m) != -sign * c:
+                return None
+        return a.get((), 0) + sign * b.get((), 0)
+
     def has_div_atom(self) -> bool:
         return any(
             has_division(a) for m in self.coeffs for a in m
@@ -621,24 +712,20 @@ class _Poly:
         return term
 
 
-# terms are immutable and the produced polynomials are never mutated, so
-# the normalization pipeline can be memoized wholesale; path conditions in
-# the symbolic engine re-normalize the same conjuncts thousands of times
-@functools.cache
-def _to_poly(t: IntTerm) -> _Poly:
+def _poly_of(t: IntTerm, memo: dict) -> _Poly:
     if isinstance(t, Lit):
         return _Poly.const(t.value)
     if isinstance(t, Var):
         return _Poly.atom(t)
     if isinstance(t, Neg):
-        return -_to_poly(t.operand)
+        return -memo[t.operand]
     if isinstance(t, Bin):
         if t.op == "+":
-            return _to_poly(t.left) + _to_poly(t.right)
+            return memo[t.left] + memo[t.right]
         if t.op == "-":
-            return _to_poly(t.left) - _to_poly(t.right)
+            return memo[t.left] - memo[t.right]
         if t.op == "*":
-            return _to_poly(t.left) * _to_poly(t.right)
+            return memo[t.left] * memo[t.right]
         # division/modulo: fold constants, otherwise keep as opaque atom
         left = normalize_int(t.left)
         right = normalize_int(t.right)
@@ -652,6 +739,15 @@ def _to_poly(t: IntTerm) -> _Poly:
     raise TypeError(f"not an integer term: {t!r}")
 
 
+# terms are immutable and the produced polynomials are never mutated, so
+# the normalization pipeline can be memoized wholesale; path conditions in
+# the symbolic engine re-normalize the same conjuncts thousands of times
+@functools.cache
+def _to_poly(t: IntTerm) -> _Poly:
+    return _bottom_up(_poly_of, t)
+
+
+@functools.cache
 def normalize_int(t: IntTerm) -> IntTerm:
     """Canonical form of an integer term (sound for exact integers)."""
     return _to_poly(t).to_term()
@@ -707,18 +803,18 @@ def _contradicts(a: BoolTerm, b: BoolTerm) -> bool:
     pa, pb = _to_poly(a.left), _to_poly(b.left)
     if a.op == "==" and b.op == "==":
         # p == 0 and p + k == 0 with k != 0
-        d = (pa - pb).constant_value()
+        d = pa.offset(pb, -1)
         if d is not None and d != 0:
             return True
     if a.op == "<" and b.op == "<":
         # p < 0 and q < 0 over integers force p + q <= -2
-        d = (pa + pb).constant_value()
+        d = pa.offset(pb, 1)
         if d is not None and d >= -1:
             return True
     if {a.op, b.op} == {"<", "=="}:
         lt, eq = (pa, pb) if a.op == "<" else (pb, pa)
         # q == 0 pins p to a constant; p < 0 then needs that constant < 0
-        for d in ((lt - eq).constant_value(), (lt + eq).constant_value()):
+        for d in (lt.offset(eq, -1), lt.offset(eq, 1)):
             if d is not None and d >= 0:
                 return True
     return False
@@ -762,7 +858,11 @@ def normalize_bool(t: BoolTerm) -> BoolTerm:
                 return absorb
             if nx == identity:
                 continue
-            for item in nx.items if isinstance(nx, And if is_and else Or) else (nx,):
+            flat = nx.items if isinstance(nx, And if is_and else Or) else (nx,)
+            if not held:
+                held = dict.fromkeys(flat, 1 << bit)
+                continue
+            for item in flat:
                 held[item] = held.get(item, 0) | 1 << bit
         if is_and:
             # two items of one normalized conjunction do not contradict: a
@@ -773,8 +873,10 @@ def normalize_bool(t: BoolTerm) -> BoolTerm:
             masks = list(groups)
             for i, in_a in enumerate(masks):
                 for in_b in masks[i + 1:]:
-                    if not in_a & in_b and any(_contradicts(a, b) for a in groups[in_a]
-                                               for b in groups[in_b]):
+                    if in_a & in_b:
+                        continue
+                    pairs = itertools.product(groups[in_a], groups[in_b])
+                    if any(itertools.starmap(_contradicts, pairs)):
                         return FALSE
         seen = sorted(held, key=_sort_key)
         if not seen:

@@ -360,6 +360,22 @@ class TestErrors:
         assert repr(pairs.split(", ")[-1]) in err
 
     @pytest.mark.parametrize("flags, config", [
+        (["--operators="], ""),
+        (["--operators", ","], ""),
+        ([], "OPERATORS =\n"),
+    ])
+    def test_empty_operator_set(self, tmp_path, capsys, flags, config):
+        # an empty --operators is an empty set, not the default one
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        rc = run_main(["tce", "--program", C.corpus_path("abs"), "--config", str(cfg),
+                       "--out", str(out), *flags])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: [mutate] empty operator set\n"
+        assert not (out / "tce.tsv").exists()
+
+    @pytest.mark.parametrize("flags, config", [
         (["--budget-seconds=-1"], ""),
         (["--budget-seconds=nan"], ""),
         ([], "MAX_STATES = -5\n"),

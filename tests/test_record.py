@@ -283,6 +283,7 @@ class TestPerClass:
 
         class Leaf:
             _vars = frozenset()
+            _divides = False
 
             def __repr__(self):
                 depths.append(len(_frames()))

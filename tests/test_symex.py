@@ -1,7 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
+from mutkill import cli
 from mutkill import interp as I
 from mutkill import lts as L
 from mutkill import mutation as M
@@ -248,6 +250,21 @@ def run(meta, targets, seeds=(), **cfg_kw):
     return X.explore(meta, targets, list(seeds), cfg, handle)
 
 
+def gen(out_dir, program: str, config: str) -> tuple:
+    """`mutkill gen` on a corpus program at PP=1.0 in semu mode, in this
+    process; its tests.txt and its stats.txt without the wall clock."""
+    manifest = cli.parse_config("MODE = semu\nPP = 1.0\nBUDGET_SECONDS = 600\n" + config,
+                                program=C.corpus_path(program), out_dir=str(out_dir))
+    cli.run_pipeline(manifest, stop="gen")
+    stats = (out_dir / "stats.txt").read_text()
+    return ((out_dir / "tests.txt").read_text(),
+            "".join(row for row in stats.splitlines(True) if not row.startswith("wall_clock=")))
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestEngine:
     def test_zero_state_budget_generates_nothing(self, fig1):
         _, _, _, meta = fig1
@@ -343,6 +360,32 @@ class TestEngine:
                        max_states=1000)
         assert queries and len(queries) == stats.solver_calls
 
+    def test_constant_divisors_get_no_error_branch(self, monkeypatch, tmp_path):
+        # countdown's AOR mutants divide by the literal 2, whose error
+        # condition `2 == 0` normalizes to false, so an error-path
+        # conjunction for it (6 360 under the benchmark's corpus
+        # configuration) would be built and never solved
+        for module in (T, S):
+            for value in list(vars(module).values()):
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+        built = []
+        conj = T.conj
+
+        def recording(items):
+            items = list(items)
+            built.append(items)
+            return conj(items)
+
+        monkeypatch.setattr(T, "conj", recording)
+        _, stats = gen(tmp_path, "countdown", "MAX_STATES = 1000\nMAX_DEPTH = 200\nRNG_SEED = 1\n")
+        zero = [c.left for items in built for c in items[-1:]
+                if isinstance(c, Cmp) and c.op == "==" and c.right == Lit(0)]
+        assert zero
+        assert not [d for d in zero if not T.has_division(d)
+                    and isinstance(T.normalize_int(d), Lit)]
+        assert "solver_calls=1210\n" in stats
+
     def test_stats_text_contains_counters(self, fig1):
         _, mutants, _, meta = fig1
         _, stats = run(meta, [C.golden_m1(mutants).id])
@@ -410,3 +453,18 @@ class TestCheckpointPlacement:
         locs = {loc for _, loc, _ in stats.checkpoint_events}
         branch_locs = [l for l in lts.locations if lts.info(l).kind == "branch"]
         assert locs == {branch_locs[2], branch_locs[5]}
+
+
+class TestDeepTerms:
+    """countdown's AOR mutant `x = x / 2` grows its store term by one
+    division per loop iteration, so MAX_DEPTH bounds how deep it gets."""
+
+    def test_deep_division_chains_explore_at_the_default_recursion_limit(self, tmp_path):
+        _, stats = gen(tmp_path, "countdown", "MAX_DEPTH = 1600\nOPERATORS = AOR\n")
+        assert "states_created=4970\n" in stats
+
+    def test_outputs_of_a_deep_run(self, tmp_path):
+        tests, stats = gen(tmp_path, "countdown", "MAX_DEPTH = 1100\nOPERATORS = AOR\n")
+        assert "states_created=3470\n" in stats
+        assert digest(tests) == "52f0d13a10581a6ac00d1e252a41dc56f45aa5550a8ba243298fa996e0ad8c34"
+        assert digest(stats) == "25104bcd4e03f81e98cef1aa0b2cf449917769f1d8e51a3b45866e9b6e2055a6"

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -413,3 +414,162 @@ class TestInterning:
         assert hash(t) == hash(build(DEPTH))
         assert T.variables(t) == {f"v{i}" for i in range(7)}
         assert t in {t: 1}
+
+
+def clear_term_caches():
+    for value in list(vars(T).values()):
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+def any_terms():
+    """Integer and boolean terms with `/`, `%`, Neg and Not, whose And and
+    Or nodes have 0, 1 or 2 items."""
+    ints = int_terms(division=True)
+    cmps = st.tuples(st.sampled_from(T.CMP_OPS), ints, ints).map(lambda t: Cmp(*t))
+    bools = st.recursive(
+        st.one_of(st.booleans().map(BoolLit), cmps),
+        lambda kids: st.one_of(
+            kids.map(Not),
+            st.lists(kids, max_size=2).map(lambda xs: And(tuple(xs))),
+            st.lists(kids, max_size=2).map(lambda xs: Or(tuple(xs))),
+        ),
+        max_leaves=8,
+    )
+    return st.one_of(ints, bools)
+
+
+def subterms(t):
+    if isinstance(t, (Bin, Cmp)):
+        return (t.left, t.right)
+    if isinstance(t, (Neg, Not)):
+        return (t.operand,)
+    if isinstance(t, (And, Or)):
+        return t.items
+    return ()
+
+
+# Plain recursive walks, each node's value kept in `memo` so that a chain
+# walked up from its bottom level recurses one level per call.
+
+
+def ref_divisors(t, memo):
+    if t not in memo:
+        out = [d for u in subterms(t) for d in ref_divisors(u, memo)]
+        if isinstance(t, Bin) and t.op in ("/", "%"):
+            out.append(t.right)
+        memo[t] = out
+    return memo[t]
+
+
+def ref_has_division(t, memo):
+    if t not in memo:
+        memo[t] = (isinstance(t, Bin) and t.op in ("/", "%")
+                   or any(ref_has_division(u, memo) for u in subterms(t)))
+    return memo[t]
+
+
+def ref_poly(t, memo):
+    """The polynomial of an integer term, by the rules of `normalize_int`."""
+    if t in memo:
+        return memo[t]
+    if isinstance(t, Lit):
+        p = T._Poly.const(t.value)
+    elif isinstance(t, Var):
+        p = T._Poly.atom(t)
+    elif isinstance(t, Neg):
+        p = -ref_poly(t.operand, memo)
+    elif t.op in ("+", "-", "*"):
+        a, b = ref_poly(t.left, memo), ref_poly(t.right, memo)
+        p = a + b if t.op == "+" else a - b if t.op == "-" else a * b
+    else:
+        left, right = ref_poly(t.left, memo).to_term(), ref_poly(t.right, memo).to_term()
+        if isinstance(left, Lit) and isinstance(right, Lit) and right.value != 0:
+            fold = T.trunc_div if t.op == "/" else T.trunc_mod
+            p = T._Poly.const(fold(left.value, right.value))
+        elif t.op == "/" and right == Lit(1):
+            p = ref_poly(left, memo)
+        else:
+            p = T._Poly.atom(Bin(t.op, left, right))
+    memo[t] = p
+    return p
+
+
+def int_chain(n):
+    """The levels of an integer term n deep, bottom first: each adds a
+    variable, a Neg or a literal to the one below, and every 1000th
+    divides it."""
+    levels = [Var("v0")]
+    for i in range(1, n):
+        t, v = levels[-1], Var(f"v{i % 7}")
+        if i % 1000 == 0:
+            t = Bin("/" if i % 2000 else "%", t, v)
+        else:
+            t = (Bin("+", t, v), Neg(t), Bin("-", t, Lit(i)))[i % 3]
+        levels.append(t)
+    return levels
+
+
+def bool_chain(n):
+    """The levels of a boolean term n deep, bottom first: Not, one-item Or
+    and two-item And in turn, every 300th And over a dividing comparison."""
+    levels = [T.TRUE]
+    for i in range(1, n):
+        t, v = levels[-1], Var(f"v{i % 7}")
+        if i % 3 < 2:
+            levels.append(Or((t,)) if i % 3 else Not(t))
+        else:
+            left = Bin("%", v, Lit(3)) if i // 3 % 300 == 0 else v
+            levels.append(And((Cmp("<", left, Lit(i)), t)))
+    return levels
+
+
+class TestNodeFacts:
+    """Each node's divisors, division flag, normal form and sort key are
+    computed once, from its subterms'; they equal plain walks."""
+
+    def test_divisors_come_in_post_order(self):
+        a, b, c, d = (Var(n) for n in "abcd")
+        t = Bin("/", Bin("/", a, Bin("%", b, c)), d)
+        assert list(T.divisors(t)) == [c, Bin("%", b, c), d]
+
+    @given(any_terms())
+    @settings(max_examples=300)
+    def test_facts_equal_plain_walks(self, t):
+        clear_term_caches()
+        assert list(T.divisors(t)) == ref_divisors(t, {})
+        assert T.has_division(t) == ref_has_division(t, {})
+        if isinstance(t, (Lit, Var, Bin, Neg)):
+            assert normalize_int(t) == ref_poly(t, {}).to_term()
+        assert T._sort_key(t) == repr(t)
+
+    @pytest.mark.parametrize("chain", [int_chain, bool_chain])
+    def test_chains_built_at_once(self, chain):
+        # the facts of the whole chain at once; the references walk it up
+        # from the bottom level
+        levels = chain(DEPTH)
+        top, ints = levels[-1], chain is int_chain
+        clear_term_caches()
+        got = [list(T.divisors(top)), T.has_division(top)]
+        if ints:
+            got.append(normalize_int(top))
+        divs, flags, polys = {}, {}, {}
+        for t in levels:
+            ref_divisors(t, divs)
+            ref_has_division(t, flags)
+            if ints:
+                ref_poly(t, polys)
+        want = [divs[top], flags[top]] + ([polys[top].to_term()] if ints else [])
+        assert got == want
+        assert len(divs[top]) > 3
+        clear_term_caches()
+
+    def test_sort_key_past_the_recursion_limit(self):
+        top = int_chain(1200)[-1]
+        key = T._sort_key(top)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(10_000)  # the record `repr` recurses per level
+        try:
+            assert key == repr(top)
+        finally:
+            sys.setrecursionlimit(limit)
