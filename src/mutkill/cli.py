@@ -191,9 +191,19 @@ def _read_valuations(path: Optional[str]) -> List[Dict[str, int]]:
 
 
 def _write(out_dir: str, name: str, content: str) -> None:
+    """Write `content` to `out_dir/name`.  A file that is already there is
+    overwritten in place and then cut to the new length: truncating it to
+    zero first costs several times more on ext4."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as f:
-        f.write(content)
+    data = memoryview(content.encode("utf-8"))
+    fd = os.open(os.path.join(out_dir, name), os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def run_pipeline(manifest: RunManifest, stop: str = "report",

@@ -2,28 +2,23 @@
 `replace` of a frozen dataclass, from one base class instead of code
 generated per class.
 
-A record's fields are set through each class's setters: a slot's member
-descriptor, or a store into the instance's `__dict__` for a field kept
-there.  Neither goes through `__setattr__`, which refuses every assignment.
-`replace` copies the fields into a new instance of a class that takes its
-construction from `Record`; a class with its own `__init__` or `__new__`,
-which checks its values or interns its instances, is rebuilt through it."""
+A record keeps its fields either all in slots, set through their member
+descriptors, or all in a `__dict__` of its own, set as one dict.  Neither
+goes through `__setattr__`, which refuses every assignment.  `replace`
+copies the fields into a new instance of a class that takes its
+construction from `Record`, a `__dict__` in one copy; a class with its own
+`__init__` or `__new__`, which checks its values or interns its instances,
+is rebuilt through it."""
 
 import operator
 import types
 
 
-def _dict_setter(name: str):
-    """The setter of the field `name` kept in the instance's `__dict__`."""
-    def set_field(record, value) -> None:
-        record.__dict__[name] = value
-    return set_field
-
-
 class Record:
     """A frozen record.  A subclass names its fields, in order, in
     `__slots__`, or in `_fields` where it keeps a `__dict__` (for
-    `cached_property`), and gives `_defaults` for the trailing ones.
+    `cached_property`, or for a `replace` that copies one dict), and gives
+    `_defaults` for the trailing ones.
     `repr`, equality and hashing leave out the fields in `_hidden`.
 
     The fields are set by the constructor, positionally or by name, and by
@@ -41,12 +36,13 @@ class Record:
         if cls._shown:
             # the compared value: a tuple, or the one field's value
             cls._compared = staticmethod(operator.attrgetter(*cls._shown))
-        # field -> setter(record, value), in field order
-        cls._setters = {}
-        for f in cls._fields:
-            slot = getattr(cls, f, None)
-            cls._setters[f] = (slot.__set__ if isinstance(slot, types.MemberDescriptorType)
-                               else _dict_setter(f))
+        slots = [getattr(cls, f, None) for f in cls._fields]
+        # whether the fields are kept in the instance's `__dict__`
+        cls._in_dict = cls.__dictoffset__ != 0 and not any(
+            isinstance(slot, types.MemberDescriptorType) for slot in slots)
+        # field -> setter(record, value) of a slot, in field order
+        cls._setters = {} if cls._in_dict else {
+            f: slot.__set__ for f, slot in zip(cls._fields, slots)}
         cls._copied = cls.__init__ is Record.__init__ and cls.__new__ is object.__new__
 
     @classmethod
@@ -65,6 +61,11 @@ class Record:
     def __init__(self, *args, **named) -> None:
         if named or len(args) != len(self._fields):
             args = self._complete(args, named)
+        if self._in_dict:
+            # a dict of its own, not one grown key by key from the class's
+            # shared keys: reading an attribute from it stays fast
+            object.__setattr__(self, "__dict__", dict(zip(self._fields, args)))
+            return
         for setter, value in zip(self._setters.values(), args):
             setter(self, value)
 
@@ -75,6 +76,16 @@ class Record:
             return cls(*[changes.pop(f) if f in changes else getattr(self, f)
                          for f in cls._fields], **changes)
         new = object.__new__(cls)
+        if cls._in_dict:
+            # one copy of the `__dict__`, less what cached properties keep
+            # there
+            fields = {**self.__dict__, **changes}
+            if len(fields) != len(cls._fields):
+                if not changes.keys() <= set(cls._fields):
+                    raise TypeError(f"{cls.__name__}() takes the fields {cls._fields}")
+                fields = {f: fields[f] for f in cls._fields}
+            object.__setattr__(new, "__dict__", fields)
+            return new
         for f, setter in cls._setters.items():
             setter(new, changes.pop(f) if f in changes else getattr(self, f))
         if changes:

@@ -5,14 +5,17 @@ the declared domains in a fixed order (lexicographic symbol names, ascending
 values) and returns the first satisfying valuation.  It is a decision
 procedure: every query of at most `MAX_POINTS` points is answered sat or
 unsat, whatever the machine's speed, and a larger one raises SolverFailure.
-It skips the points it can rule out without testing them: a large query runs
-as a generated loop nest whose ranges its linear conjuncts narrow, and a
-small one ANDs the truth sets of its conjuncts.  A truth set is computed
-column-wise, once per conjunct and domain: each integer subterm is evaluated
-once over all the domain's points, and the comparisons and connectives
-combine the columns as bitmasks.  Decisions are memoized by constraint and
-domains, so a query posed again costs one lookup.  The same machinery
-doubles as the exhaustive oracle used in tests.
+It skips the points it can rule out without testing them: a large query is
+normalized and runs as a generated loop nest whose ranges its linear
+conjuncts narrow.  A small one is not normalized: it ANDs the truth sets of
+its own parts, the path conditions and the difference of a kill query
+included.  Truth sets are computed column-wise, once per term and domains:
+each integer subterm is evaluated once over all the domain's points, and the
+comparisons and connectives combine the columns as bitmasks, so a path that
+grows by one guard costs the guard's truth set and one AND with the path's.
+Decisions are memoized by constraint and domains, so a query posed again
+costs one lookup.  The same machinery doubles as the exhaustive oracle used
+in tests.
 
 Division and modulo truncate toward zero, matching the interpreter; a
 comparison whose evaluation divides by zero is false (the concrete run would
@@ -53,6 +56,9 @@ class SolverResult(Record):
         return self.status == SAT
 
 
+_UNSAT = SolverResult(UNSAT)  # every unsat query's result
+
+
 class SolverHandle(Record):
     """The declared input domains: sorted (name, inclusive (lo, hi)) pairs.
     Every constraint symbol must appear here."""
@@ -65,11 +71,12 @@ class SolverHandle(Record):
 
 
 @functools.cache
-def _query_domains(c: BoolTerm, domains: Domains) -> Domains:
-    """The declared domains of `c`'s symbols, in name order."""
+def _query_domains(names: frozenset, domains: Domains) -> Domains:
+    """The declared domains of the symbols `names` of a query, in name
+    order."""
     dom = dict(domains)
     out = []
-    for name in sorted(T.variables(c)):
+    for name in sorted(names):
         if name not in dom:
             raise SolverFailure(f"symbol {name!r} has no declared domain")
         out.append((name, dom[name]))
@@ -77,22 +84,17 @@ def _query_domains(c: BoolTerm, domains: Domains) -> Domains:
 
 
 # Enumerations of at least this many points run as a generated loop nest
-# (`_enumerator`); smaller ones AND the cached truth sets of their conjuncts
+# (`_enumerator`); smaller ones AND the cached truth sets of their parts
 # (`_truth_set`), which compare the cached value columns of their integer
-# subterms (`_column`).  The bound lies between the corpus' largest query
-# (16 x 16 = 256 points) and two inputs over default domains (65 536
-# points).  A small query's conjuncts mostly recur in the next query down
-# the same path, and its store terms in many conjuncts, so evaluating each
-# once over the whole domain pays; generating code for such queries only
-# costs: compiling every query made countdown no faster and raised the
-# corpus' peak memory by a sixth.
+# subterms.  The bound lies between the corpus' largest query (16 x 16 =
+# 256 points) and two inputs over default domains (65 536 points).  A small
+# query's parts mostly recur in the next query down the same path, and its
+# store terms in many parts, so evaluating each once over the whole domain
+# pays; generating code for such queries only costs: compiling every query
+# made countdown no faster and raised the corpus' peak memory by a sixth.
 _COMPILE_MIN_POINTS = 4096
 # CPython nests at most 20 blocks in one function, and each loop is one
 _MAX_LOOPS = 20
-
-
-def _conjuncts(c: BoolTerm) -> tuple:
-    return c.items if isinstance(c, And) else (c,)
 
 
 def _unit_bounds(item: BoolTerm, v: str):
@@ -141,7 +143,7 @@ def _enumerator(c: BoolTerm, names: Tuple[str, ...]) -> Callable:
     levels: List[List[str]] = [[] for _ in range(len(loops) + 1)]
     lower = [[f"r{k}.start"] for k in range(len(loops))]
     stop = [[f"r{k}.stop"] for k in range(len(loops))]
-    for item in _conjuncts(c):
+    for item in c.items if isinstance(c, And) else (c,):
         k = max((binder[n] + 1 for n in T.variables(item)), default=0)
         bounds = k and len(loops[k - 1]) == 1 and _unit_bounds(item, names[loops[k - 1][0]])
         if not bounds:
@@ -169,6 +171,7 @@ def _enumerator(c: BoolTerm, names: Tuple[str, ...]) -> Callable:
     return src.functions("<mutkill constraint>")["models"]
 
 
+@functools.cache
 def _count(doms: Domains) -> int:
     """The number of points of the product of `doms`."""
     return math.prod(hi - lo + 1 for _, (lo, hi) in doms)
@@ -178,48 +181,91 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
           "/": T.trunc_div, "%": T.trunc_mod}
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
             ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # truth values as binary digits
 
 
 @functools.cache
-def _column(t: T.IntTerm, doms: Domains) -> tuple:
-    """The values of `t` at the points of the product of `doms`, in
-    `itertools.product` order; None where evaluating `t` divides by zero."""
-    if isinstance(t, Lit):
-        return (t.value,) * _count(doms)
-    if isinstance(t, Var):
-        sizes = [hi - lo + 1 for _, (lo, hi) in doms]
-        k = [n for n, _ in doms].index(t.name)
-        lo, hi = doms[k][1]
-        inner, outer = math.prod(sizes[k + 1:]), math.prod(sizes[:k])
-        return tuple([v for v in range(lo, hi + 1) for _ in range(inner)] * outer)
-    if isinstance(t, Neg):
-        return tuple(None if a is None else -a for a in _column(t.operand, doms))
-    fn = _ARITH[t.op]
-    divides = t.op in ("/", "%")
-    return tuple(None if a is None or b is None or divides and b == 0 else fn(a, b)
-                 for a, b in zip(_column(t.left, doms), _column(t.right, doms)))
+def _point_values(doms: Domains) -> dict:
+    """term -> its values at the points of the product of `doms`, for every
+    term a walk has evaluated over them: its column or truth set."""
+    return {}
 
 
 @functools.cache
+def _evaluator(doms: Domains) -> Callable:
+    """`value(t, memo)`: an integer term's column, its values at the points
+    of the product of `doms` in `itertools.product` order, None where
+    evaluating it divides by zero; a boolean term's truth set, those points
+    as a bitmask, bit i for the i-th point, at which it holds.  A comparison
+    is false where either side divides by zero, as in `T.holds`.  Both come
+    from the values of the term's subterms in `memo`."""
+    count = _count(doms)
+    everywhere = (1 << count) - 1
+    names = [n for n, _ in doms]
+    sizes = [hi - lo + 1 for _, (lo, hi) in doms]
+
+    def value(t: T.Term, memo: dict):
+        # only a term that divides has None in its column
+        if isinstance(t, And):
+            return functools.reduce(operator.and_, map(memo.__getitem__, t.items), everywhere)
+        if isinstance(t, Cmp):
+            left, right = memo[t.left], memo[t.right]
+            fn = _COMPARE[t.op]
+            if T.has_division(t):
+                holds = [a is not None and b is not None and fn(a, b)
+                         for a, b in zip(left, right)]
+            else:
+                holds = map(fn, left, right)
+            # one byte per point, 0 or 1, read as binary digits, last point first
+            return int(bytes(holds).translate(_DIGITS)[::-1], 2)
+        if isinstance(t, Bin):
+            left, right = memo[t.left], memo[t.right]
+            fn = _ARITH[t.op]
+            if T.has_division(t):
+                divides = t.op in ("/", "%")
+                return tuple(None if a is None or b is None or divides and b == 0 else fn(a, b)
+                             for a, b in zip(left, right))
+            return tuple(map(fn, left, right))
+        if isinstance(t, Lit):
+            return (t.value,) * count
+        if isinstance(t, Var):
+            k = names.index(t.name)
+            lo, hi = doms[k][1]
+            inner, outer = math.prod(sizes[k + 1:]), math.prod(sizes[:k])
+            return tuple([v for v in range(lo, hi + 1) for _ in range(inner)] * outer)
+        if isinstance(t, Neg):
+            if T.has_division(t):
+                return tuple(None if a is None else -a for a in memo[t.operand])
+            return tuple(map(operator.neg, memo[t.operand]))
+        if isinstance(t, Or):
+            return functools.reduce(operator.or_, map(memo.__getitem__, t.items), 0)
+        if isinstance(t, Not):
+            return everywhere ^ memo[t.operand]
+        if isinstance(t, BoolLit):
+            return everywhere if t.value else 0
+        raise TypeError(f"not a term: {t!r}")
+
+    return value
+
+
 def _truth_set(c: BoolTerm, doms: Domains) -> int:
-    """The points of the product of `doms` at which `c` holds, as a bitmask:
-    bit i stands for the i-th point in `itertools.product` order.  A
-    comparison is false where either side divides by zero, as in `T.holds`."""
-    if isinstance(c, Cmp):
-        fn = _COMPARE[c.op]
-        bits = ["0" if a is None or b is None or not fn(a, b) else "1"
-                for a, b in zip(_column(c.left, doms), _column(c.right, doms))]
-        return int("".join(reversed(bits)), 2)
-    everywhere = (1 << _count(doms)) - 1
-    if isinstance(c, BoolLit):
-        return everywhere if c.value else 0
-    if isinstance(c, Not):
-        return everywhere ^ _truth_set(c.operand, doms)
-    if isinstance(c, And):
-        return functools.reduce(operator.and_, [_truth_set(x, doms) for x in c.items], everywhere)
-    if isinstance(c, Or):
-        return functools.reduce(operator.or_, [_truth_set(x, doms) for x in c.items], 0)
-    raise TypeError(f"not a boolean term: {c!r}")
+    """The points of the product of `doms` at which `c` holds, as a bitmask
+    (`_evaluator`).  Every subterm's values are computed once per domains,
+    post-order on an explicit stack, so a path that grows by a guard costs
+    the guard's truth set and one AND with the path's, at any depth."""
+    return T._bottom_up(_evaluator(doms), c, memo=_point_values(doms))
+
+
+@functools.cache
+def _point(i: int, doms: Domains) -> Dict[str, int]:
+    """The i-th point of the product of `doms`, decoded in mixed radix (last
+    name fastest); shared by every model at that point, so it must not be
+    changed."""
+    values = []
+    for _, (lo, hi) in reversed(doms):
+        i, digit = divmod(i, hi - lo + 1)
+        values.append(lo + digit)
+    return dict(zip([name for name, _ in doms], reversed(values)))
 
 
 def enumerate_models(c: BoolTerm, h: SolverHandle) -> Iterator[Dict[str, int]]:
@@ -231,31 +277,24 @@ def enumerate_models(c: BoolTerm, h: SolverHandle) -> Iterator[Dict[str, int]]:
 
 def _models(c: BoolTerm, domains: Domains) -> Iterator[Dict[str, int]]:
     """`enumerate_models` over a handle's `domains`."""
-    doms = _query_domains(c, domains)
+    doms = _query_domains(T.variables(c), domains)
     total = _count(doms)
     if total > MAX_POINTS:
         raise SolverFailure(f"domain too large for enumeration: {total} points over "
                             f"{', '.join(n for n, _ in doms)} (limit {MAX_POINTS}); "
                             "narrow their declared domains")
-    names = tuple(n for n, _ in doms)
-    # both paths test the normalized constraint, which is smaller (a kill
-    # query's two paths share a prefix) and has the same models
-    norm = T.normalize_bool(c)
     if total >= _COMPILE_MIN_POINTS:
+        # the loop nest tests the normalized constraint, which is smaller (a
+        # kill query's two paths share a prefix) and has the same models
+        names = tuple(n for n, _ in doms)
+        norm = T.normalize_bool(c)
         yield from _enumerator(norm, names)(*(range(lo, hi + 1) for _, (lo, hi) in doms))
         return
-    mask = (1 << total) - 1
-    for item in _conjuncts(norm):
-        mask &= _truth_set(item, doms)
+    mask = _truth_set(c, doms)
     while mask:
-        # the lowest point left, decoded in mixed radix (last name fastest)
-        i = (mask & -mask).bit_length() - 1
+        # the lowest point left
+        yield dict(_point((mask & -mask).bit_length() - 1, doms))
         mask &= mask - 1
-        values = []
-        for _, (lo, hi) in reversed(doms):
-            i, digit = divmod(i, hi - lo + 1)
-            values.append(lo + digit)
-        yield dict(zip(names, reversed(values)))
 
 
 def is_satisfiable(c: BoolTerm, h: SolverHandle) -> SolverResult:
@@ -267,12 +306,21 @@ def is_satisfiable(c: BoolTerm, h: SolverHandle) -> SolverResult:
 
 @functools.cache
 def _decide(c: BoolTerm, domains: Domains) -> SolverResult:
+    try:
+        doms = _query_domains(T.variables(c), domains)
+    except SolverFailure:
+        doms = None
+    if doms is not None and _count(doms) < _COMPILE_MIN_POINTS:
+        # the truth set of the query as posed is empty where its normal form
+        # is false; its model is total over the query's symbols
+        mask = _truth_set(c, doms)
+        return SolverResult(SAT, _point((mask & -mask).bit_length() - 1, doms)) if mask else _UNSAT
+    # any other query that normalizes to false is unsat, whatever its domains
     if T.normalize_bool(c) == T.FALSE:
-        return SolverResult(UNSAT)
-    # enumerate over the original constraint's symbols so the model is total
+        return _UNSAT
     for model in _models(c, domains):
         return SolverResult(SAT, model)
-    return SolverResult(UNSAT)
+    return _UNSAT
 
 
 # ---------------------------------------------------------------------------

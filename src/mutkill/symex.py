@@ -18,6 +18,7 @@ the mutant), and `vanilla` (ignore mutants; one test per terminal path).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -92,9 +93,10 @@ class SymbolicState(Record):
     following seeds.  `forked` holds the mutant IDs already forked on this
     path; `status` is live | terminal | error."""
 
-    __slots__ = ("path", "store", "out", "loc", "mut_id", "depth", "trail",
-                 "fork_trail", "checkpoints_passed", "branch_count",
-                 "compatible_seeds", "forked", "status")
+    # kept in the instance's `__dict__`, which `replace` copies in bulk
+    _fields = ("path", "store", "out", "loc", "mut_id", "depth", "trail",
+               "fork_trail", "checkpoints_passed", "branch_count",
+               "compatible_seeds", "forked", "status")
     _defaults = {"trail": (), "fork_trail": None, "checkpoints_passed": 0,
                  "branch_count": 0, "compatible_seeds": (), "forked": frozenset(),
                  "status": "live"}
@@ -270,7 +272,8 @@ def initial_state(lts: Lts, mut_id: int = 0) -> SymbolicState:
                          mut_id=mut_id, depth=0)
 
 
-def _may_be_zero(t: T.Term) -> List[IntTerm]:
+@functools.cache
+def _may_be_zero(t: T.Term) -> Tuple[IntTerm, ...]:
     """The divisors of `t` that get an error branch: all but those whose
     normal form is a nonzero literal and whose own term does not divide.
     For those `d == 0` normalizes to false and `d != 0` to true, so they
@@ -280,7 +283,7 @@ def _may_be_zero(t: T.Term) -> List[IntTerm]:
         n = T.normalize_int(d)
         if not isinstance(n, Lit) or n.value == 0 or T.has_division(d):
             out.append(d)
-    return out
+    return tuple(out)
 
 
 def _take(s: SymbolicState, i: int, transition: Transition):
@@ -300,7 +303,9 @@ def _take(s: SymbolicState, i: int, transition: Transition):
     for name, term in update:
         store[name] = T.normalize_int(term)
     fields = {
-        "path": T.conj([s.path] + ([] if g == T.TRUE else [g])),
+        # the guard as taken: its normal form `g` is already memoized, and
+        # normalizing `g` itself would be one more miss
+        "path": T.conj([s.path] + ([] if g == T.TRUE else [guard])),
         "store": tuple(sorted(store.items())) if update else s.store,
         "out": s.out + (T.normalize_int(emit),) if emit is not None else s.out,
         "loc": dst, "depth": s.depth + 1, "trail": s.trail + (i,),
@@ -397,8 +402,7 @@ class _Engine:
             return False
         seen.add(key)
         self.stats.tests_per_mutant[mutant_id] = count + 1
-        self.tests.append(GeneratedTest(inputs=key, mutant_id=mutant_id,
-                                        site=site, k=k))
+        self.tests.append(GeneratedTest(key, mutant_id, site, k))
         return True
 
     def quota_left(self, mutant_id: int) -> bool:
@@ -422,7 +426,7 @@ class _Engine:
             (guard, update, emit), fields = taken
             # division safety: split off error paths, guard the main path
             guard_divs = _may_be_zero(guard)
-            divs = guard_divs + [d for _, term in update for d in _may_be_zero(term)]
+            divs = [*guard_divs, *(d for _, term in update for d in _may_be_zero(term))]
             if emit is not None:
                 divs += _may_be_zero(emit)
             nonzero = [Cmp("!=", d, Lit(0)) for d in divs]

@@ -22,6 +22,7 @@ truncated-toward-zero semantics (like C); dividing by zero raises
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -381,11 +382,12 @@ def _memo(fact) -> dict:
     return {}
 
 
-def _bottom_up(fact, t: Term, subterms=_subterms):
+def _bottom_up(fact, t: Term, subterms=_subterms, memo=None):
     """The value `fact(t, memo)` for `t`, where `fact` builds a node's value
-    from the values in `memo` of its `subterms`; those without one get
-    theirs first."""
-    memo = _memo(fact)
+    from the values in `memo` (by default `_memo(fact)`) of its `subterms`;
+    those without one get theirs first."""
+    if memo is None:
+        memo = _memo(fact)
     stack = [t]
     while stack:
         u = stack[-1]
@@ -820,6 +822,109 @@ def _contradicts(a: BoolTerm, b: BoolTerm) -> bool:
     return False
 
 
+# `_contradicts` recognizes a contradiction only between comparisons in one
+# direction: the non-constant part of their polynomials, divided by its
+# content and by the sign of its leading coefficient.  So a conjunction
+# that grows by an item checks it only against its items in that
+# direction, which `_signatures` lists.
+
+
+@functools.cache
+def _signatures() -> tuple:
+    """(atom -> its `_signature_of`, direction -> the atoms that have it,
+    the conjunctions all of whose items are listed), for the atoms of the
+    conjunctions built so far; kept, like the caches in front of it, until
+    `cache_clear`."""
+    return {}, {}, set()
+
+
+def _signature_of(atom: BoolTerm):
+    """(direction, sign of the leading coefficient, op) of a normalized
+    comparison `p OP 0`, or of one under a `Not`, with the op "not".  None,
+    which may contradict any atom, for an atom of another shape and for a
+    constant `p`."""
+    c = atom.operand if isinstance(atom, Not) else atom
+    if not (isinstance(c, Cmp) and c.right == Lit(0)):
+        return None
+    terms = {m: k for m, k in _to_poly(c.left).coeffs.items() if m}
+    if not terms:
+        return None
+    sign = _Poly(terms).leading_sign()
+    g = sign * math.gcd(*terms.values())
+    direction = frozenset((m, k // g) for m, k in terms.items())
+    return direction, sign, "not" if c is not atom else c.op
+
+
+def _signature(atom: BoolTerm):
+    """`_signature_of(atom)`, computed once; the atom is then listed under
+    its direction."""
+    sigs, by_direction, _ = _signatures()
+    if atom not in sigs:
+        sig = sigs[atom] = _signature_of(atom)
+        by_direction.setdefault(sig and sig[0], []).append(atom)
+    return sigs[atom]
+
+
+def _compatible(a, b) -> bool:
+    """Whether atoms with the signatures `a` and `b` may contradict: only
+    comparisons in one direction can.  Of those, `p < 0` and `q < 0`
+    contradict only with opposite signs, and `p != 0` only an equation."""
+    if a is None or b is None:
+        return True
+    if a[0] != b[0]:
+        return False
+    ops = {a[2], b[2]}
+    if ops == {"<"}:
+        return a[1] != b[1]
+    return "not" in ops or "==" in ops
+
+
+def _position(items: tuple, item: BoolTerm) -> int:
+    """The index of `item` in the `_sort_key`-sorted `items`; or, if it is
+    not there, `-1 - ` the index where it would go."""
+    i = bisect.bisect_left(items, _sort_key(item), key=_sort_key)
+    return i if i < len(items) and items[i] is item else -1 - i
+
+
+def _partners(sig, base: tuple, held: dict) -> list:
+    """The items of a conjunction being built that an atom with the
+    signature `sig` may contradict, each with the bits of the children that
+    hold it: `base` holds the items of the largest child, bit 0, and `held`
+    maps the items of the others to their bits."""
+    _, by_direction, _ = _signatures()
+    named = by_direction.get(sig and sig[0], ())
+    wild = by_direction.get(None, ()) if sig else ()
+    if sig is None or len(named) + len(wild) > len(base):
+        return ([(a, held.get(a, 0) | 1) for a in base]
+                + [(a, bits) for a, bits in held.items() if not bits & 1])
+    out = []
+    for a in itertools.chain(named, wild):
+        bits = held.get(a)
+        if bits is None and _position(base, a) < 0:
+            continue  # not an item of this conjunction
+        out.append((a, 1 if bits is None else bits))
+    return out
+
+
+def _contradiction(first: BoolTerm, base: tuple, held: dict, new: list) -> bool:
+    """Whether an item in `new` contradicts another item of the conjunction
+    whose largest child `first` has the items `base`, bit 0, and whose other
+    children's items `held` maps to their bits.  Only items of no common
+    child can: each child is free of contradictions."""
+    sigs, _, listed = _signatures()
+    for item in itertools.chain(() if first in listed else base, new):
+        _signature(item)
+    done = set()
+    for b in new:
+        bits, sig = held[b], sigs[b]
+        for a, a_bits in _partners(sig, base, held):
+            if (not a_bits & bits and a not in done
+                    and _compatible(sigs[a], sig) and _contradicts(a, b)):
+                return True
+        done.add(b)
+    return False
+
+
 @functools.cache
 def normalize_bool(t: BoolTerm) -> BoolTerm:
     """Canonical (negation-normal, flattened, sorted) form of a boolean term.
@@ -848,40 +953,45 @@ def normalize_bool(t: BoolTerm) -> BoolTerm:
         return normalize_bool(neg)
     if isinstance(t, (And, Or)):
         is_and = isinstance(t, And)
+        node = And if is_and else Or
         absorb = FALSE if is_and else TRUE
         identity = TRUE if is_and else FALSE
-        # each flattened item, with one bit per child that held it
-        held: Dict[BoolTerm, int] = {}
-        for bit, x in enumerate(t.items):
+        children = []
+        for x in t.items:
             nx = normalize_bool(x)
             if nx == absorb:
                 return absorb
-            if nx == identity:
-                continue
-            flat = nx.items if isinstance(nx, And if is_and else Or) else (nx,)
-            if not held:
-                held = dict.fromkeys(flat, 1 << bit)
-                continue
-            for item in flat:
-                held[item] = held.get(item, 0) | 1 << bit
-        if is_and:
-            # two items of one normalized conjunction do not contradict: a
-            # path that grows by a guard checks the guard against the path
-            groups: Dict[int, List[BoolTerm]] = {}
-            for item, children in held.items():
-                groups.setdefault(children, []).append(item)
-            masks = list(groups)
-            for i, in_a in enumerate(masks):
-                for in_b in masks[i + 1:]:
-                    if in_a & in_b:
-                        continue
-                    pairs = itertools.product(groups[in_a], groups[in_b])
-                    if any(itertools.starmap(_contradicts, pairs)):
-                        return FALSE
-        seen = sorted(held, key=_sort_key)
-        if not seen:
+            if nx != identity:
+                children.append(nx)
+        if not children:
             return identity
-        if len(seen) == 1:
-            return seen[0]
-        return And(tuple(seen)) if is_and else Or(tuple(seen))
+        # the other children's items are merged into the largest child's,
+        # which are sorted and, in a conjunction, contradict no other: a
+        # path that grows by a guard checks the guard against the path's
+        # items of the same direction only
+        sizes = [len(c.items) if isinstance(c, node) else 1 for c in children]
+        first = children.pop(sizes.index(max(sizes)))
+        base = first.items if isinstance(first, node) else (first,)
+        held: Dict[BoolTerm, int] = {}  # item -> one bit per child holding it, base 1
+        for bit, child in enumerate(children, 1):
+            for item in child.items if isinstance(child, node) else (child,):
+                held[item] = held.get(item, 0) | 1 << bit
+        new = {}  # an item outside `base` -> where it goes in `base`
+        for item in held:
+            i = _position(base, item)
+            if i < 0:
+                new[item] = -1 - i
+            else:
+                held[item] |= 1
+        if not new:
+            return first
+        if is_and and _contradiction(first, base, held, list(new)):
+            return FALSE
+        items = list(base)
+        for item in sorted(new, key=_sort_key, reverse=True):
+            items.insert(new[item], item)
+        out = node(tuple(items))
+        if is_and:
+            _signatures()[2].add(out)
+        return out
     raise TypeError(f"not a boolean term: {t!r}")

@@ -202,6 +202,23 @@ class TestPipeline:
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
+class TestWrite:
+    """An output file that is already there is overwritten in place and
+    then cut to the new length."""
+
+    def test_a_shorter_rewrite_leaves_exactly_the_new_bytes(self, tmp_path):
+        cli._write(str(tmp_path), "out.txt", "x=1\nlonger first text \u00e9\n")
+        cli._write(str(tmp_path), "out.txt", "y=\u00e9\n")
+        assert (tmp_path / "out.txt").read_bytes() == "y=\u00e9\n".encode("utf-8")
+
+    def test_a_longer_rewrite_and_an_empty_one(self, tmp_path):
+        cli._write(str(tmp_path / "new"), "out.txt", "ab\n")
+        cli._write(str(tmp_path / "new"), "out.txt", "abcdef\n" * 1000)
+        assert (tmp_path / "new" / "out.txt").read_text() == "abcdef\n" * 1000
+        cli._write(str(tmp_path / "new"), "out.txt", "")
+        assert (tmp_path / "new" / "out.txt").read_bytes() == b""
+
+
 class TestStartup:
     def test_bounded_path_imports_no_dataclasses_or_subprocess(self, tmp_path):
         # a fresh interpreter without `site`, so that only mutkill imports;

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import sys
@@ -287,7 +288,7 @@ class TestCompiledEnumeration:
 
 class TestTruthSets:
     """Queries of fewer than `_COMPILE_MIN_POINTS` points AND the truth sets
-    of their conjuncts, each computed once per conjunct and domain."""
+    of their own subterms, each computed once per term and domains."""
 
     def test_prefix_sharing_queries_evaluate_each_conjunct_once_per_point(self, monkeypatch):
         atoms = [Cmp("!=", Bin("+", x, y), Lit(2)), Cmp(">", x, Lit(-6)),
@@ -390,6 +391,74 @@ class TestTruthSetColumns:
         assert calls == []
 
 
+def engine_queries():
+    """(domains, query shaped like the engine's): a path is a chain of
+    binary `And`s, one guard per step, and a kill query the `And` of two
+    paths and an `Or` of `!=`.  Guards compare sums, products, quotients
+    and remainders, whose divisors are zero at some points or at all, and
+    may be negated as the engine negates a guard that divides."""
+    def queries(doms):
+        names = [n for n, _ in doms]
+        ints = st.recursive(
+            st.one_of(st.integers(-3, 3).map(Lit), st.sampled_from(names).map(Var)),
+            lambda kids: st.tuples(st.sampled_from(T.ARITH_OPS), kids, kids).map(
+                lambda t: Bin(t[0], t[1], t[2])),
+            max_leaves=4)
+        cmps = st.tuples(st.sampled_from(T.CMP_OPS), ints, ints).map(
+            lambda t: Cmp(t[0], t[1], t[2]))
+        paths = st.lists(cmps | cmps.map(Not), min_size=1, max_size=6).map(
+            lambda guards: functools.reduce(lambda p, g: And((p, g)), guards, T.TRUE))
+        diffs = st.lists(st.tuples(ints, ints), min_size=1, max_size=3).map(
+            lambda pairs: T.disj([Cmp("!=", a, b) for a, b in pairs]))
+        kills = st.tuples(paths, paths, diffs).map(And)
+        return st.tuples(st.just(doms), paths | kills)
+    return st.sampled_from(SMALL_DOMAINS).flatmap(queries)
+
+
+def normalized_first_model(c, doms):
+    """The first model of `c` as the solver found it before it ANDed the
+    query's own truth sets: None if `c` normalizes to false, else the first
+    point, in the solver's order over `c`'s variables, at which the normal
+    form holds."""
+    norm = T.normalize_bool(c)
+    if norm == T.FALSE:
+        return None
+    names = [n for n, _ in doms if n in T.variables(c)]
+    ranges = [range(lo, hi + 1) for n, (lo, hi) in doms if n in T.variables(c)]
+    for values in itertools.product(*ranges):
+        env = dict(zip(names, values))
+        if T.holds(norm, env):
+            return env
+    return None
+
+
+class TestRawQueries:
+    """A small query is decided from the truth sets of its own subterms, the
+    path's parts included, without normalizing it."""
+
+    @given(q=engine_queries())
+    # 0 % x divides by zero at x = 0, where the negated guard holds
+    @example(q=(SMALL_DOMAINS[0], And((And((T.TRUE, Not(Cmp("<", Bin("%", Lit(0), x), Lit(1))))),
+                                       Cmp(">=", x, Lit(0))))))
+    @settings(max_examples=300, deadline=None)
+    def test_verdict_and_first_model_match_normalize_then_enumerate(self, q):
+        doms, c = q
+        r = S.is_satisfiable(c, S.SolverHandle(doms))
+        want = normalized_first_model(c, doms)
+        assert (r.status, r.model) == ((S.UNSAT, None) if want is None else (S.SAT, want))
+
+    def test_a_deep_path_is_decided_at_the_default_recursion_limit(self):
+        # a path of 3000 guards none of whose prefixes was decided, as for a
+        # state that follows seeds: its truth set is built on an explicit
+        # stack, one AND per level
+        v = Var("deep_path_x")
+        path = T.TRUE
+        for i in range(3000):
+            path = And((path, Cmp("!=", v, Lit(i % 5))))
+        h = S.SolverHandle.bounded({"deep_path_x": (0, 7)})
+        assert S.is_satisfiable(path, h) == S.SolverResult(S.SAT, {"deep_path_x": 5})
+
+
 class TestDecisionMemo:
     """`is_satisfiable` memoizes each decision by constraint and domains."""
 
@@ -398,7 +467,7 @@ class TestDecisionMemo:
         h = S.SolverHandle.bounded({"memo_x": (0, 7)})
         first = S.is_satisfiable(c, h)
         assert first == S.SolverResult(S.SAT, {"memo_x": 2})
-        # deciding a query normalizes it first; a repeated one is looked up
+        # a repeated query is looked up, not normalized or evaluated again
         normalized = []
         normalize = T.normalize_bool
 
