@@ -17,9 +17,8 @@ dense and 1-based; 0 always selects the original program.
 
 from __future__ import annotations
 
-import functools
 from functools import cached_property
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import terms as T
 from .lts import GuardedCommand, Lts, Transition
@@ -261,24 +260,42 @@ def _row(transition: Transition) -> tuple:
     guard = T.normalize_bool(gc.guard)
     # identity updates (v = v) are no-ops and must not mask duplicates
     update = tuple(sorted(
-        (v, repr(norm)) for v, e in gc.update
+        (v, T._sort_key(norm)) for v, e in gc.update
         if (norm := T.normalize_int(e)) != Var(v)))
-    emit = repr(T.normalize_int(gc.emit)) if gc.emit is not None else ""
-    return (src, dst, repr(guard), update, emit)
+    emit = T._sort_key(T.normalize_int(gc.emit)) if gc.emit is not None else ""
+    return (src, dst, T._sort_key(guard), update, emit)
 
 
-def _normal_form(lts: Lts, row: Callable[[Transition], tuple] = _row) -> str:
+def _normal_form(lts: Lts) -> str:
     """Canonical serialization after algebraic normalization of every guard,
     update term, and output term: the sorted rows of the transitions."""
-    return repr(sorted(map(row, lts.transitions)))
+    return repr(sorted(map(_row, lts.transitions)))
+
+
+def _printed(rows: List[tuple], text: Dict[tuple, str]) -> str:
+    """`repr(rows)`, with the `repr` of each row that has one in `text`."""
+    return "[" + ", ".join([text.get(r) or repr(r) for r in rows]) + "]"
 
 
 def tce_filter(lts: Lts, mutants: Sequence[Mutant]) -> TceReport:
-    # a mutant shares all but its replaced transitions with the original:
-    # each transition's row is computed once
-    row = functools.cache(_row)
-    original = _normal_form(lts, row)
-    forms: Dict[int, str] = {m.id: _normal_form(apply_mutant(lts, m), row) for m in mutants}
+    # a mutant's program is the original minus its removed transitions plus
+    # its replacement, so its normal form is the original's sorted rows
+    # minus those of the removed transitions plus those of the replacement:
+    # the original's rows are computed, sorted and printed once
+    transitions = lts.transitions
+    rows = [_row(t) for t in transitions]
+    text = {r: repr(r) for r in rows}
+    ranked = sorted(range(len(rows)), key=rows.__getitem__)
+    at: Dict[int, List[int]] = {}  # source location -> indices of its transitions
+    for i, (src, _, _) in enumerate(transitions):
+        at.setdefault(src, []).append(i)
+    original = _printed([rows[i] for i in ranked], text)
+    forms: Dict[int, str] = {}
+    for m in mutants:
+        # every transition equal to a removed one goes, as in `apply_mutant`
+        gone = {i for t in m.removed for i in at.get(t[0], ()) if transitions[i] == t}
+        kept = [rows[i] for i in ranked if i not in gone]
+        forms[m.id] = _printed(sorted(kept + [_row(t) for t in m.replacement]), text)
     equivalent = tuple(sorted(i for i, f in forms.items() if f == original))
     by_form: Dict[str, List[int]] = {}
     for i, f in sorted(forms.items()):

@@ -14,8 +14,13 @@ each integer subterm is evaluated once over all the domain's points, and the
 comparisons and connectives combine the columns as bitmasks, so a path that
 grows by one guard costs the guard's truth set and one AND with the path's.
 Decisions are memoized by constraint and domains, so a query posed again
-costs one lookup.  The same machinery doubles as the exhaustive oracle used
-in tests.
+costs one lookup.  A large query that extends decided ones starts from their
+answers, before it is normalized: it is unsat if a conjunct was decided
+unsat; otherwise, if its other conjuncts hold at a decided conjunct's first
+model, completed with the low bound of each symbol the conjunct does not
+mention, that point is its first model.  This is exact, not a guess: every
+point before it in the enumeration order falsifies that conjunct.  The same
+machinery doubles as the exhaustive oracle used in tests.
 
 Division and modulo truncate toward zero, matching the interpreter; a
 comparison whose evaluation divides by zero is false (the concrete run would
@@ -27,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import terms as T
 from .record import Record
@@ -305,7 +310,22 @@ def is_satisfiable(c: BoolTerm, h: SolverHandle) -> SolverResult:
 
 
 @functools.cache
+def _decisions(domains: Domains) -> dict:
+    """constraint -> its decision over `domains`, for every query decided
+    over them: the memo in front of `_solve`, which also tells the solver
+    whether a query's conjunct was decided."""
+    return {}
+
+
 def _decide(c: BoolTerm, domains: Domains) -> SolverResult:
+    decided = _decisions(domains)
+    res = decided.get(c)
+    if res is None:
+        res = decided[c] = _solve(c, domains, decided)
+    return res
+
+
+def _solve(c: BoolTerm, domains: Domains, decided: dict) -> SolverResult:
     try:
         doms = _query_domains(T.variables(c), domains)
     except SolverFailure:
@@ -315,12 +335,45 @@ def _decide(c: BoolTerm, domains: Domains) -> SolverResult:
         # is false; its model is total over the query's symbols
         mask = _truth_set(c, doms)
         return SolverResult(SAT, _point((mask & -mask).bit_length() - 1, doms)) if mask else _UNSAT
+    if doms is not None and _count(doms) <= MAX_POINTS:
+        # a large query that extends a decided one is not compiled
+        res = _from_conjuncts(c, doms, decided)
+        if res is not None:
+            return res
     # any other query that normalizes to false is unsat, whatever its domains
     if T.normalize_bool(c) == T.FALSE:
         return _UNSAT
     for model in _models(c, domains):
         return SolverResult(SAT, model)
     return _UNSAT
+
+
+def _from_conjuncts(c: BoolTerm, doms: Domains, decided: dict) -> Optional[SolverResult]:
+    """The decision of `c` over `doms` from those of its conjuncts, or None.
+    `c` is unsat if a conjunct is.  Otherwise take the decided conjunct
+    whose first model, completed with the low bound of each symbol it does
+    not mention, comes last in the enumeration order: every point before
+    that completed model falsifies the conjunct, so if the other conjuncts
+    hold there, it is the first model of `c`; if they do not, no earlier
+    decided conjunct's model is a model of `c` either."""
+    if not isinstance(c, And):
+        return None
+    best = best_key = None
+    for item in c.items:
+        res = decided.get(item)
+        if res is None:
+            continue
+        if not res.is_sat:
+            return _UNSAT
+        key = tuple(res.model.get(n, lo) for n, (lo, _) in doms)
+        if best is None or key > best_key:
+            best, best_key = item, key
+    if best is None:
+        return None
+    model = dict(zip([n for n, _ in doms], best_key))
+    if all(T.holds(item, model) for item in c.items if item is not best):
+        return SolverResult(SAT, model)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -225,20 +225,26 @@ def select_branches(candidates: Sequence[SymbolicState], cfg: Config,
 
 def apply_precondition(state: SymbolicState, seeds: Sequence[Dict[str, int]],
                        cfg: Config, release_depth: Optional[int],
-                       mutation_points: Set[int]) -> Tuple[str, Tuple[int, ...]]:
+                       mutation_points: Set[int],
+                       added: Optional[Sequence[BoolTerm]] = None
+                       ) -> Tuple[str, Tuple[int, ...]]:
     """Seeded-mode decision for a state that follows its parent's compatible
     seeds, with the seeds it follows next: release once the precondition
     length is reached, follow while some compatible seed satisfies the prefix
     condition (the membership condition for retained prefixes), prune
     otherwise.  Paths only grow, so a seed that the parent's path excluded
-    cannot satisfy the child's."""
+    cannot satisfy the child's, and one that it kept satisfies the child's
+    where it satisfies the conjuncts `added` to it by the step (by default,
+    the whole path is checked)."""
     if cfg.pl == "GMD2MS":
         if release_depth is not None and state.depth >= release_depth:
             return RELEASE, ()
     else:  # SMD2MS: this path reached a mutated statement
         if state.loc in mutation_points:
             return RELEASE, ()
-    compat = tuple(j for j in state.compatible_seeds if T.holds(state.path, seeds[j]))
+    checked = (state.path,) if added is None else added
+    compat = tuple(j for j in state.compatible_seeds
+                   if all(T.holds(c, seeds[j]) for c in checked))
     return (FOLLOW if compat else PRUNE), compat
 
 
@@ -452,6 +458,8 @@ class _Engine:
             if T.normalize_bool(pc) == T.FALSE:
                 self.stats.pruned_infeasible += 1
                 continue
+            # the conjuncts this step adds to the parent's path
+            added = nonzero if fields["path"] is s.path else [guard, *nonzero]
             fields["path"] = pc
             if branching and s.mut_id:
                 fields["branch_count"] = s.branch_count + 1
@@ -459,7 +467,7 @@ class _Engine:
             # seeded mode: release / follow / prune
             if nxt.compatible_seeds:
                 verdict, compat = apply_precondition(nxt, self.seeds, self.cfg,
-                                                     self.release_depth, self.points)
+                                                     self.release_depth, self.points, added)
                 if verdict == PRUNE:
                     self.stats.pruned_seed += 1
                     continue

@@ -311,21 +311,42 @@ def eval_bool(t: BoolTerm, env: Mapping[str, int]) -> bool:
 def holds(t: BoolTerm, env: Mapping[str, int]) -> bool:
     """Constraint-style evaluation: a comparison whose evaluation divides by
     zero counts as false (the corresponding concrete execution errors out and
-    is handled by the error-output path, not the solver)."""
-    if isinstance(t, BoolLit):
-        return t.value
-    if isinstance(t, Cmp):
-        try:
-            return _cmp(t.op, eval_int(t.left, env), eval_int(t.right, env))
-        except EvalError:
-            return False
-    if isinstance(t, Not):
-        return not holds(t.operand, env)
-    if isinstance(t, And):
-        return all(holds(x, env) for x in t.items)
-    if isinstance(t, Or):
-        return any(holds(x, env) for x in t.items)
-    raise TypeError(f"not a boolean term: {t!r}")
+    is handled by the error-output path, not the solver).  Nested `And`,
+    `Or` and `Not` are walked on an explicit stack, short-circuiting, so a
+    path of any length costs a few Python frames."""
+    # the open connectives: (their items left, the item value that decides
+    # them, whether they are negated)
+    frames: List[tuple] = []
+    negated = False
+    while True:
+        if isinstance(t, Not):
+            negated = not negated
+            t = t.operand
+            continue
+        if isinstance(t, (And, Or)):
+            frames.append((iter(t.items), isinstance(t, Or), negated))
+            value = None  # no item decided yet
+        elif isinstance(t, Cmp):
+            try:
+                value = _cmp(t.op, eval_int(t.left, env), eval_int(t.right, env)) != negated
+            except EvalError:
+                value = negated
+        elif isinstance(t, BoolLit):
+            value = bool(t.value) != negated
+        else:
+            raise TypeError(f"not a boolean term: {t!r}")
+        while frames:
+            items, decisive, negated = frames[-1]
+            if value is not decisive:
+                t = next(items, None)
+                if t is not None:
+                    negated = False
+                    break
+                value = not decisive
+            frames.pop()
+            value = value != negated
+        else:
+            return value
 
 
 # ---------------------------------------------------------------------------

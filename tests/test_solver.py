@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import operator
 import sys
 import time
 
@@ -68,6 +69,16 @@ class TestBounded:
         with pytest.raises(S.SolverFailure, match="too large") as e:
             S.is_satisfiable(c, wide)
         assert f"{1 << 24} points over x, y, z (limit {S.MAX_POINTS})" in str(e.value)
+
+    def test_enumeration_cap_holds_when_a_conjunct_was_decided(self):
+        # x < 0 alone is decided with the model x = -128, at which y < 0 and
+        # z < 0 hold too; the query is still too large to decide
+        wide = S.SolverHandle.bounded({n: (-128, 127) for n in "xyz"})
+        first = Cmp("<", Var("x"), Lit(0))
+        assert S.is_satisfiable(first, wide).model == {"x": -128}
+        c = And((first, Cmp("<", Var("y"), Lit(0)), Cmp("<", Var("z"), Lit(0))))
+        with pytest.raises(S.SolverFailure, match="too large"):
+            S.is_satisfiable(c, wide)
 
     def test_division_by_zero_model_excluded(self):
         # y = 0 would divide by zero; such valuations must not satisfy
@@ -142,6 +153,104 @@ def linear_queries():
                              max_size=3).map(lambda atoms: And(tuple(atoms)))))
 
 
+# two inputs over the default domains: 65 536 points per query
+WIDE = S.SolverHandle.bounded({"x": (-128, 127), "y": (-128, 127)})
+
+
+def extended_queries():
+    """(guards of one path, guards of another, a difference): guards compare
+    sums, products, quotients and remainders of x, y and literals inside or
+    outside the default domain, and may be negated as the engine negates a
+    guard that divides."""
+    ints = st.recursive(
+        st.one_of(st.integers(-3, 3).map(Lit), st.integers(-130, 130).map(Lit),
+                  st.sampled_from([x, y])),
+        lambda kids: st.tuples(st.sampled_from(T.ARITH_OPS), kids, kids).map(
+            lambda t: Bin(t[0], t[1], t[2])),
+        max_leaves=4)
+    cmps = st.tuples(st.sampled_from(T.CMP_OPS), ints, ints).map(
+        lambda t: Cmp(t[0], t[1], t[2]))
+    guards = cmps | cmps.map(Not)
+    diffs = st.lists(st.tuples(ints, ints), min_size=1, max_size=2).map(
+        lambda pairs: Or(tuple(Cmp("!=", a, b) for a, b in pairs)))
+    return st.tuples(st.lists(guards, min_size=1, max_size=4),
+                     st.lists(guards, max_size=3), diffs)
+
+
+def engine_path_queries(first, second, diff):
+    """The queries the engine poses along two paths grown guard by guard from
+    `true` (chains of binary `And`s), in order, then the kill query over the
+    two paths and the difference."""
+    queries = []
+    for guards in (first, second):
+        path = T.TRUE
+        for g in guards:
+            path = And((path, g))
+            queries.append(path)
+    second_path = queries[-1] if second else T.TRUE
+    queries.append(And((queries[len(first) - 1], second_path, diff)))
+    return queries
+
+
+def _python(t):
+    """An integer term over x and y as Python source, dividing as T does."""
+    if isinstance(t, Lit):
+        return repr(t.value)
+    if isinstance(t, Var):
+        return t.name
+    left, right = _python(t.left), _python(t.right)
+    if t.op in ("/", "%"):
+        return f"T.trunc_{'div' if t.op == '/' else 'mod'}({left}, {right})"
+    return f"({left} {t.op} {right})"
+
+
+SIDE_VALUES = range(-128, 128)
+WIDE_POINTS = len(SIDE_VALUES) ** 2
+
+
+@functools.lru_cache(maxsize=None)
+def wide_mask(c):
+    """The points of WIDE's product (x outer, values ascending) at which c
+    holds, as a bitmask: every comparison is run as a Python function of x
+    and y at each point, false where it divides by zero, as in T.holds, and
+    checked against T.holds at every 257th point."""
+    everywhere = (1 << WIDE_POINTS) - 1
+    if isinstance(c, And):
+        return functools.reduce(operator.and_, map(wide_mask, c.items), everywhere)
+    if isinstance(c, Or):
+        return functools.reduce(operator.or_, map(wide_mask, c.items), 0)
+    if isinstance(c, Not):
+        return everywhere ^ wide_mask(c.operand)
+    if isinstance(c, T.BoolLit):
+        return everywhere if c.value else 0
+    namespace = {"T": T}
+    exec(f"def f(x, y):\n    try:\n        return {_python(c.left)} {c.op} {_python(c.right)}\n"
+         "    except T.EvalError:\n        return False\n", namespace)
+    f = namespace["f"]
+    truth = [f(a, b) for a in SIDE_VALUES for b in SIDE_VALUES]
+    for i in range(0, WIDE_POINTS, 257):
+        a, b = divmod(i, len(SIDE_VALUES))
+        env = {"x": SIDE_VALUES[a], "y": SIDE_VALUES[b]}
+        assert truth[i] == T.holds(c, env)
+    return int("".join("1" if t else "0" for t in reversed(truth)), 2)
+
+
+def first_models(queries):
+    """The first point, in the solver's order, at which each query holds
+    over WIDE's domains (`wide_mask`), over the query's own variables; None
+    where none does."""
+    out = []
+    for c in queries:
+        mask = wide_mask(c)
+        if not mask:
+            out.append(None)
+            continue
+        a, b = divmod((mask & -mask).bit_length() - 1, len(SIDE_VALUES))
+        point = {"x": SIDE_VALUES[a], "y": SIDE_VALUES[b]}
+        out.append({n: v for n, v in point.items() if n in T.variables(c)})
+    return out
+
+
 class TestCompiledEnumeration:
     """Queries of at least `_COMPILE_MIN_POINTS` points run as a generated
     loop nest over the normalized constraint."""
@@ -173,6 +282,29 @@ class TestCompiledEnumeration:
         if models:
             names = T.variables(c)
             assert {n: v for n, v in r.model.items() if n in names} == models[0]
+
+    @given(q=extended_queries())
+    # the second guard holds at the first model of the first; the kill
+    # query's second path does not, so the kill query is enumerated
+    @example(q=([Cmp(">", Bin("+", x, y), Lit(100)), Cmp("!=", Bin("%", x, Lit(3)), Lit(1))],
+                [Cmp("<", y, Lit(0))], Or((Cmp("!=", x, y),))))
+    # the first path is unsat, and so is the kill query
+    @example(q=([Cmp("<", Bin("/", x, Lit(0)), Lit(1))], [], Or((Cmp("!=", x, y),))))
+    @settings(max_examples=25, deadline=None)
+    def test_extended_queries_equal_brute_force(self, q):
+        # paths decided guard by guard, as the engine poses them, and the
+        # kill query over two of them: with their prefixes decided first,
+        # and each alone
+        queries = engine_path_queries(*q)
+        want = first_models(queries)
+        got = []
+        for c in queries:
+            S._decisions.cache_clear()
+            got.append(S.is_satisfiable(c, WIDE))
+        S._decisions.cache_clear()
+        assert got == [S.is_satisfiable(c, WIDE) for c in queries]
+        assert [r.model for r in got] == want
+        assert [r.is_sat for r in got] == [m is not None for m in want]
 
     @given(q=linear_queries())
     # y > x + 20 && y <= 10: y's range is empty for every x >= -10
@@ -457,6 +589,50 @@ class TestRawQueries:
             path = And((path, Cmp("!=", v, Lit(i % 5))))
         h = S.SolverHandle.bounded({"deep_path_x": (0, 7)})
         assert S.is_satisfiable(path, h) == S.SolverResult(S.SAT, {"deep_path_x": 5})
+
+
+class TestExtendedQueries:
+    """A query of at least `_COMPILE_MIN_POINTS` points whose conjunct was
+    decided starts from that conjunct's answer."""
+
+    H = S.SolverHandle.bounded({"ext_x": (-128, 127), "ext_y": (-128, 127)})
+    a, b = Var("ext_x"), Var("ext_y")
+
+    def test_a_guard_that_holds_at_the_prefix_model_is_not_compiled(self, monkeypatch):
+        prefix = And((T.TRUE, Cmp(">", Bin("+", self.a, self.b), Lit(100))))
+        one_input = Cmp(">", self.a, Lit(10))
+        earlier = Cmp(">", self.a, Lit(-30))
+        never = Cmp("<", Bin("*", self.a, self.a), Lit(0))
+        decided = [S.is_satisfiable(c, self.H) for c in (prefix, one_input, earlier, never)]
+        assert [r.model for r in decided] == [{"ext_x": -26, "ext_y": 127}, {"ext_x": 11},
+                                              {"ext_x": -29}, None]
+
+        def refuse(*args):
+            raise AssertionError("the query was normalized or compiled")
+
+        monkeypatch.setattr(S, "_enumerator", refuse)
+        monkeypatch.setattr(T, "normalize_bool", refuse)
+        # -26 % 3 == -2: the prefix's model is the path's first model
+        path = And((prefix, Cmp("!=", Bin("%", self.a, Lit(3)), Lit(1))))
+        assert S.is_satisfiable(path, self.H) == decided[0]
+        # a model over fewer inputs is completed with their low bounds
+        both = And((one_input, Cmp("<", self.b, Lit(0))))
+        assert S.is_satisfiable(both, self.H).model == {"ext_x": 11, "ext_y": -128}
+        # of two decided conjuncts, the one whose completed model comes later
+        # is tried: (-29, -128) falsifies the prefix, (-26, 127) is the model
+        assert S.is_satisfiable(And((earlier, prefix)), self.H) == decided[0]
+        # an unsat conjunct makes the query unsat
+        assert S.is_satisfiable(And((prefix, never)), self.H).status == S.UNSAT
+
+    def test_a_deep_conjunct_is_checked_at_the_default_recursion_limit(self):
+        # the other conjunct is a path of 3000 guards, never decided
+        first = Cmp(">", Bin("+", self.a, self.b), Lit(200))
+        deep = T.TRUE
+        for i in range(3000):
+            deep = And((deep, Cmp("!=", Bin("-", self.a, self.b), Lit(i))))
+        decided = S.is_satisfiable(first, self.H)
+        assert decided.model == {"ext_x": 74, "ext_y": 127}
+        assert S.is_satisfiable(And((first, deep)), self.H) == decided
 
 
 class TestDecisionMemo:

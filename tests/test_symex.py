@@ -176,6 +176,31 @@ class TestPrecondition:
         assert X.apply_precondition(s, self.SEEDS, X.Config(), 9, set()) \
             == (X.PRUNE, ())
 
+    def test_only_the_added_conjuncts_are_tested(self):
+        # both seeds satisfied the parent's path; the step added x > 4
+        s = state(path=T.conj([Cmp("<", Var("x"), Lit(0)), Cmp(">", Var("x"), Lit(4))]),
+                  depth=1, compatible_seeds=(0, 1))
+        assert X.apply_precondition(s, self.SEEDS, X.Config(), 9, set(),
+                                    [Cmp(">", Var("x"), Lit(4))]) == (X.FOLLOW, (1,))
+
+    def test_a_seed_is_followed_through_a_long_loop(self, tmp_path):
+        # the seed n = 400 is followed through 400 iterations, a path of
+        # more than 400 guards, each step testing only the guard it adds
+        program = tmp_path / "deep.mimp"
+        program.write_text("input n: int in [0, 400];\n"
+                           "fn main() {\n  var i;\n  i = 0;\n"
+                           "  while (i < n) {\n    i = i + 1;\n  }\n"
+                           "  if (i > 5 && n > 5) {\n    output 1;\n  } else {\n    output 0;\n  }\n}\n")
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("n=400\n")
+        manifest = cli.parse_config(
+            "MODE = semu\nPP = 1.0\nBUDGET_SECONDS = 600\nMAX_DEPTH = 2000\nOPERATORS = LCR\n",
+            program=str(program), out_dir=str(tmp_path / "out"), seeds=str(seeds))
+        cli.run_pipeline(manifest, stop="gen")
+        stats = (tmp_path / "out" / "stats.txt").read_text()
+        assert "states_created=807\n" in stats
+        assert "pruned_seed=400\n" in stats
+
     def test_smd2ms_releases_at_mutation_point(self):
         s = state(loc=7, depth=1, compatible_seeds=(0, 1))
         cfg = X.Config(pl="SMD2MS")

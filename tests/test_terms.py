@@ -78,6 +78,38 @@ class TestEval:
         # inside a disjunction the other arm still decides
         assert holds(Or((c, BoolLit(True))), {"y": 0})
 
+    @given(bool_terms(division=True), envs)
+    def test_holds_is_the_meaning_of_the_connectives(self, t, env):
+        def meaning(t):
+            if isinstance(t, Not):
+                return not meaning(t.operand)
+            if isinstance(t, And):
+                return all(map(meaning, t.items))
+            if isinstance(t, Or):
+                return any(map(meaning, t.items))
+            if isinstance(t, BoolLit):
+                return t.value
+            try:
+                return eval_bool(t, env)
+            except T.EvalError:
+                return False
+        assert holds(t, env) == meaning(t)
+
+    def test_holds_past_the_recursion_limit(self):
+        # a path of 5000 guards, a chain of 5000 disjunctions whose innermost
+        # arm decides it, and 5001 negations
+        x = Var("x")
+        path = ors = BoolLit(True)
+        for i in range(5000):
+            path = And((path, Cmp("!=", x, Lit(i))))
+            ors = Or((Cmp("==", x, Lit(i)), ors if i else Cmp("<", x, Lit(0))))
+        negations = Cmp("<", x, Lit(0))
+        for _ in range(5001):
+            negations = Not(negations)
+        assert [holds(t, {"x": -1}) for t in (path, ors, negations)] == [True, True, False]
+        assert [holds(t, {"x": 5000}) for t in (path, ors, negations)] == [True, False, True]
+        assert holds(path, {"x": 0}) is False and holds(ors, {"x": 0}) is True
+
     @given(envs)
     def test_eval_bool_and_holds_agree_without_division(self, env):
         c = And((Cmp("<", Var("x"), Bin("+", Var("y"), Lit(1))),
