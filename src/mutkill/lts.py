@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from . import parser as P
 from . import terms as T
 from .record import Record
-from .terms import And, BoolTerm, Cmp, Lit, Var
+from .terms import And, BoolTerm, Var
 
 
 class LoweringError(Exception):
@@ -75,14 +75,6 @@ class Lts(Record):
     @cached_property
     def _loc_info(self) -> Dict[int, LocInfo]:
         return dict(self.loc_info)
-
-    def eval0(self) -> BoolTerm:
-        """Initial predicate: conjunction of the input-domain bounds."""
-        bounds = []
-        for name, (lo, hi) in self.inputs:
-            bounds.append(Cmp(">=", Var(name), Lit(lo)))
-            bounds.append(Cmp("<=", Var(name), Lit(hi)))
-        return T.conj(bounds)
 
     @cached_property
     def successors(self) -> Dict[int, List[Transition]]:

@@ -23,7 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 from . import terms as T
 from .lts import GuardedCommand, Lts, Transition
 from .record import Record
-from .terms import And, Bin, Cmp, Lit, Neg, Not, Or, Var
+from .terms import And, Bin, Cmp, Lit, Or, Var
 
 SUPPORTED_OPERATORS = ("AOR", "CRP", "LCR", "RHS", "ROR", "SDL")
 
@@ -104,21 +104,11 @@ def _rewrites(t, rewriter) -> List[Tuple[object, object, object]]:
     """All single-point rewrites of term t, pre-order.  Returns
     (new_term, old_subterm, new_subterm) triples."""
     out = [(repl, t, repl) for repl in rewriter(t)]
-
-    def child(attr, sub):
+    kids = T._subterms(t)
+    for i, sub in enumerate(kids):
         for new_sub, old_node, new_node in _rewrites(sub, rewriter):
-            out.append((t.replace(**{attr: new_sub}), old_node, new_node))
-
-    if isinstance(t, (Neg, Not)):
-        child("operand", t.operand)
-    elif isinstance(t, (Bin, Cmp)):
-        child("left", t.left)
-        child("right", t.right)
-    elif isinstance(t, (And, Or)):
-        for i, sub in enumerate(t.items):
-            for new_sub, old_node, new_node in _rewrites(sub, rewriter):
-                items = t.items[:i] + (new_sub,) + t.items[i + 1:]
-                out.append((t.replace(items=items), old_node, new_node))
+            new = T.with_subterms(t, kids[:i] + (new_sub,) + kids[i + 1:])
+            out.append((new, old_node, new_node))
     return out
 
 

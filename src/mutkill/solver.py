@@ -182,10 +182,6 @@ def _count(doms: Domains) -> int:
     return math.prod(hi - lo + 1 for _, (lo, hi) in doms)
 
 
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-          "/": T.trunc_div, "%": T.trunc_mod}
-_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
-            ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # truth values as binary digits
 
 
@@ -215,7 +211,7 @@ def _evaluator(doms: Domains) -> Callable:
             return functools.reduce(operator.and_, map(memo.__getitem__, t.items), everywhere)
         if isinstance(t, Cmp):
             left, right = memo[t.left], memo[t.right]
-            fn = _COMPARE[t.op]
+            fn = T.COMPARE[t.op]
             if T.has_division(t):
                 holds = [a is not None and b is not None and fn(a, b)
                          for a, b in zip(left, right)]
@@ -225,7 +221,7 @@ def _evaluator(doms: Domains) -> Callable:
             return int(bytes(holds).translate(_DIGITS)[::-1], 2)
         if isinstance(t, Bin):
             left, right = memo[t.left], memo[t.right]
-            fn = _ARITH[t.op]
+            fn = T.ARITH[t.op]
             if T.has_division(t):
                 divides = t.op in ("/", "%")
                 return tuple(None if a is None or b is None or divides and b == 0 else fn(a, b)

@@ -26,7 +26,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 
 from . import solver as S
 from . import terms as T
-from .interp import run_lts
+from .interp import _check_domains, run_lts
 from .lts import GuardedCommand, Lts, Transition, distance_to_output
 from .mutation import MetaMutant
 from .record import Record
@@ -348,6 +348,8 @@ class _Engine:
         self.base = meta.base
         self.targets = set(targets)
         self.seeds = list(seeds)
+        for seed in self.seeds:  # as the matrix replays them
+            _check_domains(self.base, seed)
         self.cfg = cfg
         self.handle = handle
         self.rng = random.Random(cfg.rng_seed)

@@ -6,18 +6,21 @@ the one node with its class and fields, so structurally equal terms are the
 same object, equality is identity and hashing is O(1) however deep the term.
 The intern table, like the memos of normalization, keeps every node for the
 life of the process.  A node's variables, and whether it divides, are
-computed from its children's when it is built; its divisors, normal form
-and sort key from its children's when first asked, once.  Terms can be
-used directly as dict keys (monomial atoms during normalization) and as
-`functools.cache` arguments.  Their `repr` is the dataclass one,
-`Name(field=value, ...)`, and normalization orders conjuncts and monomial
+computed when it is built, from those of its `_subterms`, the one walk over
+a node's shape (`with_subterms` rebuilds a node from new ones); its
+divisors, normal form and sort key from its subterms' when first asked,
+once.  Terms can be used directly as dict keys (monomial atoms during
+normalization) and as `functools.cache` arguments.  Their `repr` is their
+sort key, the dataclass `repr` `Name(field=value, ...)` built without a
+Python frame per level, and normalization orders conjuncts and monomial
 atoms by it, so sorting, and the serialization used for duplicate
 detection, is deterministic and does not depend on which terms a process
 built before.
 
 Arithmetic is over exact mathematical integers.  Division and modulo use
 truncated-toward-zero semantics (like C); dividing by zero raises
-:class:`EvalError` during evaluation.
+:class:`EvalError` during evaluation.  `ARITH` and `COMPARE` give each
+operator's meaning, to evaluation, normalization and the solver alike.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 from typing import Dict, Iterable, List, Mapping, Sequence, Union
 
 from .record import Record
@@ -54,49 +58,17 @@ def _union(a: frozenset, b: frozenset) -> frozenset:
     return a if b <= a else b if a <= b else a | b
 
 
-# `_variables` of the node classes, by the shape of their fields
-def _no_vars(value) -> frozenset:
-    return _NO_VARS
-
-
-def _operand_vars(operand) -> frozenset:
-    return operand._vars
-
-
-def _pair_vars(op, left, right) -> frozenset:
-    return _union(left._vars, right._vars)
-
-
-def _items_vars(items) -> frozenset:
-    return functools.reduce(_union, (x._vars for x in items), _NO_VARS)
-
-
-# `_dividing` of the node classes: whether the node divides or takes a modulus
-def _no_division(value) -> bool:
-    return False
-
-
-def _operand_divides(operand) -> bool:
-    return operand._divides
-
-
-def _pair_divides(op, left, right) -> bool:
-    return op in ("/", "%") or left._divides or right._divides
-
-
-def _items_divide(items) -> bool:
-    return any(x._divides for x in items)
-
-
 class _Node(Record):
     """Interned construction, shared by the node classes below.
 
     Nodes compare and hash by identity (`object`'s methods) and take their
-    `repr`, frozenness, `replace` and `__reduce__` from `Record`, so
-    replacing, pickling and copying rebuild through the table.  `_vars`
-    holds the node's variables and `_divides` whether it divides, which each
-    class's `_variables(*fields)` and `_dividing(*fields)` compute from the
-    children's; `_key` holds its sort key once `_sort_key` has asked."""
+    frozenness, `replace` and `__reduce__` from `Record`, so replacing,
+    pickling and copying rebuild through the table.  `_vars` holds the
+    node's variables and `_divides` whether it divides, computed when it is
+    built from those of its `_subterms`: a `Var` has its own name, and a
+    `Bin` with `/` or `%` divides.  `_key` holds its sort key once
+    `_sort_key` has asked, and that key is its `repr`: the record one, built
+    without a Python frame per level."""
 
     __slots__ = ("_vars", "_divides", "_key")
     _fields = ()
@@ -116,8 +88,12 @@ class _Node(Record):
             node = object.__new__(cls)
             for f, value in zip(cls._fields, args):
                 object.__setattr__(node, f, value)
-            object.__setattr__(node, "_vars", cls._variables(*args))
-            object.__setattr__(node, "_divides", cls._dividing(*args))
+            names, divides = _NO_VARS, cls is Bin and args[0] in ("/", "%")
+            for kid in _subterms(node):
+                names = _union(names, kid._vars)
+                divides |= kid._divides
+            object.__setattr__(node, "_vars", frozenset(args) if cls is Var else names)
+            object.__setattr__(node, "_divides", divides)
             object.__setattr__(node, "_key", None)
             _TABLE[key] = node
         return node
@@ -126,68 +102,72 @@ class _Node(Record):
 class Lit(_Node):
     __slots__ = ("value",)
     _typed = True
-    _variables = staticmethod(_no_vars)
-    _dividing = staticmethod(_no_division)
 
 
 class Var(_Node):
     __slots__ = ("name",)
-    _variables = staticmethod(lambda name: frozenset((name,)))
-    _dividing = staticmethod(_no_division)
 
 
 class Bin(_Node):
     __slots__ = ("op", "left", "right")  # op: one of + - * / %
-    _variables = staticmethod(_pair_vars)
-    _dividing = staticmethod(_pair_divides)
 
 
 class Neg(_Node):
     __slots__ = ("operand",)
-    _variables = staticmethod(_operand_vars)
-    _dividing = staticmethod(_operand_divides)
 
 
 class BoolLit(_Node):
     __slots__ = ("value",)
     _typed = True
-    _variables = staticmethod(_no_vars)
-    _dividing = staticmethod(_no_division)
 
 
 class Cmp(_Node):
     __slots__ = ("op", "left", "right")  # op: one of < <= > >= == !=
-    _variables = staticmethod(_pair_vars)
-    _dividing = staticmethod(_pair_divides)
 
 
 class And(_Node):
     __slots__ = ("items",)
-    _variables = staticmethod(_items_vars)
-    _dividing = staticmethod(_items_divide)
 
 
 class Or(_Node):
     __slots__ = ("items",)
-    _variables = staticmethod(_items_vars)
-    _dividing = staticmethod(_items_divide)
 
 
 class Not(_Node):
     __slots__ = ("operand",)
-    _variables = staticmethod(_operand_vars)
-    _dividing = staticmethod(_operand_divides)
 
 
 IntTerm = Union[Lit, Var, Bin, Neg]
 BoolTerm = Union[BoolLit, Cmp, And, Or, Not]
 Term = Union[IntTerm, BoolTerm]
 
+
+def _subterms(t: Term) -> tuple:
+    """The children of `t`, in field order: the one walk over a node's
+    shape that structural code uses (`with_subterms` is its inverse)."""
+    if isinstance(t, (Bin, Cmp)):
+        return t.left, t.right
+    if isinstance(t, (Neg, Not)):
+        return (t.operand,)
+    if isinstance(t, (And, Or)):
+        return t.items
+    return ()
+
+
+def with_subterms(t: Term, kids: Sequence[Term]) -> Term:
+    """The node of `t`'s class and other fields whose `_subterms` are
+    `kids`."""
+    if isinstance(t, (Bin, Cmp)):
+        return type(t)(t.op, *kids)
+    if isinstance(t, (Neg, Not)):
+        return type(t)(*kids)
+    if isinstance(t, (And, Or)):
+        return type(t)(tuple(kids))
+    return t
+
+
 TRUE = BoolLit(True)
 FALSE = BoolLit(False)
-
-ARITH_OPS = ("+", "-", "*", "/", "%")
-CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
 
 _CMP_NEG = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
 
@@ -249,6 +229,15 @@ def trunc_mod(a: int, b: int) -> int:
     return r if a >= 0 else -r
 
 
+# the operators' semantics, in the order mutant IDs follow
+ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+         "/": trunc_div, "%": trunc_mod}
+COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+           ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+ARITH_OPS = tuple(ARITH)
+CMP_OPS = tuple(COMPARE)
+
+
 def eval_int(t: IntTerm, env: Mapping[str, int]) -> int:
     """Evaluate an integer term under a concrete valuation.
 
@@ -262,35 +251,8 @@ def eval_int(t: IntTerm, env: Mapping[str, int]) -> int:
     if isinstance(t, Neg):
         return -eval_int(t.operand, env)
     if isinstance(t, Bin):
-        a = eval_int(t.left, env)
-        b = eval_int(t.right, env)
-        if t.op == "+":
-            return a + b
-        if t.op == "-":
-            return a - b
-        if t.op == "*":
-            return a * b
-        if t.op == "/":
-            return trunc_div(a, b)
-        if t.op == "%":
-            return trunc_mod(a, b)
+        return ARITH[t.op](eval_int(t.left, env), eval_int(t.right, env))
     raise TypeError(f"not an integer term: {t!r}")
-
-
-def _cmp(op: str, a: int, b: int) -> bool:
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    if op == "==":
-        return a == b
-    if op == "!=":
-        return a != b
-    raise ValueError(op)
 
 
 def eval_bool(t: BoolTerm, env: Mapping[str, int]) -> bool:
@@ -298,7 +260,7 @@ def eval_bool(t: BoolTerm, env: Mapping[str, int]) -> bool:
     if isinstance(t, BoolLit):
         return t.value
     if isinstance(t, Cmp):
-        return _cmp(t.op, eval_int(t.left, env), eval_int(t.right, env))
+        return COMPARE[t.op](eval_int(t.left, env), eval_int(t.right, env))
     if isinstance(t, Not):
         return not eval_bool(t.operand, env)
     if isinstance(t, And):
@@ -328,7 +290,7 @@ def holds(t: BoolTerm, env: Mapping[str, int]) -> bool:
             value = None  # no item decided yet
         elif isinstance(t, Cmp):
             try:
-                value = _cmp(t.op, eval_int(t.left, env), eval_int(t.right, env)) != negated
+                value = COMPARE[t.op](eval_int(t.left, env), eval_int(t.right, env)) != negated
             except EvalError:
                 value = negated
         elif isinstance(t, BoolLit):
@@ -380,16 +342,6 @@ def variables(t: Term) -> frozenset:
     return t._vars
 
 
-def _subterms(t: Term) -> tuple:
-    if isinstance(t, (Bin, Cmp)):
-        return t.left, t.right
-    if isinstance(t, (Neg, Not)):
-        return (t.operand,)
-    if isinstance(t, (And, Or)):
-        return t.items
-    return ()
-
-
 # Facts about a node (its divisors, its polynomial) are each computed once,
 # from its subterms' facts.  A walk that meets a node without one gives it
 # one post-order on an explicit stack, so a term of any depth costs a few
@@ -423,23 +375,22 @@ def _bottom_up(fact, t: Term, subterms=_subterms, memo=None):
     return memo[t]
 
 
-def _dividing_subterms(t: Term) -> list:
+def _subterms_that_divide(t: Term) -> list:
     return [u for u in _subterms(t) if u._divides]
 
 
 def _divisors_of(t: Term, memo: dict) -> tuple:
     out = ()
-    for u in _dividing_subterms(t):
+    for u in _subterms_that_divide(t):
         out += memo[u]
     return out + (t.right,) if isinstance(t, Bin) and t.op in ("/", "%") else out
 
 
-@functools.cache
 def divisors(t: Term) -> tuple:
     """All divisor/modulus subterms of ``t`` (for error-path splitting), in
     post-order: a divisor follows the divisors inside its dividend and
     inside itself, and items keep their order."""
-    return _bottom_up(_divisors_of, t, _dividing_subterms) if t._divides else ()
+    return _bottom_up(_divisors_of, t, _subterms_that_divide) if t._divides else ()
 
 
 def has_division(t: Term) -> bool:
@@ -593,8 +544,9 @@ def _field_key(value) -> str:
 
 
 def _sort_key(t: Term) -> str:
-    """`repr(t)`, computed once per node from its subterms' keys, post-order
-    on an explicit stack (the record `repr` recurses once per level)."""
+    """The record `repr` of `t`, `Name(field=value, ...)`, computed once per
+    node from its subterms' keys, post-order on an explicit stack (the record
+    `repr` recurses once per level); it is the nodes' `repr`."""
     if t._key is None:
         stack = [t]
         while stack:
@@ -608,6 +560,9 @@ def _sort_key(t: Term) -> str:
                 fields = ", ".join(f"{f}={_field_key(getattr(u, f))}" for f in u._shown)
                 object.__setattr__(u, "_key", f"{type(u).__qualname__}({fields})")
     return t._key
+
+
+_Node.__repr__ = _sort_key
 
 
 def _mono_key(m: tuple) -> tuple:
@@ -743,19 +698,13 @@ def _poly_of(t: IntTerm, memo: dict) -> _Poly:
     if isinstance(t, Neg):
         return -memo[t.operand]
     if isinstance(t, Bin):
-        if t.op == "+":
-            return memo[t.left] + memo[t.right]
-        if t.op == "-":
-            return memo[t.left] - memo[t.right]
-        if t.op == "*":
-            return memo[t.left] * memo[t.right]
+        if t.op not in ("/", "%"):
+            return ARITH[t.op](memo[t.left], memo[t.right])
         # division/modulo: fold constants, otherwise keep as opaque atom
         left = normalize_int(t.left)
         right = normalize_int(t.right)
         if isinstance(left, Lit) and isinstance(right, Lit) and right.value != 0:
-            if t.op == "/":
-                return _Poly.const(trunc_div(left.value, right.value))
-            return _Poly.const(trunc_mod(left.value, right.value))
+            return _Poly.const(ARITH[t.op](left.value, right.value))
         if t.op == "/" and isinstance(right, Lit) and right.value == 1:
             return _to_poly(left)
         return _Poly.atom(Bin(t.op, left, right))
@@ -783,7 +732,7 @@ def _normalize_cmp_shape(op: str, left: IntTerm, right: IntTerm) -> BoolTerm:
     # while evaluating it (div-by-zero paths are observable errors).
     safe = not diff.has_div_atom() and not has_division(left) and not has_division(right)
     if c is not None and safe:
-        return BoolLit(_cmp(op, c, 0))
+        return BoolLit(COMPARE[op](c, 0))
     # canonical shape: p < 0, p == 0 or p != 0
     if op == ">":
         return _normalize_cmp_shape("<", right, left)

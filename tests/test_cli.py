@@ -376,6 +376,30 @@ class TestErrors:
         assert err.startswith(f"error: {bad}: line 2: ")
         assert repr(pairs.split(", ")[-1]) in err
 
+    @pytest.mark.parametrize("config", [
+        "PL = SMD2MS\n",
+        "PL = SMD2MS\nUSE_PRECONDITION = false\n",
+        "OPERATORS = LCR\n",  # no mutants
+    ])
+    @pytest.mark.parametrize("seed, message", [
+        ("x=99", "x=99 outside [0, 3]"),
+        ("y=1", "missing input 'x'"),
+    ])
+    def test_bad_seed_is_a_gen_error(self, tmp_path, capsys, config, seed, message):
+        # checked as the matrix checks it, whether or not the engine would
+        # run the seed
+        prog = tmp_path / "p.mimp"
+        prog.write_text("input x: int in [0, 3];\n"
+                        "fn main() { if (x > 50) { output 1; } else { output x; } }")
+        cfg, seeds, out = tmp_path / "cfg.txt", tmp_path / "seeds.txt", tmp_path / "out"
+        cfg.write_text(config)
+        seeds.write_text(seed + "\n")
+        rc = run_main(["gen", "--program", str(prog), "--config", str(cfg),
+                       "--seeds", str(seeds), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: [gen] {message}\n"
+        assert not (out / "tests.txt").exists()
+
     @pytest.mark.parametrize("flags, config", [
         (["--operators="], ""),
         (["--operators", ","], ""),

@@ -72,12 +72,6 @@ class TestLowering:
         (_, gc, _), = L.lower_text(text).transitions
         assert T.eval_int(gc.emit, {"x": 2}) == 1200
 
-    def test_eval0_is_domain_bounds(self):
-        lts = C.load_lts("fig1")
-        assert T.holds(lts.eval0(), {"x": -8})
-        assert T.holds(lts.eval0(), {"x": 7})
-        assert not T.holds(lts.eval0(), {"x": 8})
-
 
 class TestValidator:
     @pytest.mark.parametrize("name", C.ALL_PROGRAMS)

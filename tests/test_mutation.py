@@ -2,12 +2,14 @@ import os
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mutkill import interp as I
 from mutkill import mutation as M
 from mutkill import parser as P
 from mutkill import lts as L
 from mutkill import terms as T
+from mutkill.terms import And, Bin, BoolLit, Cmp, Lit, Neg, Not, Or, Var
 
 import conftest as C
 
@@ -94,6 +96,57 @@ class TestGeneration:
     def test_unknown_operator(self):
         with pytest.raises(M.UnknownOperator):
             M.generate_mutants(C.load_lts("abs"), ["ABC"])
+
+
+def ref_rewrites(t, rewriter):
+    """`M._rewrites` by a walk over each node class's fields."""
+    out = [(repl, t, repl) for repl in rewriter(t)]
+
+    def child(attr, sub):
+        for new_sub, old_node, new_node in ref_rewrites(sub, rewriter):
+            out.append((t.replace(**{attr: new_sub}), old_node, new_node))
+
+    if isinstance(t, (Neg, Not)):
+        child("operand", t.operand)
+    elif isinstance(t, (Bin, Cmp)):
+        child("left", t.left)
+        child("right", t.right)
+    elif isinstance(t, (And, Or)):
+        for i, sub in enumerate(t.items):
+            for new_sub, old_node, new_node in ref_rewrites(sub, rewriter):
+                items = t.items[:i] + (new_sub,) + t.items[i + 1:]
+                out.append((t.replace(items=items), old_node, new_node))
+    return out
+
+
+def rewritable_terms():
+    """Integer and boolean terms with every operator, Neg and Not, and And
+    and Or nodes of 0 to 3 items."""
+    ints = st.recursive(
+        st.one_of(st.integers(-3, 3).map(Lit), st.sampled_from("xy").map(Var)),
+        lambda kids: st.one_of(
+            kids.map(Neg),
+            st.tuples(st.sampled_from(T.ARITH_OPS), kids, kids).map(lambda t: Bin(*t))),
+        max_leaves=6)
+    cmps = st.tuples(st.sampled_from(T.CMP_OPS), ints, ints).map(lambda t: Cmp(*t))
+    bools = st.recursive(
+        st.one_of(st.booleans().map(BoolLit), cmps),
+        lambda kids: st.one_of(
+            kids.map(Not),
+            st.lists(kids, max_size=3).map(lambda xs: And(tuple(xs))),
+            st.lists(kids, max_size=3).map(lambda xs: Or(tuple(xs)))),
+        max_leaves=6)
+    return st.one_of(ints, bools)
+
+
+class TestRewrites:
+    @pytest.mark.parametrize("rewriter", [M._aor, M._ror, M._lcr, M._crp],
+                             ids=["AOR", "ROR", "LCR", "CRP"])
+    @given(t=rewritable_terms())
+    @settings(max_examples=200)
+    def test_rewrites_equal_a_walk_over_the_fields(self, rewriter, t):
+        # mutant IDs follow the order of these triples
+        assert M._rewrites(t, rewriter) == ref_rewrites(t, rewriter)
 
 
 class TestApply:

@@ -282,19 +282,19 @@ class TestPerClass:
         depths = []
 
         class Leaf:
-            _vars = frozenset()
-            _divides = False
-
             def __repr__(self):
                 depths.append(len(_frames()))
                 return "leaf"
+
+        class Wrap(record.Record):
+            __slots__ = ("operand",)
 
         leaf = Leaf()
         for n in (10, 30):
             t = leaf
             for _ in range(n):
-                t = Neg(t)
-            assert repr(t) == "Neg(operand=" * n + "leaf" + ")" * n
+                t = Wrap(t)
+            assert repr(t) == f"{Wrap.__qualname__}(operand=" * n + "leaf" + ")" * n
         assert depths[1] - depths[0] == 20
 
     def test_manifest_overrides(self):

@@ -9,6 +9,7 @@ from mutkill import cli
 from mutkill import mutation as M
 from mutkill import solver as S
 from mutkill import terms as T
+from mutkill.record import Record
 from mutkill.terms import (And, Bin, BoolLit, Cmp, Lit, Neg, Not, Or, Var,
                            eval_bool, eval_int, holds, negate, normalize_bool,
                            normalize_int, render, subst)
@@ -519,6 +520,23 @@ def ref_divisors(t, memo):
     return memo[t]
 
 
+def ref_variables(t, memo):
+    if t not in memo:
+        memo[t] = ({t.name} if isinstance(t, Var)
+                   else set().union(*(ref_variables(u, memo) for u in subterms(t))))
+    return memo[t]
+
+
+def record_repr(t):
+    """The record `repr` of `t`, at every level."""
+    node_repr = T._Node.__repr__
+    T._Node.__repr__ = Record.__repr__
+    try:
+        return repr(t)
+    finally:
+        T._Node.__repr__ = node_repr
+
+
 def ref_has_division(t, memo):
     if t not in memo:
         memo[t] = (isinstance(t, Bin) and t.op in ("/", "%")
@@ -596,9 +614,11 @@ class TestNodeFacts:
         clear_term_caches()
         assert list(T.divisors(t)) == ref_divisors(t, {})
         assert T.has_division(t) == ref_has_division(t, {})
+        assert T.variables(t) == ref_variables(t, {})
+        assert T.with_subterms(t, subterms(t)) is t
         if isinstance(t, (Lit, Var, Bin, Neg)):
             assert normalize_int(t) == ref_poly(t, {}).to_term()
-        assert T._sort_key(t) == repr(t)
+        assert T._sort_key(t) == repr(t) == record_repr(t)
 
     @pytest.mark.parametrize("chain", [int_chain, bool_chain])
     def test_chains_built_at_once(self, chain):
@@ -624,9 +644,18 @@ class TestNodeFacts:
     def test_sort_key_past_the_recursion_limit(self):
         top = int_chain(1200)[-1]
         key = T._sort_key(top)
+        assert repr(top) == key
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(10_000)  # the record `repr` recurses per level
         try:
-            assert key == repr(top)
+            assert key == record_repr(top)
         finally:
             sys.setrecursionlimit(limit)
+
+    def test_repr_of_a_5000_deep_sum(self):
+        x = Var("x")
+        t = x
+        for _ in range(4999):
+            t = Bin("+", t, x)
+        leaf = "Var(name='x')"
+        assert repr(t) == "Bin(op='+', left=" * 4999 + leaf + f", right={leaf})" * 4999
