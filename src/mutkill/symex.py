@@ -282,8 +282,8 @@ def initial_state(lts: Lts, mut_id: int = 0) -> SymbolicState:
 def _may_be_zero(t: T.Term) -> Tuple[IntTerm, ...]:
     """The divisors of `t` that get an error branch: all but those whose
     normal form is a nonzero literal and whose own term does not divide.
-    For those `d == 0` normalizes to false and `d != 0` to true, so they
-    add no error state, no solver call and nothing to the normalized path."""
+    Those can never be zero, so they add no error state and nothing to the
+    path; their `d == 0` would cost a solver call that is always unsat."""
     out = []
     for d in T.divisors(t):
         n = T.normalize_int(d)
@@ -294,24 +294,23 @@ def _may_be_zero(t: T.Term) -> Tuple[IntTerm, ...]:
 
 def _take(s: SymbolicState, i: int, transition: Transition):
     """Taking `transition`, the i-th transition out of the location of `s`
-    in the program of the state's mutant: None when the guard is false
-    outright, else the transition's label (guard, update, emit) with the
+    in the program of the state's mutant: None when the guard is the literal
+    `false`, else the transition's label (guard, update, emit) with the
     store substituted but not normalized, so that its divisors are the ones
-    a concrete run evaluates, and the successor's changed fields."""
+    a concrete run evaluates, and the successor's changed fields.  Whether
+    any other guard can hold is the solver's question."""
     _, gc, dst = transition
     store = s.store_map()
     guard = T.subst(gc.guard, store)
-    g = T.normalize_bool(guard)
-    if g == T.FALSE:
+    if guard is T.FALSE:
         return None
     update = tuple((name, T.subst(term, store)) for name, term in gc.update)
     emit = T.subst(gc.emit, store) if gc.emit is not None else None
     for name, term in update:
         store[name] = T.normalize_int(term)
     fields = {
-        # the guard as taken: its normal form `g` is already memoized, and
-        # normalizing `g` itself would be one more miss
-        "path": T.conj([s.path] + ([] if g == T.TRUE else [guard])),
+        # the guard as taken, left out when it is the literal `true`
+        "path": T.conj([s.path] + ([] if guard is T.TRUE else [guard])),
         "store": tuple(sorted(store.items())) if update else s.store,
         "out": s.out + (T.normalize_int(emit),) if emit is not None else s.out,
         "loc": dst, "depth": s.depth + 1, "trail": s.trail + (i,),
@@ -325,7 +324,8 @@ def step(s: SymbolicState, i: int, transition: Transition
     its location in the program of the state's mutant, together with the
     transition's label with the store substituted but not normalized, so
     that its divisors are the ones a concrete run evaluates.  None when the
-    guard is false outright."""
+    guard is the literal `false`; a successor whose path is unsatisfiable
+    is returned like any other."""
     taken = _take(s, i, transition)
     if taken is None:
         return None
@@ -422,8 +422,10 @@ class _Engine:
     # -- state construction ------------------------------------------------
 
     def expand(self, s: SymbolicState) -> List[SymbolicState]:
-        """Successors of one live state; infeasible and seed-incompatible
-        branches pruned, division-by-zero branches finished as errors."""
+        """Successors of one live state; seed-incompatible branches pruned,
+        division-by-zero branches finished as errors.  The solver alone
+        decides feasibility: an error path it finds unsat adds no state, and
+        an unsat successor counts in `pruned_infeasible`."""
         branching = s.loc in self.branch_locs
         results: List[SymbolicState] = []
         error_keys: Set[IntTerm] = set()
@@ -447,8 +449,6 @@ class _Engine:
                 # one errors on the taken branch
                 err_pc = T.conj([s.path if in_guard else fields["path"]]
                                 + nonzero[:j] + [Cmp("==", d, Lit(0))])
-                if T.normalize_bool(err_pc) == T.FALSE:
-                    continue
                 if in_guard:
                     error_keys.add(key)
                 res = self.sat(err_pc)
@@ -457,9 +457,6 @@ class _Engine:
                     self.finish(s.replace(path=err_pc, depth=fields["depth"],
                                           trail=fields["trail"], status="error"))
             pc = T.conj([fields["path"]] + nonzero)
-            if T.normalize_bool(pc) == T.FALSE:
-                self.stats.pruned_infeasible += 1
-                continue
             # the conjuncts this step adds to the parent's path
             added = nonzero if fields["path"] is s.path else [guard, *nonzero]
             fields["path"] = pc
@@ -499,9 +496,10 @@ class _Engine:
     def infected(self, kids: List[SymbolicState],
                  originals: Sequence[SymbolicState]) -> List[SymbolicState]:
         """A fork's successors that can differ from one of the original's
-        successors (all of them when the original has none); the first such
-        original's model witnesses the infection.  In infection-only mode
-        the witness is the mutant's test and no successor stays."""
+        successors, error states included (all of them when the original
+        has none); the first such original's model witnesses the infection.
+        In infection-only mode the witness is the mutant's test and no
+        successor stays."""
         live = []
         for k in kids:
             witness = next((res for res in (
@@ -612,11 +610,15 @@ class _Engine:
             forks = self.fork(s)
             if forks:
                 s = s.replace(forked=s.forked | {f.mut_id for f in forks})
+            before = len(self.finished_orig)
             kids = self.expand(s)
             add(s, kids)
+            # the original's successors include the error states it just
+            # finished: a fork that does not error where it does is infected
+            originals = kids + self.finished_orig[before:]
             for f in forks:
                 if self.budget_left():
-                    add(f, self.infected(self.expand(f), kids))
+                    add(f, self.infected(self.expand(f), originals))
         if self.cfg.mode == "semu":
             return self._apply_checkpoints(successors, candidates)
         return successors

@@ -69,7 +69,7 @@ def fig1_mutant(mutants, loc: int, operator: str) -> M.Mutant:
 def enumerate_terminals(meta: M.MetaMutant, mut_id: int, max_depth: int,
                         through=None):
     """All terminal states up to max_depth, with NO feasibility pruning
-    beyond structural falsehood of single guards: the oracle of exhaustive
+    beyond guards that are the literal `false`: the oracle of exhaustive
     path analyses.  `through` restricts to paths visiting that location."""
     lts = meta.program(mut_id)
     succ = lts.successors

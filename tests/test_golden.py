@@ -2,9 +2,10 @@
 under four configurations, pinned by SHA-256, and the engine's work counts
 in `stats.txt` (every line but `wall_clock=`), pinned the same way.  A fifth
 configuration explores with two seeds that the engine really follows, and
-pins its tests and work counts.  The benchmark's two-input programs over the
-default domains, whose queries are large enough to run as the solver's
-generated loop nest, pin their tests, kill matrix and work counts as well.
+pins its tests and, apart, its work counts.  The benchmark's two-input
+programs over the default domains, whose queries are large enough to run as
+the solver's generated loop nest, pin their tests, kill matrix and work
+counts as well.
 
 A change that is meant to keep behaviour (a refactor, a faster engine or
 solver) must leave every digest as it is.  A change that alters outputs on
@@ -12,8 +13,10 @@ purpose updates the table and says why.  Every budget here is a work budget;
 BUDGET_SECONDS is far above need, so the digests do not depend on machine
 speed.
 
-`python3 tests/test_golden.py` prints the five tables for the checked-out
-tree, from the same digest functions as the tests.
+`python3 tests/test_golden.py` prints the six tables for the checked-out
+tree, from the same digest functions as the tests, and then the work counts
+of every entry, one `stats.txt` line per row under the entry's key.  Diffing
+that print-out between two trees shows which counter a re-pin moves.
 """
 
 import hashlib
@@ -151,87 +154,87 @@ GOLDEN = {
         "c771108a14957cc761dc2a5442a0720ea40b40ea49b090950c6bc9acf9d7d1ce",
 }
 
-# `stats_digest` of each run: the engine's work counts (states, prunings,
-# solver calls, tests per mutant), which the output files do not show
+# `digest` of each run's `work_counts`: the engine's states, prunings,
+# solver calls and tests per mutant, which the output files do not show
 STATS_GOLDEN = {
     ('infection-only', 'abs'):
         "d2413175eb41ed0b615570192731b14b7eafcae2dd720c9391702182b1c7ae0e",
     ('infection-only', 'callfn'):
-        "ec448d252710246d83ec0380536fb0b4c97c9f8e6a94dc068701e9ca2ab9c483",
+        "7ccbf7a699d7a9ff8de7608ea6638f523af67281074cc1d08fdbc8baaa20c060",
     ('infection-only', 'clamp'):
         "9ed104811825df9fba72dba37fc4b2fd2ad8ae5772b1ee5a3e35ed0d3209a07b",
     ('infection-only', 'classify'):
-        "8b83f90d69d70ac0e36a3bbb4130ac96a825a6a9c5bde040f3ede5b665ed09a8",
+        "f6604e81114c8c75f050001056d0175f88fa7673edf30a6f93f7fb862f29b2c6",
     ('infection-only', 'countdown'):
         "3b6e4e70a170345c08bb7bd32f7e86c10d6922eb9596c7190a7e63a535dd534f",
     ('infection-only', 'divmod'):
-        "740ab83b416fa212c8eca5723d7d6e75acc186ab734684c2214bf482789815b3",
+        "3ea9733089efd1b84ed8010a3ac4120df150e077a9bc4e42d2a3758aaf059356",
     ('infection-only', 'fig1'):
-        "334de83eda7ccf1cb6bdc36a0de5a37a677931468c191dc27bafaea79291c5a3",
+        "59d783038177b173d8af0ef8a40b21035e6c3c17e90cdc6a8c586c8dadf1c734",
     ('infection-only', 'mask'):
         "a82c759dcde2f26fb358ae78c17ef88c8f8e93bd1d4f077b5303a30332c39916",
     ('infection-only', 'max2'):
         "9313410cec37fd3fb1bdbff1fa74815f698c83a369079196e2d5a503045154cf",
     ('infection-only', 'parity'):
-        "e7bb3c83e17d9147685da3b0488fff577b45aed9cad48d2be61bdaa31de35224",
+        "8faf266cbe6a36e2d78e81b82bdeae3d3d6302d9c32ad7645767bf9fffe88d63",
     ('infection-only', 'poly'):
         "4734c571ba07a4795c9f8228144f4311e9e0c726fce39e491421233fbe2fa363",
     ('infection-only', 'sign'):
-        "fe993f46f343819660dde072547d6c6d0c92c10a9a4e766ad3163625ed2df158",
+        "640f2f1069c2b6c7da9edf673948c0df4daac60e00ce53dee160422761129b12",
     ('infection-only', 'sumloop'):
         "90936ef4567e80bcf135423902af63ca5cb609527ab1d7036a8479c2e9ac97c9",
     ('semu', 'abs'):
         "28144ebebed7269a9e20c4911efa3de93208d2c8c5835b5846401558050b0d5d",
     ('semu', 'callfn'):
-        "94a038a276cd43098c824eaf25e08ae48630bb2910a3d8e0a9c748a37617cd2f",
+        "7d045de965a57b747c062b2e19b7e7de26b012948336f834e48b03cb49788d6b",
     ('semu', 'clamp'):
-        "46d158792c32997e89e75c88f3cd5872f25e70bd43e3b5c8412a43593109c164",
+        "a26fd0297f9d233326f4c669b641b859a457f82d0a37c236c295a50305a489a8",
     ('semu', 'classify'):
-        "24e8789381ae9b49efae6c786db7745fe54c5af0f57014e9d02e42047f1bc50c",
+        "e931848f435d61a98c4712ba0fb4ced06f5a90111519d02ef5e02e5bdf202096",
     ('semu', 'countdown'):
-        "607b54b16865d0316534dafcb2dbe0f439223554348e32f439bda435cd6d8326",
+        "40db6ec2a389d2eabef3d6d434b9c26e1c46c285f4e0fa406fe2a33870855801",
     ('semu', 'divmod'):
-        "c77c154ed8f0e8712d7d42654af1a3ae8e5a37cc0882f09a5881ae9bfc6feabc",
+        "bcf3ffb546ca584c8d6c43203e3fcc66711ba8580ab68002b9e6a192a237f052",
     ('semu', 'fig1'):
-        "1e4422decf58269b1cfcd1fad487f74384bff039cd46f0b7faeafab372db5e80",
+        "7c5d23a52704c0d9c7309ed22c512c7553e9c27920a0aa5fc08bd2f821f69f7e",
     ('semu', 'mask'):
-        "40860e31c14c0ee138f0e9dda1e3f9f94069f38f89c71c95d711bf5e940eca63",
+        "336e172e6c909eb56efb4ce20d7bf2882fcd76dc5b1143e44448820b1223e4f7",
     ('semu', 'max2'):
         "3b7d2456dff77a623a00635ae4cfdcaf95a47eef1ef75c1e910a00742368e74d",
     ('semu', 'parity'):
-        "1a3092e3936bb82351412f67de1cfacb97c47bbbe798f14b76dd2786bd4f2730",
+        "d10ccaa9a2d977249fee2172eeb456fa04482792f34c6e270f81cc75c13ab25b",
     ('semu', 'poly'):
-        "277798cb39d36d9db128e6102179d1819bea6f2249d85d8f16bf72f0a6a5ccf0",
+        "0f4b8a2adaf367200ce2a355f2e008da850d6477351a1c92e0c0658083863aa0",
     ('semu', 'sign'):
-        "c5f26d34a3d262aa98371efc26007a29ff687098c13b936376dd99f8978f584a",
+        "492f3dc6830927efd24ece5c2209d0c61209c2a5e3035d427b46fa8ca759b17f",
     ('semu', 'sumloop'):
-        "6a98cc67a249172ce016142d1a07b887b7ec2c129441c72252ef078f1f4d9633",
+        "359bf8c850c10731bb45c78b56cacc0120040979dfa4e75f6d4397fab97de4d2",
     ('semu-seeded', 'abs'):
         "28144ebebed7269a9e20c4911efa3de93208d2c8c5835b5846401558050b0d5d",
     ('semu-seeded', 'callfn'):
-        "94a038a276cd43098c824eaf25e08ae48630bb2910a3d8e0a9c748a37617cd2f",
+        "7d045de965a57b747c062b2e19b7e7de26b012948336f834e48b03cb49788d6b",
     ('semu-seeded', 'clamp'):
-        "46d158792c32997e89e75c88f3cd5872f25e70bd43e3b5c8412a43593109c164",
+        "a26fd0297f9d233326f4c669b641b859a457f82d0a37c236c295a50305a489a8",
     ('semu-seeded', 'classify'):
-        "24e8789381ae9b49efae6c786db7745fe54c5af0f57014e9d02e42047f1bc50c",
+        "e931848f435d61a98c4712ba0fb4ced06f5a90111519d02ef5e02e5bdf202096",
     ('semu-seeded', 'countdown'):
-        "607b54b16865d0316534dafcb2dbe0f439223554348e32f439bda435cd6d8326",
+        "40db6ec2a389d2eabef3d6d434b9c26e1c46c285f4e0fa406fe2a33870855801",
     ('semu-seeded', 'divmod'):
-        "c77c154ed8f0e8712d7d42654af1a3ae8e5a37cc0882f09a5881ae9bfc6feabc",
+        "bcf3ffb546ca584c8d6c43203e3fcc66711ba8580ab68002b9e6a192a237f052",
     ('semu-seeded', 'fig1'):
-        "1e4422decf58269b1cfcd1fad487f74384bff039cd46f0b7faeafab372db5e80",
+        "7c5d23a52704c0d9c7309ed22c512c7553e9c27920a0aa5fc08bd2f821f69f7e",
     ('semu-seeded', 'mask'):
-        "40860e31c14c0ee138f0e9dda1e3f9f94069f38f89c71c95d711bf5e940eca63",
+        "336e172e6c909eb56efb4ce20d7bf2882fcd76dc5b1143e44448820b1223e4f7",
     ('semu-seeded', 'max2'):
         "3b7d2456dff77a623a00635ae4cfdcaf95a47eef1ef75c1e910a00742368e74d",
     ('semu-seeded', 'parity'):
-        "1a3092e3936bb82351412f67de1cfacb97c47bbbe798f14b76dd2786bd4f2730",
+        "d10ccaa9a2d977249fee2172eeb456fa04482792f34c6e270f81cc75c13ab25b",
     ('semu-seeded', 'poly'):
-        "277798cb39d36d9db128e6102179d1819bea6f2249d85d8f16bf72f0a6a5ccf0",
+        "0f4b8a2adaf367200ce2a355f2e008da850d6477351a1c92e0c0658083863aa0",
     ('semu-seeded', 'sign'):
-        "c5f26d34a3d262aa98371efc26007a29ff687098c13b936376dd99f8978f584a",
+        "492f3dc6830927efd24ece5c2209d0c61209c2a5e3035d427b46fa8ca759b17f",
     ('semu-seeded', 'sumloop'):
-        "6a98cc67a249172ce016142d1a07b887b7ec2c129441c72252ef078f1f4d9633",
+        "359bf8c850c10731bb45c78b56cacc0120040979dfa4e75f6d4397fab97de4d2",
     ('vanilla', 'abs'):
         "849fbd794377bf87ff5473710afc7f4ca9c8301e4d5c922d553ec42ea9214466",
     ('vanilla', 'callfn'):
@@ -243,9 +246,9 @@ STATS_GOLDEN = {
     ('vanilla', 'countdown'):
         "a37e8fe94cc371e12259b80a6289681e3bba781771902f77f2d3295b5b64fd99",
     ('vanilla', 'divmod'):
-        "c27cac2768c1a2ae36974184013d36fb91c181e3ead95561cdd2d880d973b8ca",
+        "28033a69909a98671016c351a65212524e4d0a568648da90a8fe04c7b3d4491c",
     ('vanilla', 'fig1'):
-        "0ac91b8025ea01259389e93f35ede0fc1d0e766d2c13c255f99faacc6b860ae5",
+        "ebba31a8aa0a60b1ea38f11e3200cea71760b3ebd45b51f6f45fefec7d46fe46",
     ('vanilla', 'mask'):
         "e4274c5bb387a7b7825a223dda0510fa86fc2ead41e510a3c1595f0ff13ef61e",
     ('vanilla', 'max2'):
@@ -267,34 +270,65 @@ STATS_GOLDEN = {
 SEED_FOLLOWING = symex.Config(mode="semu", pp=0.5, rng_seed=3, max_states=500,
                               budget_seconds=600)
 
-# `seed_following_digest` per program: its tests and work counts
+# `digest(format_tests(tests))` per program: the tests of its run
 SEED_FOLLOWING_GOLDEN = {
     'abs':
-        "d53b2967a6644f3d1eaabd7bac6287e5458ef182ca329181a35083f21b1b8551",
+        "77eac553859d5ae5bf3a3bca6d47c39d424c73ae59ad178abf423fc34c86f6ee",
     'callfn':
-        "58c67d45676ecd6086d42aca727f6efd0b4faa8abeec72afbe580ebc28ddec7e",
+        "8ec85574645b074413d94a34aa7ec42aa1221ec08d7cac43d2c03c9af23914aa",
     'clamp':
-        "023e8af7ebcf754869432a4c91eb28ba4640d3fc80458c6fee4fae0480d4855b",
+        "f08154fe9d9077d4ea14787851f2c7317cd36c42de4da512650b830c8bf9ea2a",
     'classify':
-        "c581c689c54b4bf34d348291ecd6bd58f613d0639609b6220c14a017c239d82c",
+        "c850e8fdd1e8c60fcf27cb53799760174187235176445c494216a37e0ff6b284",
     'countdown':
-        "92f076485a06ca3edd50fa49a5f0d481cbfb05b4390d8e645616bc3fcec2bf28",
+        "58cdb159dacb383ccc4aeeb1a8347750e763e9becdbaa14664667731de8a9152",
     'divmod':
-        "f433977f65b6c509e8f94b7d4ce88948fdf89cd307b4ef469df2d0c503aaa25f",
+        "ab25b7af4d505912adfbcda705f854dabf5792b8631fc635f18a9ba6b01aedde",
     'fig1':
-        "b1fdf77d2c3ab52ecf6098f1b11c0444719a2c466453d4c5bbda1959cff4622e",
+        "188f5ee0ff2fdd9f98e41dc63c2e3bf802cba5866bfe8aa6d638669ed2868c11",
     'mask':
-        "37387ea14dead73c11d4b60725a4f9f5a0900ae6107b4d300a49a7ee3ca0d7c9",
+        "b6e4fa9ade50d4b416cfcc172e2581df503b9f8e8ef5b3bcfc5c72e489128369",
     'max2':
-        "67c4d193cad850e37bb7099e2455f525154c42d741c7aeaf76fb9f1b84709753",
+        "e38b0c89c6be8ba02ba6c9571ca454c97acd67eeee9d76fc56a995bd1e1af170",
     'parity':
-        "cb195ed88e383204746dc8534d0be87d9ce88e857a1b87a862975075d6b71a2e",
+        "24c7c1153725f557822a2df252beb734495a1130f5dd1b56cd5e59369973687c",
     'poly':
-        "fa1914bd7e6564e841b715c4039dc47da98e62546ee3f79d01c4387e55a01e3d",
+        "274789e5a242e36f7ed55376ecf8c21db6a53f90005dc26d368babb6c48495e2",
     'sign':
-        "9972b729e3f1d5fd785fa14402d9c3e54b8e14c899143110c615a05efcd8fec2",
+        "63714ce6785de292e7b83d618a34084e8e8cdaacaf017eedb6962690debdbd6c",
     'sumloop':
-        "d182cd00b94e9f1afc58f8613ad9e33a8dccd5cf621955519416ab5dfa0663ee",
+        "828f8a3b8e7176e59ffc0009958ec4dbe8f4a31e264b0c3d218f4aeabf54bd70",
+}
+
+
+# `digest(work_counts(stats.as_text()))` per program: its run's work counts
+SEED_FOLLOWING_STATS_GOLDEN = {
+    'abs':
+        "40d8aa2ca81e7ffab8f8174a9a2685eeb53a7e67195d18cf7e424e0cffc85f25",
+    'callfn':
+        "ebac9c644911876422a19ce494c468f7709407fd2a0d01a624b6e4a6dc4867df",
+    'clamp':
+        "d90ac12c4cf3ab17be6b692f1820cddc1a972c02eb53c21548d7aa8f7cde35ff",
+    'classify':
+        "64a7c5dde222b02549c24802032165a9ed8dbd590279f8ccab20e586459756ea",
+    'countdown':
+        "f4d12433ba82ca96d71e66609fd89f025de896f87e5ba7efc066e6b074e5cbe8",
+    'divmod':
+        "59c0c2234ca3d2aa35ec294ad56bc8671ee7499676debbe03a6cfe43bedabe69",
+    'fig1':
+        "f26732625e1fb875c7346cf68485f41eb4abd3be21825001129f954460093c4f",
+    'mask':
+        "c3b21df0d7ac93c77c031cfaebd9015a81733bfdc52d5d4094d227f6ea1747e7",
+    'max2':
+        "4e1e4fa8c75c4260529c451f349cf9f551947389212db65d973fe90669ed984c",
+    'parity':
+        "8c71f91e5de2653a5b74ffc87c40520f1a1dfe83e0b8cd72af2f866065f31dab",
+    'poly':
+        "dc5ddff73844df75023f648d32c76a670b942e3cc72bbddd823ee2f9186d198e",
+    'sign':
+        "789babc533dedbe3d7fd1e25c8186f5d1f6d9d119b7cbe82f4d6adf64998c6e8",
+    'sumloop':
+        "e3a380d3cb38bccad4bda016a878e55125246f90f2dc6e193d92bab8c7dfc3d0",
 }
 
 
@@ -317,12 +351,12 @@ WIDE_GOLDEN = {
         "f6e727c59929a2ec3739a007f6b2574656347e76a4415664b42ad026be09bd73",
 }
 
-# `stats_digest` per benchmark program
+# `digest` of the `work_counts` per benchmark program
 WIDE_STATS_GOLDEN = {
     'classify':
-        "fbd75ab7448bc4e7c0c61cf88a080e697f62fea5f60e4ee5917ccbbda7079af9",
+        "83360c38e3aef05f137455b37a855840932ee5a620a45ac11fa0aef17cc4c2c3",
     'divmod':
-        "c77c154ed8f0e8712d7d42654af1a3ae8e5a37cc0882f09a5881ae9bfc6feabc",
+        "bcf3ffb546ca584c8d6c43203e3fcc66711ba8580ab68002b9e6a192a237f052",
     'linear':
         "1eaacf260efa1e6890b3a709bcbff3b875a3a87f255e3515441da4e1ed678494",
     'max2':
@@ -334,6 +368,10 @@ def bound_seeds(name: str) -> str:
     inputs = C.load_lts(name).inputs
     return "".join(", ".join(f"{v}={dom[i]}" for v, dom in inputs) + "\n"
                    for i in (0, 1))
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def outputs_digest(out_dir, files=FILES) -> str:
@@ -352,15 +390,20 @@ def work_counts(stats_text: str) -> str:
                    if not line.startswith("wall_clock="))
 
 
-def stats_digest(out_dir) -> str:
-    kept = work_counts((out_dir / "stats.txt").read_text())
-    return hashlib.sha256(kept.encode()).hexdigest()
+def run_counts(out_dir) -> str:
+    """The `work_counts` of the run that wrote `out_dir`."""
+    return work_counts((out_dir / "stats.txt").read_text())
+
+
+def hashed(counts):
+    """The `digest` of each entry of a table of work counts."""
+    return {key: digest(text) for key, text in counts.items()}
 
 
 def corpus_digests(config: str, tmp_path: Path):
-    """`outputs_digest` and `stats_digest` per corpus program, one full
+    """`outputs_digest` and work counts per corpus program, one full
     pipeline run each under `config`."""
-    got, got_stats = {}, {}
+    got, got_counts = {}, {}
     for name in sorted(C.ALL_PROGRAMS):
         out = tmp_path / name
         seeds = None
@@ -372,20 +415,20 @@ def corpus_digests(config: str, tmp_path: Path):
                                     seeds=None if seeds is None else str(seeds))
         cli.run_pipeline(manifest)
         got[name] = outputs_digest(out)
-        got_stats[name] = stats_digest(out)
-    return got, got_stats
+        got_counts[name] = run_counts(out)
+    return got, got_counts
 
 
 def wide_digests(tmp_path: Path):
-    """`outputs_digest` of WIDE_FILES and `stats_digest` per benchmark
+    """`outputs_digest` of WIDE_FILES and work counts per benchmark
     program, one full pipeline run each under WIDE_CONFIG."""
-    got, got_stats = {}, {}
+    got, got_counts = {}, {}
     for path in sorted(Path(C.BENCH_PROGRAMS).glob("*.mimp")):
         out = tmp_path / path.stem
         cli.run_pipeline(cli.parse_config(WIDE_CONFIG, program=str(path), out_dir=str(out)))
         got[path.stem] = outputs_digest(out, WIDE_FILES)
-        got_stats[path.stem] = stats_digest(out)
-    return got, got_stats
+        got_counts[path.stem] = run_counts(out)
+    return got, got_counts
 
 
 def followed_point(meta, kept, seeds) -> int:
@@ -413,35 +456,39 @@ def seed_following_run(name: str):
     return symex.explore(meta, targets, seeds, SEED_FOLLOWING, C.bounded_handle(lts))
 
 
-def seed_following_digest(tests, stats) -> str:
-    text = cli.format_tests(tests) + work_counts(stats.as_text())
-    return hashlib.sha256(text.encode()).hexdigest()
+def seed_following_digests():
+    """The tests' digest, the work counts and `pruned_seed` of
+    `seed_following_run` per corpus program."""
+    got, got_counts, pruned = {}, {}, {}
+    for name in sorted(C.ALL_PROGRAMS):
+        tests, stats = seed_following_run(name)
+        got[name] = digest(cli.format_tests(tests))
+        got_counts[name] = work_counts(stats.as_text())
+        pruned[name] = stats.pruned_seed
+    return got, got_counts, pruned
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 def test_corpus_outputs_unchanged(config, tmp_path):
-    got, got_stats = corpus_digests(config, tmp_path)
+    got, got_counts = corpus_digests(config, tmp_path)
     want = {name: GOLDEN[(config, name)] for name in sorted(C.ALL_PROGRAMS)}
     assert got == want
     want_stats = {name: STATS_GOLDEN[(config, name)] for name in sorted(C.ALL_PROGRAMS)}
-    assert got_stats == want_stats
+    assert hashed(got_counts) == want_stats
 
 
 def test_wide_outputs_unchanged(tmp_path):
-    got, got_stats = wide_digests(tmp_path)
+    got, got_counts = wide_digests(tmp_path)
     assert got == WIDE_GOLDEN
-    assert got_stats == WIDE_STATS_GOLDEN
+    assert hashed(got_counts) == WIDE_STATS_GOLDEN
 
 
 def test_seed_following_unchanged():
-    got, pruned = {}, {}
-    for name in sorted(C.ALL_PROGRAMS):
-        tests, stats = seed_following_run(name)
-        got[name] = seed_following_digest(tests, stats)
-        pruned[name] = stats.pruned_seed
+    got, got_counts, pruned = seed_following_digests()
     # the configuration does follow seeds: off-seed branches are pruned
     assert pruned["fig1"] > 0 and pruned["classify"] > 0
     assert got == SEED_FOLLOWING_GOLDEN
+    assert hashed(got_counts) == SEED_FOLLOWING_STATS_GOLDEN
 
 
 def _print_table(title: str, table) -> None:
@@ -451,20 +498,30 @@ def _print_table(title: str, table) -> None:
     print("}")
 
 
+def _print_counts(title: str, counts) -> None:
+    print(f"# {title} work counts")
+    for key in sorted(counts):
+        for line in counts[key].splitlines():
+            print(f"{key!r} {line}")
+
+
 if __name__ == "__main__":
-    golden, stats_golden = {}, {}
+    golden, counts = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for config in sorted(CONFIGS):
             (Path(tmp) / config).mkdir()
-            got, got_stats = corpus_digests(config, Path(tmp) / config)
+            got, got_counts = corpus_digests(config, Path(tmp) / config)
             golden.update(((config, name), d) for name, d in got.items())
-            stats_golden.update(((config, name), d) for name, d in got_stats.items())
+            counts.update(((config, name), text) for name, text in got_counts.items())
     _print_table("GOLDEN", golden)
-    _print_table("STATS_GOLDEN", stats_golden)
-    _print_table("SEED_FOLLOWING_GOLDEN", {
-        name: seed_following_digest(*seed_following_run(name))
-        for name in sorted(C.ALL_PROGRAMS)})
+    _print_table("STATS_GOLDEN", hashed(counts))
+    seed_following, seed_following_counts, _ = seed_following_digests()
+    _print_table("SEED_FOLLOWING_GOLDEN", seed_following)
+    _print_table("SEED_FOLLOWING_STATS_GOLDEN", hashed(seed_following_counts))
     with tempfile.TemporaryDirectory() as tmp:
-        wide, wide_stats = wide_digests(Path(tmp))
+        wide, wide_counts = wide_digests(Path(tmp))
     _print_table("WIDE_GOLDEN", wide)
-    _print_table("WIDE_STATS_GOLDEN", wide_stats)
+    _print_table("WIDE_STATS_GOLDEN", hashed(wide_counts))
+    _print_counts("corpus", counts)
+    _print_counts("seed-following", seed_following_counts)
+    _print_counts("wide", wide_counts)

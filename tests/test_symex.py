@@ -275,11 +275,26 @@ def run(meta, targets, seeds=(), **cfg_kw):
     return X.explore(meta, targets, list(seeds), cfg, handle)
 
 
+# the benchmark's corpus configuration, less what `gen` adds
+CORPUS = "MAX_STATES = 1000\nMAX_DEPTH = 200\nRNG_SEED = 1\n"
+
+# `y < x` is false once `y` is replaced by `x`, but it is not `false`
+UNSAT_GUARD = ("input x: int in [0, 3];\n"
+               "fn main() { var y = x; if (y < x) { output 1; } else { output 2; } }")
+
+# the original errors at x = 0 and outputs 0 elsewhere; the mutants `x + 8`
+# and `x - 8` and the deletion of the division output 0 everywhere, so only
+# x = 0 kills them
+ERRING_DIVISOR = "input x: int in [-2, 2];\nfn main() { var y = 1 / (x * 8); output y; }"
+
+
 def gen(out_dir, program: str, config: str) -> tuple:
-    """`mutkill gen` on a corpus program at PP=1.0 in semu mode, in this
-    process; its tests.txt and its stats.txt without the wall clock."""
+    """`mutkill gen` on a corpus program, or on the program file at the
+    path `program`, at PP=1.0 in semu mode, in this process; its tests.txt
+    and its stats.txt without the wall clock."""
+    path = program if program.endswith(".mimp") else C.corpus_path(program)
     manifest = cli.parse_config("MODE = semu\nPP = 1.0\nBUDGET_SECONDS = 600\n" + config,
-                                program=C.corpus_path(program), out_dir=str(out_dir))
+                                program=path, out_dir=str(out_dir))
     cli.run_pipeline(manifest, stop="gen")
     stats = (out_dir / "stats.txt").read_text()
     return ((out_dir / "tests.txt").read_text(),
@@ -386,10 +401,10 @@ class TestEngine:
         assert queries and len(queries) == stats.solver_calls
 
     def test_constant_divisors_get_no_error_branch(self, monkeypatch, tmp_path):
-        # countdown's AOR mutants divide by the literal 2, whose error
-        # condition `2 == 0` normalizes to false, so an error-path
-        # conjunction for it (6 360 under the benchmark's corpus
-        # configuration) would be built and never solved
+        # countdown's AOR mutants divide by the literal 2, which is never
+        # zero, so an error-path conjunction for it (6 360 under the
+        # benchmark's corpus configuration) would be built and sent to the
+        # solver, which would find each one unsat
         for module in (T, S):
             for value in list(vars(module).values()):
                 if hasattr(value, "cache_clear"):
@@ -403,13 +418,73 @@ class TestEngine:
             return conj(items)
 
         monkeypatch.setattr(T, "conj", recording)
-        _, stats = gen(tmp_path, "countdown", "MAX_STATES = 1000\nMAX_DEPTH = 200\nRNG_SEED = 1\n")
+        _, stats = gen(tmp_path, "countdown", CORPUS)
         zero = [c.left for items in built for c in items[-1:]
                 if isinstance(c, Cmp) and c.op == "==" and c.right == Lit(0)]
         assert zero
         assert not [d for d in zero if not T.has_division(d)
                     and isinstance(T.normalize_int(d), Lit)]
-        assert "solver_calls=1210\n" in stats
+        assert "solver_calls=1343\n" in stats
+
+    def test_explore_normalizes_no_boolean_term(self, monkeypatch, tmp_path):
+        # feasibility is the solver's question, and the solver decides
+        # countdown's small queries from their truth sets: exploring it
+        # normalizes no guard, path or query (TCE, before it, does)
+        explore, normalize = X.explore, T.normalize_bool
+        normalized = []
+
+        def counting(t):
+            normalized.append(t)
+            return normalize(t)
+
+        def spied(*args):
+            monkeypatch.setattr(T, "normalize_bool", counting)
+            try:
+                return explore(*args)
+            finally:
+                monkeypatch.setattr(T, "normalize_bool", normalize)
+
+        monkeypatch.setattr(X, "explore", spied)
+        _, stats = gen(tmp_path, "countdown", CORPUS)
+        assert "states_created=1000\n" in stats
+        assert normalized == []
+
+    def test_a_guard_false_in_normal_form_is_pruned_by_the_solver(self, tmp_path):
+        lts = L.lower_to_lts(P.parse_text(UNSAT_GUARD))
+        (assign,) = lts.successors[lts.entry]
+        s, _ = X.step(X.initial_state(lts), 0, assign)
+        stepped = [X.step(s, i, t) for i, t in enumerate(lts.successors[s.loc])]
+        # both arms are stepped; the solver finds `x < x` unsat
+        handle = C.bounded_handle(lts)
+        assert [(T.normalize_bool(gc.guard), S.is_satisfiable(nxt.path, handle).is_sat)
+                for nxt, gc in stepped] == [(T.FALSE, False), (T.TRUE, True)]
+        program = tmp_path / "unsat_guard.mimp"
+        program.write_text(UNSAT_GUARD)
+        tests, stats = gen(tmp_path / "out", str(program), "")
+        assert digest(tests) == "9632a26a03680f943494651fcd016a069ed07db543f45a8d4f5fed4916dd4fa8"
+        # 8 of the 9 states at the branch have an arm the solver finds
+        # unsat: all but the mutant that deletes `var y = x`
+        assert "states_created=41\npruned_infeasible=8\n" in stats
+        assert "solver_calls=60\n" in stats
+
+    def test_errors_of_the_original_take_part_in_the_infection_check(self):
+        lts = L.lower_to_lts(P.parse_text(ERRING_DIVISOR))
+        mutants = M.generate_mutants(lts, M.SUPPORTED_OPERATORS)
+        meta = M.build_meta_mutant(lts, mutants)
+        tests, _ = run(meta, meta.mutant_ids(), pp=1.0)
+        by_mutant = {}
+        for t in tests:
+            by_mutant.setdefault(t.mutant_id, []).append(t.valuation())
+        erring = [m.id for m in mutants
+                  if m.operator in ("AOR:x * 8->x + 8", "AOR:x * 8->x - 8")
+                  or (m.operator, m.original) == ("SDL", "1 / (x * 8)")]
+        assert len(erring) == 3
+        for m in erring:
+            # the original errors where the mutant outputs: a test of its own
+            assert by_mutant.get(m), m
+            for model in by_mutant[m]:
+                assert I.run_concrete(meta, 0, model).outcome() \
+                    != I.run_concrete(meta, m, model).outcome()
 
     def test_stats_text_contains_counters(self, fig1):
         _, mutants, _, meta = fig1
@@ -492,4 +567,4 @@ class TestDeepTerms:
         tests, stats = gen(tmp_path, "countdown", "MAX_DEPTH = 1100\nOPERATORS = AOR\n")
         assert "states_created=3470\n" in stats
         assert digest(tests) == "52f0d13a10581a6ac00d1e252a41dc56f45aa5550a8ba243298fa996e0ad8c34"
-        assert digest(stats) == "25104bcd4e03f81e98cef1aa0b2cf449917769f1d8e51a3b45866e9b6e2055a6"
+        assert digest(stats) == "1c69548ec9c20cc9f80d1a5a783ac007b6135ad49a90b6ef27426cc22ee7f26e"
