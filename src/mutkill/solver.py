@@ -273,12 +273,11 @@ def enumerate_models(c: BoolTerm, h: SolverHandle) -> Iterator[Dict[str, int]]:
     """All satisfying valuations in deterministic order (lexicographic symbol
     names, ascending values).  Complete over the declared domains; a query
     of more than `MAX_POINTS` points raises SolverFailure."""
-    return _models(c, h.domains)
+    return _models(c, _query_domains(T.variables(c), h.domains))
 
 
-def _models(c: BoolTerm, domains: Domains) -> Iterator[Dict[str, int]]:
-    """`enumerate_models` over a handle's `domains`."""
-    doms = _query_domains(T.variables(c), domains)
+def _models(c: BoolTerm, doms: Domains) -> Iterator[Dict[str, int]]:
+    """`enumerate_models` over the query's domains `doms`."""
     total = _count(doms)
     if total > MAX_POINTS:
         raise SolverFailure(f"domain too large for enumeration: {total} points over "
@@ -322,24 +321,22 @@ def _decide(c: BoolTerm, domains: Domains) -> SolverResult:
 
 
 def _solve(c: BoolTerm, domains: Domains, decided: dict) -> SolverResult:
-    try:
-        doms = _query_domains(T.variables(c), domains)
-    except SolverFailure:
-        doms = None
-    if doms is not None and _count(doms) < _COMPILE_MIN_POINTS:
+    doms = _query_domains(T.variables(c), domains)
+    total = _count(doms)
+    if total < _COMPILE_MIN_POINTS:
         # the truth set of the query as posed is empty where its normal form
         # is false; its model is total over the query's symbols
         mask = _truth_set(c, doms)
         return SolverResult(SAT, _point((mask & -mask).bit_length() - 1, doms)) if mask else _UNSAT
-    if doms is not None and _count(doms) <= MAX_POINTS:
+    if total <= MAX_POINTS:
         # a large query that extends a decided one is not compiled
         res = _from_conjuncts(c, doms, decided)
         if res is not None:
             return res
-    # any other query that normalizes to false is unsat, whatever its domains
+    # any other query that normalizes to false is unsat, however many points
     if T.normalize_bool(c) == T.FALSE:
         return _UNSAT
-    for model in _models(c, domains):
+    for model in _models(c, doms):
         return SolverResult(SAT, model)
     return _UNSAT
 

@@ -25,7 +25,6 @@ operator's meaning, to evaluation, normalization and the solver alike.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -625,18 +624,6 @@ class _Poly:
             return self.coeffs[()]
         return None
 
-    def offset(self, other: "_Poly", sign: int):
-        """`(self + sign * other).constant_value()`, without building the
-        sum: it is constant where the non-constant monomials cancel (no
-        coefficient is ever 0)."""
-        a, b = self.coeffs, other.coeffs
-        if len(a) - (() in a) != len(b) - (() in b):
-            return None
-        for m, c in a.items():
-            if m and b.get(m) != -sign * c:
-                return None
-        return a.get((), 0) + sign * b.get((), 0)
-
     def has_div_atom(self) -> bool:
         return any(
             has_division(a) for m in self.coeffs for a in m
@@ -775,123 +762,20 @@ def _contradicts(a: BoolTerm, b: BoolTerm) -> bool:
     pa, pb = _to_poly(a.left), _to_poly(b.left)
     if a.op == "==" and b.op == "==":
         # p == 0 and p + k == 0 with k != 0
-        d = pa.offset(pb, -1)
+        d = (pa - pb).constant_value()
         if d is not None and d != 0:
             return True
     if a.op == "<" and b.op == "<":
         # p < 0 and q < 0 over integers force p + q <= -2
-        d = pa.offset(pb, 1)
+        d = (pa + pb).constant_value()
         if d is not None and d >= -1:
             return True
     if {a.op, b.op} == {"<", "=="}:
         lt, eq = (pa, pb) if a.op == "<" else (pb, pa)
         # q == 0 pins p to a constant; p < 0 then needs that constant < 0
-        for d in (lt.offset(eq, -1), lt.offset(eq, 1)):
+        for d in ((lt - eq).constant_value(), (lt + eq).constant_value()):
             if d is not None and d >= 0:
                 return True
-    return False
-
-
-# `_contradicts` recognizes a contradiction only between comparisons in one
-# direction: the non-constant part of their polynomials, divided by its
-# content and by the sign of its leading coefficient.  So a conjunction
-# that grows by an item checks it only against its items in that
-# direction, which `_signatures` lists.
-
-
-@functools.cache
-def _signatures() -> tuple:
-    """(atom -> its `_signature_of`, direction -> the atoms that have it,
-    the conjunctions all of whose items are listed), for the atoms of the
-    conjunctions built so far; kept, like the caches in front of it, until
-    `cache_clear`."""
-    return {}, {}, set()
-
-
-def _signature_of(atom: BoolTerm):
-    """(direction, sign of the leading coefficient, op) of a normalized
-    comparison `p OP 0`, or of one under a `Not`, with the op "not".  None,
-    which may contradict any atom, for an atom of another shape and for a
-    constant `p`."""
-    c = atom.operand if isinstance(atom, Not) else atom
-    if not (isinstance(c, Cmp) and c.right == Lit(0)):
-        return None
-    terms = {m: k for m, k in _to_poly(c.left).coeffs.items() if m}
-    if not terms:
-        return None
-    sign = _Poly(terms).leading_sign()
-    g = sign * math.gcd(*terms.values())
-    direction = frozenset((m, k // g) for m, k in terms.items())
-    return direction, sign, "not" if c is not atom else c.op
-
-
-def _signature(atom: BoolTerm):
-    """`_signature_of(atom)`, computed once; the atom is then listed under
-    its direction."""
-    sigs, by_direction, _ = _signatures()
-    if atom not in sigs:
-        sig = sigs[atom] = _signature_of(atom)
-        by_direction.setdefault(sig and sig[0], []).append(atom)
-    return sigs[atom]
-
-
-def _compatible(a, b) -> bool:
-    """Whether atoms with the signatures `a` and `b` may contradict: only
-    comparisons in one direction can.  Of those, `p < 0` and `q < 0`
-    contradict only with opposite signs, and `p != 0` only an equation."""
-    if a is None or b is None:
-        return True
-    if a[0] != b[0]:
-        return False
-    ops = {a[2], b[2]}
-    if ops == {"<"}:
-        return a[1] != b[1]
-    return "not" in ops or "==" in ops
-
-
-def _position(items: tuple, item: BoolTerm) -> int:
-    """The index of `item` in the `_sort_key`-sorted `items`; or, if it is
-    not there, `-1 - ` the index where it would go."""
-    i = bisect.bisect_left(items, _sort_key(item), key=_sort_key)
-    return i if i < len(items) and items[i] is item else -1 - i
-
-
-def _partners(sig, base: tuple, held: dict) -> list:
-    """The items of a conjunction being built that an atom with the
-    signature `sig` may contradict, each with the bits of the children that
-    hold it: `base` holds the items of the largest child, bit 0, and `held`
-    maps the items of the others to their bits."""
-    _, by_direction, _ = _signatures()
-    named = by_direction.get(sig and sig[0], ())
-    wild = by_direction.get(None, ()) if sig else ()
-    if sig is None or len(named) + len(wild) > len(base):
-        return ([(a, held.get(a, 0) | 1) for a in base]
-                + [(a, bits) for a, bits in held.items() if not bits & 1])
-    out = []
-    for a in itertools.chain(named, wild):
-        bits = held.get(a)
-        if bits is None and _position(base, a) < 0:
-            continue  # not an item of this conjunction
-        out.append((a, 1 if bits is None else bits))
-    return out
-
-
-def _contradiction(first: BoolTerm, base: tuple, held: dict, new: list) -> bool:
-    """Whether an item in `new` contradicts another item of the conjunction
-    whose largest child `first` has the items `base`, bit 0, and whose other
-    children's items `held` maps to their bits.  Only items of no common
-    child can: each child is free of contradictions."""
-    sigs, _, listed = _signatures()
-    for item in itertools.chain(() if first in listed else base, new):
-        _signature(item)
-    done = set()
-    for b in new:
-        bits, sig = held[b], sigs[b]
-        for a, a_bits in _partners(sig, base, held):
-            if (not a_bits & bits and a not in done
-                    and _compatible(sigs[a], sig) and _contradicts(a, b)):
-                return True
-        done.add(b)
     return False
 
 
@@ -935,33 +819,18 @@ def normalize_bool(t: BoolTerm) -> BoolTerm:
                 children.append(nx)
         if not children:
             return identity
-        # the other children's items are merged into the largest child's,
-        # which are sorted and, in a conjunction, contradict no other: a
-        # path that grows by a guard checks the guard against the path's
-        # items of the same direction only
-        sizes = [len(c.items) if isinstance(c, node) else 1 for c in children]
-        first = children.pop(sizes.index(max(sizes)))
-        base = first.items if isinstance(first, node) else (first,)
-        held: Dict[BoolTerm, int] = {}  # item -> one bit per child holding it, base 1
-        for bit, child in enumerate(children, 1):
-            for item in child.items if isinstance(child, node) else (child,):
-                held[item] = held.get(item, 0) | 1 << bit
-        new = {}  # an item outside `base` -> where it goes in `base`
-        for item in held:
-            i = _position(base, item)
-            if i < 0:
-                new[item] = -1 - i
-            else:
-                held[item] |= 1
-        if not new:
-            return first
-        if is_and and _contradiction(first, base, held, list(new)):
-            return FALSE
-        items = list(base)
-        for item in sorted(new, key=_sort_key, reverse=True):
-            items.insert(new[item], item)
-        out = node(tuple(items))
+        # the children's items, merged in one sorted tuple; each child is
+        # normalized, so no two of its own items contradict, and in a
+        # conjunction only an item outside the largest child can contradict
+        # another
+        flat = [c.items if isinstance(c, node) else (c,) for c in children]
+        items = dict.fromkeys(itertools.chain.from_iterable(flat))
         if is_and:
-            _signatures()[2].add(out)
-        return out
+            base = max(flat, key=len)
+            in_base = set(base)
+            new = [b for b in items if b not in in_base]
+            for i, b in enumerate(new):
+                if any(_contradicts(a, b) for a in itertools.chain(base, new[:i])):
+                    return FALSE
+        return (conj if is_and else disj)(sorted(items, key=_sort_key))
     raise TypeError(f"not a boolean term: {t!r}")

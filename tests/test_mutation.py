@@ -192,6 +192,18 @@ class TestTce:
         assert lt1.id in group
         assert min(group) in tce.representatives()
 
+    def test_a_division_erased_by_normalization_is_not_equivalent(self):
+        # 0 * (x / x) normalizes to 0, but the mutant errors at x = 0
+        lts = lower("input x: int in [-3, 3];\n"
+                    "fn main() { output 0 * (x * x); }")
+        ms = M.generate_mutants(lts, ["AOR"])
+        tce = M.tce_filter(lts, ms)
+        dividing = {m.id for m in ms if m.operator in ("AOR:x * x->x / x", "AOR:x * x->x % x")}
+        assert len(dividing) == 2
+        assert not dividing & set(tce.equivalent)
+        meta = M.build_meta_mutant(lts, ms)
+        assert dividing <= I.killable_mutants(meta, dividing, step_budget=100)
+
     def test_partition_is_total(self, fig1):
         _, mutants, tce, _ = fig1
         grouped = {i for g in tce.duplicate_groups for i in g}
