@@ -18,7 +18,7 @@ dense and 1-based; 0 always selects the original program.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import terms as T
 from .lts import GuardedCommand, Lts, Transition
@@ -262,36 +262,25 @@ def _row(transition: Transition) -> tuple:
     return (src, dst, T._sort_key(guard), update, emit, tuple(sorted(divisors)))
 
 
-def _normal_form(lts: Lts) -> str:
+def _normal_form(lts: Lts, printed: Optional[Dict[Transition, tuple]] = None) -> str:
     """Canonical serialization after algebraic normalization of every guard,
-    update term, and output term: the sorted rows of the transitions."""
-    return repr(sorted(map(_row, lts.transitions)))
-
-
-def _printed(rows: List[tuple], text: Dict[tuple, str]) -> str:
-    """`repr(rows)`, with the `repr` of each row that has one in `text`."""
-    return "[" + ", ".join([text.get(r) or repr(r) for r in rows]) + "]"
+    update term, and output term: the sorted rows of the transitions, as
+    `repr` prints the list.  `printed` memoizes each transition's row and
+    its `repr`."""
+    printed = {} if printed is None else printed
+    for t in lts.transitions:
+        if t not in printed:
+            row = _row(t)
+            printed[t] = row, repr(row)
+    rows = sorted(map(printed.get, lts.transitions))
+    return "[" + ", ".join([text for _, text in rows]) + "]"
 
 
 def tce_filter(lts: Lts, mutants: Sequence[Mutant]) -> TceReport:
-    # a mutant's program is the original minus its removed transitions plus
-    # its replacement, so its normal form is the original's sorted rows
-    # minus those of the removed transitions plus those of the replacement:
-    # the original's rows are computed, sorted and printed once
-    transitions = lts.transitions
-    rows = [_row(t) for t in transitions]
-    text = {r: repr(r) for r in rows}
-    ranked = sorted(range(len(rows)), key=rows.__getitem__)
-    at: Dict[int, List[int]] = {}  # source location -> indices of its transitions
-    for i, (src, _, _) in enumerate(transitions):
-        at.setdefault(src, []).append(i)
-    original = _printed([rows[i] for i in ranked], text)
-    forms: Dict[int, str] = {}
-    for m in mutants:
-        # every transition equal to a removed one goes, as in `apply_mutant`
-        gone = {i for t in m.removed for i in at.get(t[0], ()) if transitions[i] == t}
-        kept = [rows[i] for i in ranked if i not in gone]
-        forms[m.id] = _printed(sorted(kept + [_row(t) for t in m.replacement]), text)
+    # a transition that the original and mutants share is printed once
+    printed: Dict[Transition, tuple] = {}
+    original = _normal_form(lts, printed)
+    forms = {m.id: _normal_form(apply_mutant(lts, m), printed) for m in mutants}
     equivalent = tuple(sorted(i for i, f in forms.items() if f == original))
     by_form: Dict[str, List[int]] = {}
     for i, f in sorted(forms.items()):

@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import terms as T
 from .record import Record
-from .terms import And, Bin, BoolLit, BoolTerm, Cmp, Lit, Neg, Not, Or, Var
+from .terms import And, Bin, BoolTerm, Cmp, Lit, Neg, Var
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -182,9 +181,6 @@ def _count(doms: Domains) -> int:
     return math.prod(hi - lo + 1 for _, (lo, hi) in doms)
 
 
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # truth values as binary digits
-
-
 @functools.cache
 def _point_values(doms: Domains) -> dict:
     """term -> its values at the points of the product of `doms`, for every
@@ -192,68 +188,15 @@ def _point_values(doms: Domains) -> dict:
     return {}
 
 
-@functools.cache
-def _evaluator(doms: Domains) -> Callable:
-    """`value(t, memo)`: an integer term's column, its values at the points
-    of the product of `doms` in `itertools.product` order, None where
-    evaluating it divides by zero; a boolean term's truth set, those points
-    as a bitmask, bit i for the i-th point, at which it holds.  A comparison
-    is false where either side divides by zero, as in `T.holds`.  Both come
-    from the values of the term's subterms in `memo`."""
-    count = _count(doms)
-    everywhere = (1 << count) - 1
-    names = [n for n, _ in doms]
-    sizes = [hi - lo + 1 for _, (lo, hi) in doms]
-
-    def value(t: T.Term, memo: dict):
-        # only a term that divides has None in its column
-        if isinstance(t, And):
-            return functools.reduce(operator.and_, map(memo.__getitem__, t.items), everywhere)
-        if isinstance(t, Cmp):
-            left, right = memo[t.left], memo[t.right]
-            fn = T.COMPARE[t.op]
-            if T.has_division(t):
-                holds = [a is not None and b is not None and fn(a, b)
-                         for a, b in zip(left, right)]
-            else:
-                holds = map(fn, left, right)
-            # one byte per point, 0 or 1, read as binary digits, last point first
-            return int(bytes(holds).translate(_DIGITS)[::-1], 2)
-        if isinstance(t, Bin):
-            left, right = memo[t.left], memo[t.right]
-            fn = T.ARITH[t.op]
-            if T.has_division(t):
-                divides = t.op in ("/", "%")
-                return tuple(None if a is None or b is None or divides and b == 0 else fn(a, b)
-                             for a, b in zip(left, right))
-            return tuple(map(fn, left, right))
-        if isinstance(t, Lit):
-            return (t.value,) * count
-        if isinstance(t, Var):
-            k = names.index(t.name)
-            lo, hi = doms[k][1]
-            inner, outer = math.prod(sizes[k + 1:]), math.prod(sizes[:k])
-            return tuple([v for v in range(lo, hi + 1) for _ in range(inner)] * outer)
-        if isinstance(t, Neg):
-            if T.has_division(t):
-                return tuple(None if a is None else -a for a in memo[t.operand])
-            return tuple(map(operator.neg, memo[t.operand]))
-        if isinstance(t, Or):
-            return functools.reduce(operator.or_, map(memo.__getitem__, t.items), 0)
-        if isinstance(t, Not):
-            return everywhere ^ memo[t.operand]
-        if isinstance(t, BoolLit):
-            return everywhere if t.value else 0
-        raise TypeError(f"not a term: {t!r}")
-
-    return value
+_evaluator = functools.cache(T.column_evaluator)
 
 
 def _truth_set(c: BoolTerm, doms: Domains) -> int:
     """The points of the product of `doms` at which `c` holds, as a bitmask
-    (`_evaluator`).  Every subterm's values are computed once per domains,
-    post-order on an explicit stack, so a path that grows by a guard costs
-    the guard's truth set and one AND with the path's, at any depth."""
+    (`T.column_evaluator`).  Every subterm's values are computed once per
+    domains, post-order on an explicit stack, so a path that grows by a
+    guard costs the guard's truth set and one AND with the path's, at any
+    depth."""
     return T._bottom_up(_evaluator(doms), c, memo=_point_values(doms))
 
 

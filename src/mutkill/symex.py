@@ -87,7 +87,9 @@ class SymbolicState(Record):
     variable, in name order; `out` is the symbolic output trace so far;
     `mut_id` 0 is the original.  `trail` holds the taken-transition
     indices, for prefix pairing; `branch_count` the post-fork branching
-    locations traversed.
+    locations traversed.  In semu mode a mutant state is kept or pruned at
+    every checkpoint that it reaches, so a live one has passed
+    `branch_count // (CW + 1)` checkpoints.
     In seeded mode, `compatible_seeds` holds the indices of the seeds whose
     runs the state follows; it is empty once released, or when not
     following seeds.  `forked` holds the mutant IDs already forked on this
@@ -95,11 +97,9 @@ class SymbolicState(Record):
 
     # kept in the instance's `__dict__`, which `replace` copies in bulk
     _fields = ("path", "store", "out", "loc", "mut_id", "depth", "trail",
-               "fork_trail", "checkpoints_passed", "branch_count",
-               "compatible_seeds", "forked", "status")
-    _defaults = {"trail": (), "fork_trail": None, "checkpoints_passed": 0,
-                 "branch_count": 0, "compatible_seeds": (), "forked": frozenset(),
-                 "status": "live"}
+               "fork_trail", "branch_count", "compatible_seeds", "forked", "status")
+    _defaults = {"trail": (), "fork_trail": None, "branch_count": 0,
+                 "compatible_seeds": (), "forked": frozenset(), "status": "live"}
 
     def store_map(self) -> Dict[str, IntTerm]:
         return dict(self.store)
@@ -489,8 +489,7 @@ class _Engine:
         mids = [m for m in self.meta.mutation_points.get(s.loc, ())
                 if m in self.targets and m not in s.forked]
         self.stats.states_created += len(mids)
-        return [s.replace(mut_id=m, fork_trail=s.trail, checkpoints_passed=0,
-                          branch_count=0, compatible_seeds=())
+        return [s.replace(mut_id=m, fork_trail=s.trail, branch_count=0, compatible_seeds=())
                 for m in mids]
 
     def infected(self, kids: List[SymbolicState],
@@ -520,7 +519,8 @@ class _Engine:
                        originals: Sequence[SymbolicState]) -> None:
         if not self.quota_left(pruned.mut_id):
             return
-        if pruned.checkpoints_passed < self.cfg.mpd:
+        # the checkpoints it has passed, the one it is pruned at included
+        if pruned.branch_count // (self.cfg.cw + 1) < self.cfg.mpd:
             return
         paired = pair_states(pruned, originals, self.sat)
         if paired is None:
@@ -626,23 +626,20 @@ class _Engine:
     def _apply_checkpoints(self, successors: List[SymbolicState],
                            candidates: Dict[Tuple[int, int], List[int]]
                            ) -> List[SymbolicState]:
-        """Keep PP of each checkpoint's branches; a pruned branch may leave
-        an early test."""
+        """Keep PP of each checkpoint's branches, as they are: a kept state
+        has passed the checkpoint by its branch count.  A pruned branch is
+        dropped and may leave an early test."""
         originals = [x for x in successors if x.mut_id == 0]
-        out: List[Optional[SymbolicState]] = list(successors)
+        dropped: Set[int] = set()
         for (m, loc), idxs in sorted(candidates.items()):
             cands = [successors[i] for i in idxs]
             self.stats.checkpoint_events.append((m, loc, cands[0].depth))
-            kept, pruned = select_branches(cands, self.cfg, self.dist, self.rng)
+            _, pruned = select_branches(cands, self.cfg, self.dist, self.rng)
             for c in pruned:
                 self.stats.pruned_pp += 1
-                self.try_early_test(
-                    c.replace(checkpoints_passed=c.checkpoints_passed + 1), originals)
-            kept_ids = {id(c) for c in kept}
-            for i, c in zip(idxs, cands):
-                out[i] = c.replace(checkpoints_passed=c.checkpoints_passed + 1) \
-                    if id(c) in kept_ids else None
-        return [x for x in out if x is not None]
+                self.try_early_test(c, originals)
+                dropped.add(id(c))
+        return [x for x in successors if id(x) not in dropped]
 
 
 def explore(meta: MetaMutant, targets: Iterable[int],

@@ -29,7 +29,7 @@ import functools
 import itertools
 import math
 import operator
-from typing import Dict, Iterable, List, Mapping, Sequence, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Union
 
 from .record import Record
 
@@ -269,45 +269,75 @@ def eval_bool(t: BoolTerm, env: Mapping[str, int]) -> bool:
     raise TypeError(f"not a boolean term: {t!r}")
 
 
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # truth values as binary digits
+
+
+def column_evaluator(doms: Sequence[tuple]) -> Callable:
+    """`value(t, memo)` over `doms`, sorted (name, inclusive (lo, hi))
+    pairs: an integer term's column, its values at the points of the
+    product of `doms` in `itertools.product` order, None where evaluating
+    it divides by zero; a boolean term's truth set, those points as a
+    bitmask, bit i for the i-th point, at which it holds.  A comparison is
+    false where either side divides by zero.  Both come from the values of
+    the term's subterms in `memo` (see `_bottom_up`)."""
+    sizes = [hi - lo + 1 for _, (lo, hi) in doms]
+    count = math.prod(sizes)
+    everywhere = (1 << count) - 1
+    names = [n for n, _ in doms]
+
+    def value(t: Term, memo: dict):
+        # only a term that divides has None in its column
+        if isinstance(t, And):
+            return functools.reduce(operator.and_, map(memo.__getitem__, t.items), everywhere)
+        if isinstance(t, Cmp):
+            left, right = memo[t.left], memo[t.right]
+            fn = COMPARE[t.op]
+            if t._divides:
+                truth = [a is not None and b is not None and fn(a, b)
+                         for a, b in zip(left, right)]
+            else:
+                truth = map(fn, left, right)
+            # one byte per point, 0 or 1, read as binary digits, last point first
+            return int(bytes(truth).translate(_DIGITS)[::-1], 2)
+        if isinstance(t, Bin):
+            left, right = memo[t.left], memo[t.right]
+            fn = ARITH[t.op]
+            if t._divides:
+                divides = t.op in ("/", "%")
+                return tuple(None if a is None or b is None or divides and b == 0 else fn(a, b)
+                             for a, b in zip(left, right))
+            return tuple(map(fn, left, right))
+        if isinstance(t, Lit):
+            return (t.value,) * count
+        if isinstance(t, Var):
+            k = names.index(t.name)
+            lo, hi = doms[k][1]
+            inner, outer = math.prod(sizes[k + 1:]), math.prod(sizes[:k])
+            return tuple([v for v in range(lo, hi + 1) for _ in range(inner)] * outer)
+        if isinstance(t, Neg):
+            if t._divides:
+                return tuple(None if a is None else -a for a in memo[t.operand])
+            return tuple(map(operator.neg, memo[t.operand]))
+        if isinstance(t, Or):
+            return functools.reduce(operator.or_, map(memo.__getitem__, t.items), 0)
+        if isinstance(t, Not):
+            return everywhere ^ memo[t.operand]
+        if isinstance(t, BoolLit):
+            return everywhere if t.value else 0
+        raise TypeError(f"not a term: {t!r}")
+
+    return value
+
+
 def holds(t: BoolTerm, env: Mapping[str, int]) -> bool:
     """Constraint-style evaluation: a comparison whose evaluation divides by
     zero counts as false (the corresponding concrete execution errors out and
-    is handled by the error-output path, not the solver).  Nested `And`,
-    `Or` and `Not` are walked on an explicit stack, short-circuiting, so a
-    path of any length costs a few Python frames."""
-    # the open connectives: (their items left, the item value that decides
-    # them, whether they are negated)
-    frames: List[tuple] = []
-    negated = False
-    while True:
-        if isinstance(t, Not):
-            negated = not negated
-            t = t.operand
-            continue
-        if isinstance(t, (And, Or)):
-            frames.append((iter(t.items), isinstance(t, Or), negated))
-            value = None  # no item decided yet
-        elif isinstance(t, Cmp):
-            try:
-                value = COMPARE[t.op](eval_int(t.left, env), eval_int(t.right, env)) != negated
-            except EvalError:
-                value = negated
-        elif isinstance(t, BoolLit):
-            value = bool(t.value) != negated
-        else:
-            raise TypeError(f"not a boolean term: {t!r}")
-        while frames:
-            items, decisive, negated = frames[-1]
-            if value is not decisive:
-                t = next(items, None)
-                if t is not None:
-                    negated = False
-                    break
-                value = not decisive
-            frames.pop()
-            value = value != negated
-        else:
-            return value
+    is handled by the error-output path, not the solver).  `env` must bind
+    every variable of `t`.  This is `column_evaluator`'s truth set at the
+    one point `env`: every subterm is evaluated, with no short-circuit, on
+    an explicit stack, so a path of any length costs a few Python frames."""
+    doms = tuple((name, (env[name], env[name])) for name in sorted(t._vars))
+    return _bottom_up(column_evaluator(doms), t, memo={}) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from mutkill import mutation as M
 from mutkill import parser as P
 from mutkill import solver as S
 from mutkill import symex as X
+from mutkill import terms as T
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 BENCH_PROGRAMS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "programs")
@@ -23,6 +24,23 @@ DIVIDING_BRANCH = ("input x: int in [-2,2];\ninput y: int in [-2,2];\n"
 LOOPFREE = ["abs", "max2", "clamp", "sign", "parity", "mask", "classify",
             "poly", "divmod"]
 ALL_PROGRAMS = LOOPFREE + ["fig1", "sumloop", "countdown", "callfn"]
+
+
+def meaning(c, env) -> bool:
+    """Whether the constraint c holds at env, by the recursive reference
+    semantics `T.eval_bool`, a comparison counted false where it divides by
+    zero: the oracle of `T.holds` and of the solver, which share no code
+    with it."""
+    if isinstance(c, T.Not):
+        return not meaning(c.operand, env)
+    if isinstance(c, T.And):
+        return all(meaning(item, env) for item in c.items)
+    if isinstance(c, T.Or):
+        return any(meaning(item, env) for item in c.items)
+    try:
+        return T.eval_bool(c, env)
+    except T.EvalError:
+        return False
 
 
 def corpus_path(name: str) -> str:

@@ -2,7 +2,8 @@
 
 Each program has one or two inputs in [-3, 3], a local `t` and `if`/`else`
 nested up to two deep; its expressions range over `+ - * / %`.  A guard is
-a comparison, or `&&`, `||` and `!` over comparisons that do not divide.
+a comparison, the negation of one, or `&&` or `||` over two comparisons
+that do not divide.
 Three properties must hold of each program:
 
 (a) no mutant that TCE calls equivalent is killable;
@@ -49,13 +50,13 @@ def comparison(rng, names, divides: bool) -> str:
 
 def guard(rng, names) -> str:
     # `expand` splits an error branch off every divisor of a guard, which
-    # replay may short-circuit past under `&&` and `||`: those guards do
-    # not divide
+    # replay may short-circuit past under `&&` and `||`: only those guards
+    # do not divide
     shape = rng.choice(("cmp", "cmp", "&&", "||", "!"))
     if shape == "cmp":
         return comparison(rng, names, divides=True)
     if shape == "!":
-        return f"!({comparison(rng, names, divides=False)})"
+        return f"!({comparison(rng, names, divides=True)})"
     return f"{comparison(rng, names, False)} {shape} {comparison(rng, names, False)}"
 
 

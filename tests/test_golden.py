@@ -5,7 +5,8 @@ configuration explores with two seeds that the engine really follows, and
 pins its tests and, apart, its work counts.  The benchmark's two-input
 programs over the default domains, whose queries are large enough to run as
 the solver's generated loop nest, pin their tests, kill matrix and work
-counts as well.
+counts as well.  Semu runs with a checkpoint window (CW > 0) on the corpus'
+loops pin their tests, work counts and checkpoint events in one digest.
 
 A change that is meant to keep behaviour (a refactor, a faster engine or
 solver) must leave every digest as it is.  A change that alters outputs on
@@ -13,9 +14,10 @@ purpose updates the table and says why.  Every budget here is a work budget;
 BUDGET_SECONDS is far above need, so the digests do not depend on machine
 speed.
 
-`python3 tests/test_golden.py` prints the six tables for the checked-out
-tree, from the same digest functions as the tests, and then the work counts
-of every entry, one `stats.txt` line per row under the entry's key.  Diffing
+`python3 tests/test_golden.py` prints the six tables and the window digest
+for the checked-out tree, from the same digest functions as the tests, and
+then the work counts of every entry, one `stats.txt` line per row under the
+entry's key.  Diffing
 that print-out between two trees shows which counter a re-pin moves.
 """
 
@@ -364,6 +366,16 @@ WIDE_STATS_GOLDEN = {
 }
 
 
+# semu with a checkpoint window: between two checkpoints a mutant state
+# passes CW branching locations, and MPD decides whether a state pruned at
+# a checkpoint has passed enough of them to leave an early test
+WINDOW_PROGRAMS = ("countdown", "fig1", "sumloop")
+WINDOW_KNOBS = [(cw, mpd, pss) for cw in (1, 2) for mpd in (1, 2) for pss in ("RND", "MDO")]
+
+# `window_digest()`
+WINDOW_GOLDEN = "53676bcf30e9f3c1c681237aac39c660147ffc1e15cd34ceb6a5ba784575b3e9"
+
+
 def bound_seeds(name: str) -> str:
     inputs = C.load_lts(name).inputs
     return "".join(", ".join(f"{v}={dom[i]}" for v, dom in inputs) + "\n"
@@ -468,6 +480,23 @@ def seed_following_digests():
     return got, got_counts, pruned
 
 
+def window_digest() -> str:
+    """The digest of the tests, work counts and checkpoint events of a semu
+    run of each of WINDOW_PROGRAMS under each of WINDOW_KNOBS."""
+    h = hashlib.sha256()
+    for name in WINDOW_PROGRAMS:
+        lts, _, tce, meta = C.build(name)
+        for cw, mpd, pss in WINDOW_KNOBS:
+            cfg = symex.Config(mode="semu", pp=0.5, rng_seed=3, max_states=300,
+                               budget_seconds=600, cw=cw, mpd=mpd, pss=pss)
+            tests, stats = symex.explore(meta, set(tce.kept()), [], cfg, C.bounded_handle(lts))
+            h.update(f"{name} CW={cw} MPD={mpd} PSS={pss}\n".encode())
+            h.update(cli.format_tests(tests).encode())
+            h.update(work_counts(stats.as_text()).encode())
+            h.update(f"{stats.checkpoint_events!r}\n".encode())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 def test_corpus_outputs_unchanged(config, tmp_path):
     got, got_counts = corpus_digests(config, tmp_path)
@@ -489,6 +518,10 @@ def test_seed_following_unchanged():
     assert pruned["fig1"] > 0 and pruned["classify"] > 0
     assert got == SEED_FOLLOWING_GOLDEN
     assert hashed(got_counts) == SEED_FOLLOWING_STATS_GOLDEN
+
+
+def test_checkpoint_window_unchanged():
+    assert window_digest() == WINDOW_GOLDEN
 
 
 def _print_table(title: str, table) -> None:
@@ -522,6 +555,7 @@ if __name__ == "__main__":
         wide, wide_counts = wide_digests(Path(tmp))
     _print_table("WIDE_GOLDEN", wide)
     _print_table("WIDE_STATS_GOLDEN", hashed(wide_counts))
+    print(f'WINDOW_GOLDEN = "{window_digest()}"')
     _print_counts("corpus", counts)
     _print_counts("seed-following", seed_following_counts)
     _print_counts("wide", wide_counts)

@@ -12,6 +12,8 @@ from mutkill import solver as S
 from mutkill import terms as T
 from mutkill.terms import And, Bin, Cmp, Lit, Neg, Not, Or, Var
 
+import conftest as C
+
 DOMS = {"x": (-8, 7), "y": (-8, 7)}
 H = S.SolverHandle.bounded(DOMS)
 # two inputs whose queries enumerate exactly as many points as the solver
@@ -56,7 +58,7 @@ class TestBounded:
         r = S.is_satisfiable(c, H)
         assert r.is_sat
         assert set(r.model) == {"x", "y"}
-        assert T.holds(c, r.model)
+        assert C.meaning(c, r.model)
 
     def test_missing_domain(self):
         # the second query normalizes to false; it is not answered either
@@ -117,12 +119,12 @@ def bool_constraints():
 
 
 def brute_force(c, h):
-    """The valuations of c's variables that satisfy it under T.holds, in the
+    """The valuations of c's variables that satisfy it by `C.meaning`, in the
     solver's order: names sorted, values ascending."""
     doms = [(n, range(lo, hi + 1)) for n, (lo, hi) in h.domains if n in T.variables(c)]
     envs = (dict(zip([n for n, _ in doms], values))
             for values in itertools.product(*(r for _, r in doms)))
-    return [env for env in envs if T.holds(c, env)]
+    return [env for env in envs if C.meaning(c, env)]
 
 
 x, y = Var("x"), Var("y")
@@ -481,12 +483,12 @@ def truth_set_queries():
 
 
 def holds_mask(c, doms):
-    """Bit i set where `T.holds(c, ...)` at the i-th point of the product of
-    `doms`."""
+    """Bit i set where c holds by `C.meaning` at the i-th point of the product
+    of `doms`."""
     names = [n for n, _ in doms]
     points = itertools.product(*(range(lo, hi + 1) for _, (lo, hi) in doms))
     return sum(1 << i for i, values in enumerate(points)
-               if T.holds(c, dict(zip(names, values))))
+               if C.meaning(c, dict(zip(names, values))))
 
 
 class TestTruthSetColumns:
@@ -562,7 +564,7 @@ def normalized_first_model(c, doms):
     ranges = [range(lo, hi + 1) for n, (lo, hi) in doms if n in T.variables(c)]
     for values in itertools.product(*ranges):
         env = dict(zip(names, values))
-        if T.holds(norm, env):
+        if C.meaning(norm, env):
             return env
     return None
 
@@ -709,7 +711,7 @@ class TestProperties:
     def test_sat_models_actually_satisfy(self, c):
         r = S.is_satisfiable(c, H)
         if r.is_sat and T.variables(c):
-            assert T.holds(c, r.model)
+            assert C.meaning(c, r.model)
 
 
 class TestTupleDisequality:

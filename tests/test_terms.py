@@ -81,20 +81,7 @@ class TestEval:
 
     @given(bool_terms(division=True), envs)
     def test_holds_is_the_meaning_of_the_connectives(self, t, env):
-        def meaning(t):
-            if isinstance(t, Not):
-                return not meaning(t.operand)
-            if isinstance(t, And):
-                return all(map(meaning, t.items))
-            if isinstance(t, Or):
-                return any(map(meaning, t.items))
-            if isinstance(t, BoolLit):
-                return t.value
-            try:
-                return eval_bool(t, env)
-            except T.EvalError:
-                return False
-        assert holds(t, env) == meaning(t)
+        assert holds(t, env) == C.meaning(t, env)
 
     def test_holds_past_the_recursion_limit(self):
         # a path of 5000 guards, a chain of 5000 disjunctions whose innermost
