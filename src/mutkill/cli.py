@@ -21,7 +21,7 @@ import os
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from . import interp, lts as L, mutation, parser as P, solver as S, symex
+from . import interp, lts as L, mutation, parser as P, symex
 from .record import Record
 
 DEFAULT_OPERATORS = mutation.SUPPORTED_OPERATORS
@@ -235,8 +235,7 @@ def run_pipeline(manifest: RunManifest, stop: str = "report",
     if stop in ("matrix", "minimize"):
         suite = seeds + _read_valuations(tests_file)
     else:
-        tests, stats = _stage("gen", symex.explore, meta, set(kept), seeds,
-                              manifest.config, S.SolverHandle.bounded(lts.input_domains))
+        tests, stats = _stage("gen", symex.explore, meta, set(kept), seeds, manifest.config)
         _write(out, "tests.txt", format_tests(tests))
         _write(out, "stats.txt", stats.as_text())
         if stop == "gen":

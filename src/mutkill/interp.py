@@ -123,7 +123,7 @@ def _kernel(lts: Lts, points: Dict[int, List[Tuple[int, Sequence[Transition]]]]
     names = tuple(sorted(lts.variables))
     local = {n: f"v{i}" for i, n in enumerate(names)}
     src = T.Source(local)
-    inputs = lts.input_domains
+    inputs = dict(lts.inputs)
     snapshot = "(" + "".join(f"{local[n]}, " for n in names) + ")"
     succ = lts.successors
 

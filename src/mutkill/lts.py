@@ -65,10 +65,6 @@ class Lts(Record):
     _fields = ("locations", "entry", "terminals", "variables", "inputs",
                "transitions", "loc_info")
 
-    @property
-    def input_domains(self) -> Dict[str, Tuple[int, int]]:
-        return dict(self.inputs)
-
     def info(self, loc: int) -> LocInfo:
         return self._loc_info[loc]
 
@@ -110,55 +106,54 @@ class _Lowerer:
         if name not in self.variables:
             self.variables.append(name)
 
+    def emit(self, src: int, gc: GuardedCommand, dst: Optional[int]) -> int:
+        """Add a transition, whose destination None is patched later; its
+        index."""
+        self.transitions.append((src, gc, dst))
+        return len(self.transitions) - 1
+
+    def patch(self, indices: List[int], dst: int) -> None:
+        """Point the transitions at `indices` to `dst`."""
+        for i in indices:
+            src, gc, _ = self.transitions[i]
+            self.transitions[i] = (src, gc, dst)
+
     def lower(self) -> Lts:
         main = self.ast.function(self.ast.entry)
-        # pre-scan so the terminal gets the highest ID: lower the body first
-        # against a placeholder terminal, then patch.
-        body_entry, tail_patches = self._lower_block(main.body, {}, depth=0)
+        # the terminal gets the highest ID: lower the body first, then patch
+        # its fallthrough to the terminal
+        body_entry, pending = self._lower_block(main.body, {}, depth=0)
         terminal = self.alloc(LocInfo("terminal", (0, 0)))
-        transitions = [
-            (src, gc, terminal if dst is None else dst) for (src, gc, dst) in self.transitions
-        ]
-        entry = body_entry if body_entry is not None else terminal
+        self.patch(pending, terminal)
         return Lts(
             locations=tuple(range(1, self.next_loc)),
-            entry=entry,
+            entry=body_entry if body_entry is not None else terminal,
             terminals=frozenset({terminal}),
             variables=tuple(self.variables),
             inputs=tuple((d.name, (d.lo, d.hi)) for d in self.ast.inputs),
-            transitions=tuple(transitions),
+            transitions=tuple(self.transitions),
             loc_info=tuple(sorted(self.loc_info.items())),
         )
 
     def _lower_block(self, stmts, rename: Dict[str, Var], depth: int):
-        """Lower a statement list.  Returns (entry location or None if the
-        block is empty of executable statements, patch function) where
-        transitions to the block's successor use dst=None placeholders that
-        the caller rewires via `_patch`."""
+        """Lower a statement list.  Returns (entry location, or None if the
+        block has no executable statement; the indices of the transitions
+        to the block's successor, destination None until the caller patches
+        them)."""
         entry = None
         # pending: transition indices whose destination is the next statement
         pending: List[int] = []
-
-        def emit(src: int, gc: GuardedCommand, dst) -> int:
-            self.transitions.append((src, gc, dst))
-            return len(self.transitions) - 1
-
-        def patch(indices: List[int], dst: int):
-            for i in indices:
-                src, gc, _ = self.transitions[i]
-                self.transitions[i] = (src, gc, dst)
-
         for s in stmts:
-            first, last_pending = self._lower_stmt(s, rename, depth, emit)
+            first, last_pending = self._lower_stmt(s, rename, depth)
             if first is None:
                 continue  # pure declaration, no location
             if entry is None:
                 entry = first
-            patch(pending, first)
+            self.patch(pending, first)
             pending = last_pending
         return entry, pending
 
-    def _lower_stmt(self, s, rename: Dict[str, Var], depth: int, emit):
+    def _lower_stmt(self, s, rename: Dict[str, Var], depth: int):
         if isinstance(s, P.SVarDecl):
             name = T.subst(Var(s.name), rename).name
             self.add_var(name)
@@ -166,25 +161,25 @@ class _Lowerer:
                 return None, []
             loc = self.alloc(LocInfo("assign", s.pos))
             gc = GuardedCommand(update=((name, T.subst(s.init, rename)),))
-            return loc, [emit(loc, gc, None)]
+            return loc, [self.emit(loc, gc, None)]
         if isinstance(s, P.SAssign):
             name = T.subst(Var(s.name), rename).name
             self.add_var(name)
             loc = self.alloc(LocInfo("assign", s.pos))
             gc = GuardedCommand(update=((name, T.subst(s.expr, rename)),))
-            return loc, [emit(loc, gc, None)]
+            return loc, [self.emit(loc, gc, None)]
         if isinstance(s, P.SOutput):
             loc = self.alloc(LocInfo("output", s.pos))
             gc = GuardedCommand(emit=T.subst(s.expr, rename))
-            return loc, [emit(loc, gc, None)]
+            return loc, [self.emit(loc, gc, None)]
         if isinstance(s, P.SIf):
             loc = self.alloc(LocInfo("branch", s.pos))
             g = T.subst(s.cond, rename)
             then_entry, then_pending = self._lower_block(s.then, rename, depth)
             else_entry, else_pending = self._lower_block(s.els, rename, depth)
             pending = list(then_pending) + list(else_pending)
-            i_then = emit(loc, GuardedCommand(guard=g), then_entry)
-            i_else = emit(loc, GuardedCommand(guard=T.negate(g)), else_entry)
+            i_then = self.emit(loc, GuardedCommand(guard=g), then_entry)
+            i_else = self.emit(loc, GuardedCommand(guard=T.negate(g)), else_entry)
             if then_entry is None:
                 pending.append(i_then)
             if else_entry is None:
@@ -195,11 +190,9 @@ class _Lowerer:
             g = T.subst(s.cond, rename)
             body_entry, body_pending = self._lower_block(s.body, rename, depth)
             # back edge: the body's fallthrough returns to the loop head
-            for i in body_pending:
-                src, gc, _ = self.transitions[i]
-                self.transitions[i] = (src, gc, loc)
-            emit(loc, GuardedCommand(guard=g), body_entry if body_entry is not None else loc)
-            i_exit = emit(loc, GuardedCommand(guard=T.negate(g)), None)
+            self.patch(body_pending, loc)
+            self.emit(loc, GuardedCommand(guard=g), body_entry if body_entry is not None else loc)
+            i_exit = self.emit(loc, GuardedCommand(guard=T.negate(g)), None)
             return loc, [i_exit]
         if isinstance(s, P.SCall):
             if depth >= self.inline_depth:
@@ -218,12 +211,11 @@ class _Lowerer:
             update = tuple(
                 (inner[p].name, T.subst(a, rename)) for p, a in zip(fn.params, s.args)
             )
-            i_bind = emit(loc, GuardedCommand(update=update), None)
+            i_bind = self.emit(loc, GuardedCommand(update=update), None)
             body_entry, body_pending = self._lower_block(fn.body, inner, depth + 1)
             if body_entry is None:
                 return loc, [i_bind]
-            src, gc, _ = self.transitions[i_bind]
-            self.transitions[i_bind] = (src, gc, body_entry)
+            self.patch([i_bind], body_entry)
             return loc, body_pending
         raise LoweringError(f"unsupported statement: {s!r}")
 

@@ -38,22 +38,22 @@ class IdCollision(Exception):
 
 class Mutant(Record):
     """`operator` names the rewrite (e.g. "ROR:<-><="); `original` and
-    `mutated` are the source fragment before and after it; the mutant
-    program is the original with the transitions `removed` replaced by
-    `replacement`."""
+    `mutated` are the source fragment before and after it.  `loc` is the
+    mutation point: the mutant program is the original with the
+    transitions out of `loc` (both arms of a branch, the one transition
+    elsewhere) replaced by `replacement`."""
 
-    __slots__ = ("id", "operator", "loc", "pos", "original", "mutated",
-                 "removed", "replacement")
+    __slots__ = ("id", "operator", "loc", "pos", "original", "mutated", "replacement")
 
 
 class MetaMutant(Record):
     """The original program and its mutants, run as one: ID 0 selects the
     original, every other ID its mutant, which forks off the original at
-    its mutation point.  `index` pairs each ID with its Mutant, `points`
-    each location with the IDs of its mutants."""
+    its mutation point, the mutant's `loc`.  `index` pairs each ID with its
+    Mutant, IDs ascending."""
 
     # no slots: the cached properties below live in the instance's dict
-    _fields = ("base", "index", "points")
+    _fields = ("base", "index")
 
     @cached_property
     def mutants(self) -> Dict[int, Mutant]:
@@ -61,10 +61,11 @@ class MetaMutant(Record):
 
     @cached_property
     def mutation_points(self) -> Dict[int, Tuple[int, ...]]:
-        return dict(self.points)
-
-    def mutant_ids(self) -> Tuple[int, ...]:
-        return tuple(i for i, _ in self.index)
+        """Each mutation point with the IDs of its mutants, ascending."""
+        points: Dict[int, Tuple[int, ...]] = {}
+        for i, m in self.index:
+            points[m.loc] = points.get(m.loc, ()) + (i,)
+        return points
 
     @cached_property
     def _programs(self) -> Dict[int, Lts]:
@@ -222,19 +223,16 @@ def generate_mutants(lts: Lts, operators) -> List[Mutant]:
             for label, old_frag, new_frag, repl in variants:
                 out.append(Mutant(
                     id=next_id, operator=label, loc=loc, pos=info.pos,
-                    original=old_frag, mutated=new_frag,
-                    removed=tuple(outs) if info.kind == "branch" else (outs[0],),
-                    replacement=repl,
+                    original=old_frag, mutated=new_frag, replacement=repl,
                 ))
                 next_id += 1
     return out
 
 
 def apply_mutant(lts: Lts, mutant: Mutant) -> Lts:
-    """The standalone mutant program: removed transitions swapped for the
-    replacements, everything else shared."""
-    removed = set(mutant.removed)
-    kept = [t for t in lts.transitions if t not in removed]
+    """The standalone mutant program: the transitions out of the mutation
+    point swapped for the replacements, everything else shared."""
+    kept = [t for t in lts.transitions if t[0] != mutant.loc]
     return lts.replace(transitions=tuple(kept) + mutant.replacement)
 
 
@@ -303,19 +301,7 @@ def build_meta_mutant(lts: Lts, mutants: Sequence[Mutant]) -> MetaMutant:
         raise IdCollision("duplicate mutant IDs")
     if 0 in ids:
         raise IdCollision("mutant ID 0 is reserved for the original")
-    points: Dict[int, List[int]] = {}
-    for m in mutants:
-        srcs = {t[0] for t in m.removed}
-        if len(srcs) != 1:
-            raise IdCollision(f"mutant {m.id} spans multiple locations")
-        points.setdefault(next(iter(srcs)), []).append(m.id)
-    for v in points.values():
-        v.sort()
-    return MetaMutant(
-        base=lts,
-        index=tuple(sorted((m.id, m) for m in mutants)),
-        points=tuple(sorted((loc, tuple(mids)) for loc, mids in points.items())),
-    )
+    return MetaMutant(base=lts, index=tuple(sorted((m.id, m) for m in mutants)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,11 @@ It skips the points it can rule out without testing them: a large query is
 normalized and runs as a generated loop nest whose ranges its linear
 conjuncts narrow.  A small one is not normalized: it ANDs the truth sets of
 its own parts, the path conditions and the difference of a kill query
-included.  Truth sets are computed column-wise, once per term and domains:
-each integer subterm is evaluated once over all the domain's points, and the
-comparisons and connectives combine the columns as bitmasks, so a path that
-grows by one guard costs the guard's truth set and one AND with the path's.
+included.  Truth sets (`terms.truth_set`) are computed column-wise, once
+per term and domains: each integer subterm is evaluated once over all the
+domain's points, and the comparisons and connectives combine the columns as
+bitmasks, so a path that grows by one guard costs the guard's truth set and
+one AND with the path's.
 Decisions are memoized by constraint and domains, so a query posed again
 costs one lookup.  A large query that extends decided ones starts from their
 answers, before it is normalized: it is unsat if a conjunct was decided
@@ -43,7 +44,8 @@ UNSAT = "unsat"
 MAX_POINTS = 1 << 20  # enumeration cap per query
 
 
-# sorted (name, inclusive (lo, hi)) pairs
+# the declared (name, inclusive (lo, hi)) pairs, as `Lts.inputs` holds them;
+# every constraint symbol must appear here
 Domains = Tuple[Tuple[str, Tuple[int, int]], ...]
 
 
@@ -63,17 +65,6 @@ class SolverResult(Record):
 _UNSAT = SolverResult(UNSAT)  # every unsat query's result
 
 
-class SolverHandle(Record):
-    """The declared input domains: sorted (name, inclusive (lo, hi)) pairs.
-    Every constraint symbol must appear here."""
-
-    __slots__ = ("domains",)
-
-    @staticmethod
-    def bounded(domains: Dict[str, Tuple[int, int]]) -> "SolverHandle":
-        return SolverHandle(tuple(sorted(domains.items())))
-
-
 @functools.cache
 def _query_domains(names: frozenset, domains: Domains) -> Domains:
     """The declared domains of the symbols `names` of a query, in name
@@ -89,7 +80,7 @@ def _query_domains(names: frozenset, domains: Domains) -> Domains:
 
 # Enumerations of at least this many points run as a generated loop nest
 # (`_enumerator`); smaller ones AND the cached truth sets of their parts
-# (`_truth_set`), which compare the cached value columns of their integer
+# (`T.truth_set`), which compare the cached value columns of their integer
 # subterms.  The bound lies between the corpus' largest query (16 x 16 =
 # 256 points) and two inputs over default domains (65 536 points).  A small
 # query's parts mostly recur in the next query down the same path, and its
@@ -182,25 +173,6 @@ def _count(doms: Domains) -> int:
 
 
 @functools.cache
-def _point_values(doms: Domains) -> dict:
-    """term -> its values at the points of the product of `doms`, for every
-    term a walk has evaluated over them: its column or truth set."""
-    return {}
-
-
-_evaluator = functools.cache(T.column_evaluator)
-
-
-def _truth_set(c: BoolTerm, doms: Domains) -> int:
-    """The points of the product of `doms` at which `c` holds, as a bitmask
-    (`T.column_evaluator`).  Every subterm's values are computed once per
-    domains, post-order on an explicit stack, so a path that grows by a
-    guard costs the guard's truth set and one AND with the path's, at any
-    depth."""
-    return T._bottom_up(_evaluator(doms), c, memo=_point_values(doms))
-
-
-@functools.cache
 def _point(i: int, doms: Domains) -> Dict[str, int]:
     """The i-th point of the product of `doms`, decoded in mixed radix (last
     name fastest); shared by every model at that point, so it must not be
@@ -212,11 +184,11 @@ def _point(i: int, doms: Domains) -> Dict[str, int]:
     return dict(zip([name for name, _ in doms], reversed(values)))
 
 
-def enumerate_models(c: BoolTerm, h: SolverHandle) -> Iterator[Dict[str, int]]:
+def enumerate_models(c: BoolTerm, domains: Domains) -> Iterator[Dict[str, int]]:
     """All satisfying valuations in deterministic order (lexicographic symbol
-    names, ascending values).  Complete over the declared domains; a query
+    names, ascending values).  Complete over the declared `domains`; a query
     of more than `MAX_POINTS` points raises SolverFailure."""
-    return _models(c, _query_domains(T.variables(c), h.domains))
+    return _models(c, _query_domains(T.variables(c), domains))
 
 
 def _models(c: BoolTerm, doms: Domains) -> Iterator[Dict[str, int]]:
@@ -233,18 +205,18 @@ def _models(c: BoolTerm, doms: Domains) -> Iterator[Dict[str, int]]:
         norm = T.normalize_bool(c)
         yield from _enumerator(norm, names)(*(range(lo, hi + 1) for _, (lo, hi) in doms))
         return
-    mask = _truth_set(c, doms)
+    mask = T.truth_set(c, doms)
     while mask:
         # the lowest point left
         yield dict(_point((mask & -mask).bit_length() - 1, doms))
         mask &= mask - 1
 
 
-def is_satisfiable(c: BoolTerm, h: SolverHandle) -> SolverResult:
-    """First-model satisfiability check, decided over the declared domains:
+def is_satisfiable(c: BoolTerm, domains: Domains) -> SolverResult:
+    """First-model satisfiability check, decided over the declared `domains`:
     sat with its first model, or unsat.  A repeated query gets the result
     it got first (the same object: its model must not be changed)."""
-    return _decide(c, h.domains)
+    return _decide(c, domains)
 
 
 @functools.cache
@@ -269,7 +241,7 @@ def _solve(c: BoolTerm, domains: Domains, decided: dict) -> SolverResult:
     if total < _COMPILE_MIN_POINTS:
         # the truth set of the query as posed is empty where its normal form
         # is false; its model is total over the query's symbols
-        mask = _truth_set(c, doms)
+        mask = T.truth_set(c, doms)
         return SolverResult(SAT, _point((mask & -mask).bit_length() - 1, doms)) if mask else _UNSAT
     if total <= MAX_POINTS:
         # a large query that extends a decided one is not compiled

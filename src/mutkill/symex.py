@@ -86,20 +86,26 @@ class SymbolicState(Record):
     """`path` is over the input symbols; `store` binds every program
     variable, in name order; `out` is the symbolic output trace so far;
     `mut_id` 0 is the original.  `trail` holds the taken-transition
-    indices, for prefix pairing; `branch_count` the post-fork branching
-    locations traversed.  In semu mode a mutant state is kept or pruned at
-    every checkpoint that it reaches, so a live one has passed
-    `branch_count // (CW + 1)` checkpoints.
+    indices, for prefix pairing, and its length is the state's `depth`;
+    `branch_count` the post-fork branching locations traversed.  In semu
+    mode a mutant state is kept or pruned at every checkpoint that it
+    reaches, so a live one has passed `branch_count // (CW + 1)`
+    checkpoints.
     In seeded mode, `compatible_seeds` holds the indices of the seeds whose
     runs the state follows; it is empty once released, or when not
     following seeds.  `forked` holds the mutant IDs already forked on this
     path; `status` is live | terminal | error."""
 
     # kept in the instance's `__dict__`, which `replace` copies in bulk
-    _fields = ("path", "store", "out", "loc", "mut_id", "depth", "trail",
+    _fields = ("path", "store", "out", "loc", "mut_id", "trail",
                "fork_trail", "branch_count", "compatible_seeds", "forked", "status")
     _defaults = {"trail": (), "fork_trail": None, "branch_count": 0,
                  "compatible_seeds": (), "forked": frozenset(), "status": "live"}
+
+    @property
+    def depth(self) -> int:
+        """The number of transitions taken: the prefix length."""
+        return len(self.trail)
 
     def store_map(self) -> Dict[str, IntTerm]:
         return dict(self.store)
@@ -274,8 +280,7 @@ def initial_state(lts: Lts, mut_id: int = 0) -> SymbolicState:
     """The entry state: inputs symbolic, every other program variable 0."""
     dom = dict(lts.inputs)
     store = tuple((v, Var(v) if v in dom else Lit(0)) for v in sorted(lts.variables))
-    return SymbolicState(path=T.TRUE, store=store, out=(), loc=lts.entry,
-                         mut_id=mut_id, depth=0)
+    return SymbolicState(path=T.TRUE, store=store, out=(), loc=lts.entry, mut_id=mut_id)
 
 
 @functools.cache
@@ -313,7 +318,7 @@ def _take(s: SymbolicState, i: int, transition: Transition):
         "path": T.conj([s.path] + ([] if guard is T.TRUE else [guard])),
         "store": tuple(sorted(store.items())) if update else s.store,
         "out": s.out + (T.normalize_int(emit),) if emit is not None else s.out,
-        "loc": dst, "depth": s.depth + 1, "trail": s.trail + (i,),
+        "loc": dst, "trail": s.trail + (i,),
     }
     return (guard, update, emit), fields
 
@@ -340,8 +345,7 @@ def step(s: SymbolicState, i: int, transition: Transition
 
 class _Engine:
     def __init__(self, meta: MetaMutant, targets: Set[int],
-                 seeds: Sequence[Dict[str, int]], cfg: Config,
-                 handle: S.SolverHandle):
+                 seeds: Sequence[Dict[str, int]], cfg: Config):
         self.meta = meta
         # static facts (terminals, branches, inputs, distances) are the same
         # in every mutant's program: mutants never move a transition's ends
@@ -351,7 +355,6 @@ class _Engine:
         for seed in self.seeds:  # as the matrix replays them
             _check_domains(self.base, seed)
         self.cfg = cfg
-        self.handle = handle
         self.rng = random.Random(cfg.rng_seed)
         self.dist = distance_to_output(self.base)
         self.stats = ExplorationStats()
@@ -374,7 +377,7 @@ class _Engine:
 
     def sat(self, c: BoolTerm) -> S.SolverResult:
         self.stats.solver_calls += 1
-        return S.is_satisfiable(c, self.handle)
+        return S.is_satisfiable(c, self.base.inputs)
 
     def budget_left(self) -> bool:
         if time.monotonic() > self.deadline:
@@ -401,7 +404,11 @@ class _Engine:
 
     def record_test(self, mutant_id: int, model: Dict[str, int], site: str,
                     k: int) -> bool:
-        key = tuple(sorted(model.items()))
+        # a constraint may not mention every input: the others take their
+        # low bound
+        full = {name: lo for name, (lo, _) in self.base.inputs}
+        full.update(model)
+        key = tuple(sorted(full.items()))
         seen = self.seen_models.setdefault(mutant_id, set())
         if key in seen:
             return False
@@ -454,8 +461,8 @@ class _Engine:
                 res = self.sat(err_pc)
                 if res.is_sat:
                     self.stats.states_created += 1
-                    self.finish(s.replace(path=err_pc, depth=fields["depth"],
-                                          trail=fields["trail"], status="error"))
+                    self.finish(s.replace(path=err_pc, trail=fields["trail"],
+                                          status="error"))
             pc = T.conj([fields["path"]] + nonzero)
             # the conjuncts this step adds to the parent's path
             added = nonzero if fields["path"] is s.path else [guard, *nonzero]
@@ -509,8 +516,7 @@ class _Engine:
             elif self.cfg.mode != "infection-only":
                 live.append(k)
             elif witness is not None:
-                self.record_test(k.mut_id, self._complete_model(witness.model),
-                                 SITE_CHECKPOINT, k.depth)
+                self.record_test(k.mut_id, witness.model, SITE_CHECKPOINT, k.depth)
         return live
 
     # -- test generation ---------------------------------------------------
@@ -528,15 +534,7 @@ class _Engine:
         c = build_partial_kill(paired, pruned, self.cfg)
         res = self.sat(c)
         if res.is_sat:
-            model = self._complete_model(res.model)
-            self.record_test(pruned.mut_id, model, SITE_CHECKPOINT, pruned.depth)
-
-    def _complete_model(self, model: Dict[str, int]) -> Dict[str, int]:
-        # constraints may not mention every input; default missing to lo
-        full = dict(model)
-        for name, (lo, _) in self.base.inputs:
-            full.setdefault(name, lo)
-        return full
+            self.record_test(pruned.mut_id, res.model, SITE_CHECKPOINT, pruned.depth)
 
     def terminal_kill_phase(self) -> None:
         by_mutant: Dict[int, List[SymbolicState]] = {}
@@ -552,16 +550,14 @@ class _Engine:
                         continue
                     res = self.sat(build_kill(o, st))
                     if res.is_sat:
-                        self.record_test(m, self._complete_model(res.model),
-                                         SITE_TERMINAL, st.depth)
+                        self.record_test(m, res.model, SITE_TERMINAL, st.depth)
                         break
 
     def vanilla_tests(self) -> None:
         for o in self.finished_orig:
             res = self.sat(o.path)
             if res.is_sat:
-                self.record_test(0, self._complete_model(res.model),
-                                 SITE_TERMINAL, o.depth)
+                self.record_test(0, res.model, SITE_TERMINAL, o.depth)
 
     # -- main loop ---------------------------------------------------------
 
@@ -642,9 +638,9 @@ class _Engine:
         return [x for x in successors if id(x) not in dropped]
 
 
-def explore(meta: MetaMutant, targets: Iterable[int],
-            seeds: Sequence[Dict[str, int]], cfg: Config,
-            handle: S.SolverHandle) -> Tuple[List[GeneratedTest], ExplorationStats]:
-    """Run the engine.  Budget exhaustion returns partial results; solver
-    failures propagate as SolverFailure."""
-    return _Engine(meta, set(targets), seeds, cfg, handle).run()
+def explore(meta: MetaMutant, targets: Iterable[int], seeds: Sequence[Dict[str, int]],
+            cfg: Config) -> Tuple[List[GeneratedTest], ExplorationStats]:
+    """Run the engine; the solver decides over the program's declared input
+    domains.  Budget exhaustion returns partial results; solver failures
+    propagate as SolverFailure."""
+    return _Engine(meta, set(targets), seeds, cfg).run()

@@ -329,15 +329,25 @@ def column_evaluator(doms: Sequence[tuple]) -> Callable:
     return value
 
 
+_evaluator = functools.cache(column_evaluator)
+
+
+def truth_set(c: BoolTerm, doms: Sequence[tuple]) -> int:
+    """The points of the product of `doms` at which `c` holds, as a bitmask
+    (`column_evaluator`).  A subterm's values over `doms` are a fact of the
+    node, like its divisors, computed once per domains: so a path that grows
+    by a guard costs the guard's truth set and one AND with the path's."""
+    return _bottom_up(_evaluator(doms), c)
+
+
 def holds(t: BoolTerm, env: Mapping[str, int]) -> bool:
     """Constraint-style evaluation: a comparison whose evaluation divides by
     zero counts as false (the corresponding concrete execution errors out and
     is handled by the error-output path, not the solver).  `env` must bind
-    every variable of `t`.  This is `column_evaluator`'s truth set at the
-    one point `env`: every subterm is evaluated, with no short-circuit, on
-    an explicit stack, so a path of any length costs a few Python frames."""
-    doms = tuple((name, (env[name], env[name])) for name in sorted(t._vars))
-    return _bottom_up(column_evaluator(doms), t, memo={}) == 1
+    every variable of `t`.  This is the `truth_set` at the one point `env`,
+    with no short-circuit: a later call at that point reuses every subterm
+    that an earlier one evaluated, such as a prefix that two paths share."""
+    return truth_set(t, tuple(sorted((name, (v, v)) for name, v in env.items()))) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -493,20 +503,22 @@ class Source:
         if isinstance(t, Bin) and t.op in ("/", "%"):
             fn = "_div" if t.op == "/" else "_mod"
             return f"{fn}({self.expr(t.left, d)}, {self.expr(t.right, d)})"
-        if isinstance(t, Cmp) and self.constraint and has_division(t):
-            return self._helper(t, ["try:", f"    return {self._infix(t, 1)}",
-                                    "except EvalError:", "    return False"])
         if isinstance(t, (Bin, Cmp)):
-            return self._infix(t, d)
+            # in constraint mode a comparison that divides is a helper, whose
+            # body starts a new nesting
+            helper = self.constraint and isinstance(t, Cmp) and has_division(t)
+            d = 1 if helper else d
+            infix = f"({self.expr(t.left, d)} {t.op} {self.expr(t.right, d)})"
+            if not helper:
+                return infix
+            return self._helper(t, ["try:", f"    return {infix}",
+                                    "except EvalError:", "    return False"])
         if isinstance(t, (And, Or)):
             if not t.items:
                 return repr(isinstance(t, And))
             joint = " and " if isinstance(t, And) else " or "
             return "(" + joint.join(self.expr(x, d) for x in t.items) + ")"
         raise TypeError(f"not a term: {t!r}")
-
-    def _infix(self, t: Union[Bin, Cmp], depth: int) -> str:
-        return f"({self.expr(t.left, depth)} {t.op} {self.expr(t.right, depth)})"
 
 
 # ---------------------------------------------------------------------------

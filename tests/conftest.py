@@ -7,7 +7,6 @@ import pytest
 from mutkill import lts as L
 from mutkill import mutation as M
 from mutkill import parser as P
-from mutkill import solver as S
 from mutkill import symex as X
 from mutkill import terms as T
 
@@ -67,10 +66,6 @@ def build(name: str):
     tce = M.tce_filter(lts, mutants)
     meta = M.build_meta_mutant(lts, mutants)
     return lts, mutants, tce, meta
-
-
-def bounded_handle(lts: L.Lts) -> S.SolverHandle:
-    return S.SolverHandle.bounded(lts.input_domains)
 
 
 @pytest.fixture

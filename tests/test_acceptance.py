@@ -57,7 +57,7 @@ def test_criterion_1_golden_four_case_analysis(fig1):
         if got != want:
             failures.append(f"mutant {mid} on {test}: {got} != {want}")
     # exhaustive four-case kill analysis for the off-by-one mutant
-    handle = C.bounded_handle(lts)
+    domains = lts.inputs
     orig = C.enumerate_terminals(meta, 0, 30, through=8)
     mut = C.enumerate_terminals(meta, m2.id, 30, through=8)
     if len(orig) != 2 or len(mut) != 2:
@@ -65,7 +65,7 @@ def test_criterion_1_golden_four_case_analysis(fig1):
     out_neg = (T.normalize_int(T.Bin("+", Var("x"), Lit(1))),)
     sat_models = []
     for o, m in itertools.product(orig, mut):
-        res = S.is_satisfiable(X.build_kill(o, m), handle)
+        res = S.is_satisfiable(X.build_kill(o, m), domains)
         expect_sat = (o.out == out_neg and
                       m.out == (T.normalize_int(T.Bin("+", Var("x"), Lit(2))),))
         if res.is_sat != expect_sat:
@@ -91,7 +91,7 @@ def test_criterion_2_partial_kill_depth_behavior(fig1):
     t0 = time.monotonic()
     lts, mutants, _, meta = fig1
     m2 = C.golden_m2(mutants)
-    handle = C.bounded_handle(lts)
+    domains = lts.inputs
     failures = []
     # mutation-point depth: phiP and phiM and (n differs)
     orig_d2 = [s for s in _frontier_at(meta, 0, 2) if s.loc == 9]
@@ -100,7 +100,7 @@ def test_criterion_2_partial_kill_depth_behavior(fig1):
         failures.append("mutation-point states not unique")
     else:
         infect = X.build_partial_kill(orig_d2[0], mut_d2[0], X.Config())
-        if not S.is_satisfiable(infect, handle).is_sat:
+        if not S.is_satisfiable(infect, domains).is_sat:
             failures.append("infection constraint UNSAT")
         if not T.holds(infect, {"x": -1}):
             failures.append("x=-1 not a model of the infection constraint")
@@ -113,12 +113,12 @@ def test_criterion_2_partial_kill_depth_behavior(fig1):
     kill = None
     for o, m in itertools.product(orig, mut):
         c = X.build_kill(o, m)
-        if S.is_satisfiable(c, handle).is_sat:
+        if S.is_satisfiable(c, domains).is_sat:
             kill = c
     if kill is None:
         failures.append("no SAT terminal kill constraint")
     else:
-        models = list(S.enumerate_models(kill, handle))
+        models = list(S.enumerate_models(kill, domains))
         if models != [{"x": v} for v in range(-8, -1)]:
             failures.append(f"model set {models}")
         for mdl in models:
@@ -167,10 +167,8 @@ def test_criterion_4_exhaustive_equivalence_on_loop_free_programs():
     failures = []
     for name in C.LOOPFREE:
         lts, mutants, tce, meta = C.build(name)
-        handle = C.bounded_handle(lts)
         all_ids = [m.id for m in mutants]
-        tests, _ = X.explore(meta, set(tce.kept()), [],
-                             X.Config(**EXHAUSTIVE_CFG), handle)
+        tests, _ = X.explore(meta, set(tce.kept()), [], X.Config(**EXHAUSTIVE_CFG))
         km = I.compute_kill_matrix(meta, all_ids,
                                    [t.valuation() for t in tests],
                                    step_budget=2000)
@@ -189,11 +187,10 @@ def test_criterion_5_zero_false_terminal_kills():
     failures = []
     for name in C.ALL_PROGRAMS:
         lts, mutants, tce, meta = C.build(name)
-        handle = C.bounded_handle(lts)
         for mode in ("semu", "infection-only", "vanilla"):
             cfg = X.Config(mode=mode, pp=1.0, max_states=2000,
                            budget_seconds=20.0)
-            tests, _ = X.explore(meta, set(tce.kept()), [], cfg, handle)
+            tests, _ = X.explore(meta, set(tce.kept()), [], cfg)
             for t in tests:
                 if t.site != X.SITE_TERMINAL or t.mutant_id == 0:
                     continue
@@ -225,26 +222,22 @@ def test_criterion_7_heuristic_parameter_contracts(fig1):
     six = L.lower_to_lts(P.parse_text("\n".join(src)))
     ms = [m for m in M.generate_mutants(six, ["RHS"]) if m.loc == 1]
     meta6 = M.build_meta_mutant(six, ms)
-    handle6 = C.bounded_handle(six)
-    _, stats = X.explore(meta6, [ms[0].id], [], X.Config(cw=2, pp=1.0),
-                         handle6)
+    _, stats = X.explore(meta6, [ms[0].id], [], X.Config(cw=2, pp=1.0))
     branch_locs = [l for l in six.locations if six.info(l).kind == "branch"]
     placed = {loc for _, loc, _ in stats.checkpoint_events}
     if placed != {branch_locs[2], branch_locs[5]}:
         failures.append(f"CW=2 checkpoints at {sorted(placed)}")
     # PP=0.5 keeps exactly 2 of 4 candidates
     cands = [X.SymbolicState(path=T.TRUE, store=(), out=(), loc=i, mut_id=1,
-                             depth=1) for i in range(4)]
+                             trail=(0,)) for i in range(4)]
     kept, pruned = X.select_branches(cands, X.Config(pp=0.5), {},
                                      random.Random(0))
     if not (len(kept) == 2 and len(pruned) == 2):
         failures.append(f"PP=0.5 kept {len(kept)} of 4")
     # NTPM=5 caps per-mutant tests
     lts, mutants, tce, meta = fig1
-    handle = C.bounded_handle(lts)
     _, stats = X.explore(meta, set(list(tce.kept())[:20]), [],
-                         X.Config(ntpm=5, mpd=0, pp=0.0, max_states=4000),
-                         handle)
+                         X.Config(ntpm=5, mpd=0, pp=0.0, max_states=4000))
     over = {m: n for m, n in stats.tests_per_mutant.items()
             if m != 0 and n > 5}
     if over:
@@ -264,13 +257,12 @@ def test_criterion_7_heuristic_parameter_contracts(fig1):
 def test_criterion_8_propagation_mode_comparison():
     t0 = time.monotonic()
     lts, mutants, _, meta = C.build("mask")
-    handle = C.bounded_handle(lts)
     rhs = [m.id for m in mutants if m.operator.startswith("RHS")]
     seeds = [{"x": 0}]
     kills = {}
     for mode in ("infection-only", "semu"):
         cfg = X.Config(mode=mode, pp=1.0, budget_seconds=30.0)
-        tests, _ = X.explore(meta, rhs, seeds, cfg, handle)
+        tests, _ = X.explore(meta, rhs, seeds, cfg)
         km = I.compute_kill_matrix(meta, rhs, [t.valuation() for t in tests],
                                    step_budget=2000)
         kills[mode] = km.killed_mutants()
@@ -289,9 +281,8 @@ def test_criterion_9_minimization_and_subsumption():
     failures = []
     for name in C.ALL_PROGRAMS:
         lts, mutants, tce, meta = C.build(name)
-        handle = C.bounded_handle(lts)
         cfg = X.Config(pp=1.0, max_states=2000, budget_seconds=20.0)
-        tests, _ = X.explore(meta, set(tce.kept()), [], cfg, handle)
+        tests, _ = X.explore(meta, set(tce.kept()), [], cfg)
         km = I.compute_kill_matrix(meta, list(tce.kept()),
                                    [t.valuation() for t in tests],
                                    step_budget=2000)

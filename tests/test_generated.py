@@ -27,7 +27,6 @@ from mutkill import interp as I
 from mutkill import lts as L
 from mutkill import mutation as M
 from mutkill import parser as P
-from mutkill import solver as S
 from mutkill import symex as X
 
 MAX_NESTING = 2
@@ -128,11 +127,11 @@ def unlike_duplicates(text: str) -> list:
 def missed(text: str) -> tuple:
     """(c): (the killable kept mutants that get no test of their own that
     kills them, the number of killable kept mutants)."""
-    lts, tce, meta = build(text)
+    _, tce, meta = build(text)
     kept = tce.kept()
     killable = I.killable_mutants(meta, kept)
     cfg = X.Config(pp=1.0, max_states=200000, budget_seconds=math.inf)
-    tests, _ = X.explore(meta, kept, [], cfg, S.SolverHandle.bounded(lts.input_domains))
+    tests, _ = X.explore(meta, kept, [], cfg)
     killed = {t.mutant_id for t in tests if t.mutant_id in killable and I.outcome_cell(
         I.run_concrete(meta, 0, t.valuation()),
         I.run_concrete(meta, t.mutant_id, t.valuation())) == "K"}

@@ -461,11 +461,11 @@ def followed_point(meta, kept, seeds) -> int:
 def seed_following_run(name: str):
     """(tests, stats) of exploring `name` from its two bound seeds with the
     kept mutants at `followed_point` targeted."""
-    lts, _, tce, meta = C.build(name)
+    _, _, tce, meta = C.build(name)
     seeds = cli.read_seeds(bound_seeds(name))
     kept = set(tce.kept())
     targets = kept & set(meta.mutation_points[followed_point(meta, kept, seeds)])
-    return symex.explore(meta, targets, seeds, SEED_FOLLOWING, C.bounded_handle(lts))
+    return symex.explore(meta, targets, seeds, SEED_FOLLOWING)
 
 
 def seed_following_digests():
@@ -485,11 +485,11 @@ def window_digest() -> str:
     run of each of WINDOW_PROGRAMS under each of WINDOW_KNOBS."""
     h = hashlib.sha256()
     for name in WINDOW_PROGRAMS:
-        lts, _, tce, meta = C.build(name)
+        _, _, tce, meta = C.build(name)
         for cw, mpd, pss in WINDOW_KNOBS:
             cfg = symex.Config(mode="semu", pp=0.5, rng_seed=3, max_states=300,
                                budget_seconds=600, cw=cw, mpd=mpd, pss=pss)
-            tests, stats = symex.explore(meta, set(tce.kept()), [], cfg, C.bounded_handle(lts))
+            tests, stats = symex.explore(meta, set(tce.kept()), [], cfg)
             h.update(f"{name} CW={cw} MPD={mpd} PSS={pss}\n".encode())
             h.update(cli.format_tests(tests).encode())
             h.update(work_counts(stats.as_text()).encode())

@@ -254,6 +254,12 @@ class TestDeepTerms:
         assert tr.output == (600,)
         assert observed(tr) == reference(lts, {"x": 2})
 
+    def test_a_sum_of_600_operands_replays(self):
+        # code generation takes one Python frame per term level, so 600
+        # levels stay within the default recursion limit
+        lts = _deep_output(" + ".join(["x"] * 600))
+        assert I.run_lts(lts, {"x": 2}).output == (1200,)
+
     def test_deep_right_nested_parentheses(self):
         # 80 levels: deeper than one generated function nests, and within
         # what the recursive-descent parser accepts

