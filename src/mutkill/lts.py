@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from . import parser as P
 from . import terms as T
 from .record import Record
-from .terms import And, BoolTerm, Var
+from .terms import Var
 
 
 class LoweringError(Exception):
@@ -270,71 +270,3 @@ def distance_to_output(lts: Lts) -> Dict[int, Optional[int]]:
                 dist[p] = dist[loc] + 1
                 queue.append(p)
     return dist
-
-
-# ---------------------------------------------------------------------------
-# Structural validation
-# ---------------------------------------------------------------------------
-
-
-class LtsInvariantError(Exception):
-    pass
-
-
-def _exclusive(g1: BoolTerm, g2: BoolTerm) -> bool:
-    """Syntactic mutual-exclusion check: complements, or conjunction that
-    normalizes to false."""
-    if T.normalize_bool(g2) == T.normalize_bool(T.negate(g1)):
-        return True
-    return T.normalize_bool(And((g1, g2))) == T.FALSE
-
-
-def validate_lts(lts: Lts) -> None:
-    """Check the structural invariants; raises LtsInvariantError."""
-    locset = set(lts.locations)
-    if lts.entry not in locset:
-        raise LtsInvariantError("entry location missing")
-    if not lts.terminals <= locset:
-        raise LtsInvariantError("terminal location missing")
-    succ = lts.successors
-    varset = set(lts.variables)
-    # reachability from entry
-    seen = {lts.entry}
-    queue = deque([lts.entry])
-    while queue:
-        loc = queue.popleft()
-        for _, _, dst in succ[loc]:
-            if dst not in seen:
-                seen.add(dst)
-                queue.append(dst)
-    if seen != locset:
-        raise LtsInvariantError(f"unreachable locations: {sorted(locset - seen)}")
-    for loc in lts.locations:
-        outs = succ[loc]
-        if loc in lts.terminals:
-            if outs:
-                raise LtsInvariantError(f"terminal {loc} has outgoing transitions")
-            continue
-        if not outs:
-            raise LtsInvariantError(f"non-terminal {loc} has no outgoing transitions")
-        if len(outs) > 2:  # a branch has two arms, any other location one
-            raise LtsInvariantError(f"location {loc} has {len(outs)} outgoing transitions")
-        for _, gc, dst in outs:
-            if dst not in locset:
-                raise LtsInvariantError(f"transition target {dst} not a location")
-            used = T.variables(gc.guard)
-            for name, term in gc.update:
-                used |= {name} | T.variables(term)
-            if gc.emit is not None:
-                used |= T.variables(gc.emit)
-            if not used <= varset:
-                raise LtsInvariantError(f"unknown variables at {loc}: {sorted(used - varset)}")
-            names = [name for name, _ in gc.update]
-            if len(names) != len(set(names)):
-                raise LtsInvariantError(f"double assignment at {loc}")
-        for i in range(len(outs)):
-            for j in range(i + 1, len(outs)):
-                if not _exclusive(outs[i][1].guard, outs[j][1].guard):
-                    raise LtsInvariantError(
-                        f"guards at {loc} not provably mutually exclusive"
-                    )

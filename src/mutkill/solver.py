@@ -20,8 +20,10 @@ answers, before it is normalized: it is unsat if a conjunct was decided
 unsat; otherwise, if its other conjuncts hold at a decided conjunct's first
 model, completed with the low bound of each symbol the conjunct does not
 mention, that point is its first model.  This is exact, not a guess: every
-point before it in the enumeration order falsifies that conjunct.  The same
-machinery doubles as the exhaustive oracle used in tests.
+point before it in the enumeration order falsifies that conjunct.
+The solver alone decides that a constraint is unsatisfiable:
+`terms.normalize_bool` only canonicalizes.  The tests check it against
+brute force over the recursive reference semantics (`conftest.meaning`).
 
 Division and modulo truncate toward zero, matching the interpreter; a
 comparison whose evaluation divides by zero is false (the concrete run would
@@ -248,7 +250,8 @@ def _solve(c: BoolTerm, domains: Domains, decided: dict) -> SolverResult:
         res = _from_conjuncts(c, doms, decided)
         if res is not None:
             return res
-    # any other query that normalizes to false is unsat, however many points
+    # a query whose normal form is the literal false (a conjunct such as
+    # `x - x > 0` folds to it) is unsat, however many points
     if T.normalize_bool(c) == T.FALSE:
         return _UNSAT
     for model in _models(c, doms):

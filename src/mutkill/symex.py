@@ -410,18 +410,14 @@ class _Engine:
         full.update(model)
         key = tuple(sorted(full.items()))
         seen = self.seen_models.setdefault(mutant_id, set())
-        if key in seen:
-            return False
-        count = self.stats.tests_per_mutant.get(mutant_id, 0)
-        if mutant_id != 0 and count >= self.cfg.ntpm:
+        if key in seen or mutant_id != 0 and len(seen) >= self.cfg.ntpm:
             return False
         seen.add(key)
-        self.stats.tests_per_mutant[mutant_id] = count + 1
         self.tests.append(GeneratedTest(key, mutant_id, site, k))
         return True
 
     def quota_left(self, mutant_id: int) -> bool:
-        return self.stats.tests_per_mutant.get(mutant_id, 0) < self.cfg.ntpm
+        return len(self.seen_models.get(mutant_id, ())) < self.cfg.ntpm
 
     def finish(self, s: SymbolicState) -> None:
         (self.finished_orig if s.mut_id == 0 else self.finished_mut).append(s)
@@ -578,6 +574,7 @@ class _Engine:
             self.vanilla_tests()
         elif self.cfg.mode == "semu":
             self.terminal_kill_phase()
+        self.stats.tests_per_mutant = {m: len(seen) for m, seen in self.seen_models.items()}
         self.stats.wall_clock = time.monotonic() - start
         return list(self.tests), self.stats
 

@@ -237,38 +237,6 @@ ARITH_OPS = tuple(ARITH)
 CMP_OPS = tuple(COMPARE)
 
 
-def eval_int(t: IntTerm, env: Mapping[str, int]) -> int:
-    """Evaluate an integer term under a concrete valuation.
-
-    Raises :class:`EvalError` on division/modulo by zero and KeyError on an
-    unbound variable.
-    """
-    if isinstance(t, Lit):
-        return t.value
-    if isinstance(t, Var):
-        return env[t.name]
-    if isinstance(t, Neg):
-        return -eval_int(t.operand, env)
-    if isinstance(t, Bin):
-        return ARITH[t.op](eval_int(t.left, env), eval_int(t.right, env))
-    raise TypeError(f"not an integer term: {t!r}")
-
-
-def eval_bool(t: BoolTerm, env: Mapping[str, int]) -> bool:
-    """Evaluate a boolean term under a concrete valuation (errors propagate)."""
-    if isinstance(t, BoolLit):
-        return t.value
-    if isinstance(t, Cmp):
-        return COMPARE[t.op](eval_int(t.left, env), eval_int(t.right, env))
-    if isinstance(t, Not):
-        return not eval_bool(t.operand, env)
-    if isinstance(t, And):
-        return all(eval_bool(x, env) for x in t.items)
-    if isinstance(t, Or):
-        return any(eval_bool(x, env) for x in t.items)
-    raise TypeError(f"not a boolean term: {t!r}")
-
-
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # truth values as binary digits
 
 
@@ -458,11 +426,11 @@ class Source:
     variables its subterm reads, so a call to it is valid wherever those
     are bound.
 
-    Expressions have the value, evaluation order, short-circuiting and
-    EvalError of `eval_int`/`eval_bool`.  In `constraint` mode a comparison
-    that divides is instead a helper that is False where it raises
-    EvalError, which is the meaning `holds` gives it: no comparison raises,
-    so conjuncts may be tested in any order."""
+    Expressions evaluate as the concrete program does: operands left to
+    right, `and`/`or` short-circuiting, EvalError on a zero divisor.  In
+    `constraint` mode a comparison that divides is instead a helper that is
+    False where it raises EvalError, which is the meaning `holds` gives it:
+    no comparison raises, so conjuncts may be tested in any order."""
 
     def __init__(self, local: Mapping[str, str], constraint: bool = False) -> None:
         self.local = local
@@ -782,51 +750,15 @@ def _normalize_cmp_shape(op: str, left: IntTerm, right: IntTerm) -> BoolTerm:
 
 
 @functools.cache
-def _norm_negate(t: BoolTerm) -> BoolTerm:
-    return normalize_bool(negate(t))
-
-
-@functools.cache
-def _contradicts(a: BoolTerm, b: BoolTerm) -> bool:
-    """Cheap syntactic contradiction check on two normalized atoms, the same
-    in either order.  Normalized comparisons have the shape `p < 0`,
-    `p == 0`, `p != 0`."""
-    # negating twice need not give the atom back (`2*x - 1 < 0` comes back
-    # as `x - 1 < 0`), so compare both ways
-    if a == _norm_negate(b) or b == _norm_negate(a):
-        return True
-    if isinstance(a, Not) and a.operand == b:
-        return True
-    if isinstance(b, Not) and b.operand == a:
-        return True
-    if not (isinstance(a, Cmp) and isinstance(b, Cmp)):
-        return False
-    pa, pb = _to_poly(a.left), _to_poly(b.left)
-    if a.op == "==" and b.op == "==":
-        # p == 0 and p + k == 0 with k != 0
-        d = (pa - pb).constant_value()
-        if d is not None and d != 0:
-            return True
-    if a.op == "<" and b.op == "<":
-        # p < 0 and q < 0 over integers force p + q <= -2
-        d = (pa + pb).constant_value()
-        if d is not None and d >= -1:
-            return True
-    if {a.op, b.op} == {"<", "=="}:
-        lt, eq = (pa, pb) if a.op == "<" else (pb, pa)
-        # q == 0 pins p to a constant; p < 0 then needs that constant < 0
-        for d in ((lt - eq).constant_value(), (lt + eq).constant_value()):
-            if d is not None and d >= 0:
-                return True
-    return False
-
-
-@functools.cache
 def normalize_bool(t: BoolTerm) -> BoolTerm:
-    """Canonical (negation-normal, flattened, sorted) form of a boolean term.
+    """Canonical (negation-normal, flattened, sorted, deduplicated) form of a
+    boolean term.
 
-    Equisatisfiable and model-preserving: the result is logically equivalent
-    to the input under constraint-style evaluation.
+    Model-preserving: the result holds exactly where the input does under
+    constraint-style evaluation.  It only canonicalizes: a connective folds
+    to a literal through an absorbing item, never by finding that its items
+    contradict, so `x < 0 && x > 0` stays a conjunction, and deciding it is
+    the solver's.
     """
     if isinstance(t, BoolLit):
         return t
@@ -848,31 +780,14 @@ def normalize_bool(t: BoolTerm) -> BoolTerm:
             return neg
         return normalize_bool(neg)
     if isinstance(t, (And, Or)):
-        is_and = isinstance(t, And)
-        node = And if is_and else Or
-        absorb = FALSE if is_and else TRUE
-        identity = TRUE if is_and else FALSE
-        children = []
+        node = type(t)
+        absorb, identity = (FALSE, TRUE) if node is And else (TRUE, FALSE)
+        items = []
         for x in t.items:
             nx = normalize_bool(x)
             if nx == absorb:
                 return absorb
             if nx != identity:
-                children.append(nx)
-        if not children:
-            return identity
-        # the children's items, merged in one sorted tuple; each child is
-        # normalized, so no two of its own items contradict, and in a
-        # conjunction only an item outside the largest child can contradict
-        # another
-        flat = [c.items if isinstance(c, node) else (c,) for c in children]
-        items = dict.fromkeys(itertools.chain.from_iterable(flat))
-        if is_and:
-            base = max(flat, key=len)
-            in_base = set(base)
-            new = [b for b in items if b not in in_base]
-            for i, b in enumerate(new):
-                if any(_contradicts(a, b) for a in itertools.chain(base, new[:i])):
-                    return FALSE
-        return (conj if is_and else disj)(sorted(items, key=_sort_key))
+                items.extend(nx.items if isinstance(nx, node) else (nx,))
+        return (conj if node is And else disj)(sorted(dict.fromkeys(items), key=_sort_key))
     raise TypeError(f"not a boolean term: {t!r}")

@@ -1,6 +1,7 @@
 import functools
 import glob
 import os
+from collections import deque
 
 import pytest
 
@@ -25,9 +26,40 @@ LOOPFREE = ["abs", "max2", "clamp", "sign", "parity", "mask", "classify",
 ALL_PROGRAMS = LOOPFREE + ["fig1", "sumloop", "countdown", "callfn"]
 
 
+def eval_int(t, env) -> int:
+    """The value of the integer term t at env, by the operators' meaning
+    applied recursively: the reference semantics.  Raises T.EvalError on
+    division or modulo by zero and KeyError on an unbound variable."""
+    if isinstance(t, T.Lit):
+        return t.value
+    if isinstance(t, T.Var):
+        return env[t.name]
+    if isinstance(t, T.Neg):
+        return -eval_int(t.operand, env)
+    if isinstance(t, T.Bin):
+        return T.ARITH[t.op](eval_int(t.left, env), eval_int(t.right, env))
+    raise TypeError(f"not an integer term: {t!r}")
+
+
+def eval_bool(t, env) -> bool:
+    """The truth of the boolean term t at env, as `eval_int`; `&&` and `||`
+    short-circuit, and errors propagate."""
+    if isinstance(t, T.BoolLit):
+        return t.value
+    if isinstance(t, T.Cmp):
+        return T.COMPARE[t.op](eval_int(t.left, env), eval_int(t.right, env))
+    if isinstance(t, T.Not):
+        return not eval_bool(t.operand, env)
+    if isinstance(t, T.And):
+        return all(eval_bool(x, env) for x in t.items)
+    if isinstance(t, T.Or):
+        return any(eval_bool(x, env) for x in t.items)
+    raise TypeError(f"not a boolean term: {t!r}")
+
+
 def meaning(c, env) -> bool:
     """Whether the constraint c holds at env, by the recursive reference
-    semantics `T.eval_bool`, a comparison counted false where it divides by
+    semantics `eval_bool`, a comparison counted false where it divides by
     zero: the oracle of `T.holds` and of the solver, which share no code
     with it."""
     if isinstance(c, T.Not):
@@ -37,9 +69,70 @@ def meaning(c, env) -> bool:
     if isinstance(c, T.Or):
         return any(meaning(item, env) for item in c.items)
     try:
-        return T.eval_bool(c, env)
+        return eval_bool(c, env)
     except T.EvalError:
         return False
+
+
+class LtsInvariantError(Exception):
+    pass
+
+
+def _exclusive(g1, g2) -> bool:
+    """Syntactic mutual-exclusion check: the guards are complements."""
+    return T.normalize_bool(g2) == T.normalize_bool(T.negate(g1))
+
+
+def validate_lts(lts: L.Lts) -> None:
+    """Check the structural invariants of a lowered program; raises
+    LtsInvariantError."""
+    locset = set(lts.locations)
+    if lts.entry not in locset:
+        raise LtsInvariantError("entry location missing")
+    if not lts.terminals <= locset:
+        raise LtsInvariantError("terminal location missing")
+    succ = lts.successors
+    varset = set(lts.variables)
+    # reachability from entry
+    seen = {lts.entry}
+    queue = deque([lts.entry])
+    while queue:
+        loc = queue.popleft()
+        for _, _, dst in succ[loc]:
+            if dst not in seen:
+                seen.add(dst)
+                queue.append(dst)
+    if seen != locset:
+        raise LtsInvariantError(f"unreachable locations: {sorted(locset - seen)}")
+    for loc in lts.locations:
+        outs = succ[loc]
+        if loc in lts.terminals:
+            if outs:
+                raise LtsInvariantError(f"terminal {loc} has outgoing transitions")
+            continue
+        if not outs:
+            raise LtsInvariantError(f"non-terminal {loc} has no outgoing transitions")
+        if len(outs) > 2:  # a branch has two arms, any other location one
+            raise LtsInvariantError(f"location {loc} has {len(outs)} outgoing transitions")
+        for _, gc, dst in outs:
+            if dst not in locset:
+                raise LtsInvariantError(f"transition target {dst} not a location")
+            used = T.variables(gc.guard)
+            for name, term in gc.update:
+                used |= {name} | T.variables(term)
+            if gc.emit is not None:
+                used |= T.variables(gc.emit)
+            if not used <= varset:
+                raise LtsInvariantError(f"unknown variables at {loc}: {sorted(used - varset)}")
+            names = [name for name, _ in gc.update]
+            if len(names) != len(set(names)):
+                raise LtsInvariantError(f"double assignment at {loc}")
+        for i in range(len(outs)):
+            for j in range(i + 1, len(outs)):
+                if not _exclusive(outs[i][1].guard, outs[j][1].guard):
+                    raise LtsInvariantError(
+                        f"guards at {loc} not provably mutually exclusive"
+                    )
 
 
 def corpus_path(name: str) -> str:

@@ -47,19 +47,19 @@ def comparison(rng, names, divides: bool) -> str:
             return text
 
 
-def guard(rng, names) -> str:
+def guard(rng, names, divides: bool = False) -> str:
     # `expand` splits an error branch off every divisor of a guard, which
-    # replay may short-circuit past under `&&` and `||`: only those guards
-    # do not divide
+    # replay may short-circuit past under `&&` and `||`: only with `divides`
+    # may those guards divide
     shape = rng.choice(("cmp", "cmp", "&&", "||", "!"))
     if shape == "cmp":
         return comparison(rng, names, divides=True)
     if shape == "!":
         return f"!({comparison(rng, names, divides=True)})"
-    return f"{comparison(rng, names, False)} {shape} {comparison(rng, names, False)}"
+    return f"{comparison(rng, names, divides)} {shape} {comparison(rng, names, divides)}"
 
 
-def block(rng, names, nesting: int, indent: str) -> list:
+def block(rng, names, nesting: int, indent: str, divides: bool = False) -> list:
     lines = []
     for _ in range(rng.randint(1, 3)):
         kind = rng.choice(("assign", "assign", "output", "if") if nesting < MAX_NESTING
@@ -69,23 +69,24 @@ def block(rng, names, nesting: int, indent: str) -> list:
         elif kind == "output":
             lines.append(f"{indent}output {expression(rng, names)};")
         else:
-            lines.append(f"{indent}if ({guard(rng, names)}) {{")
-            lines += block(rng, names, nesting + 1, indent + "  ")
+            lines.append(f"{indent}if ({guard(rng, names, divides)}) {{")
+            lines += block(rng, names, nesting + 1, indent + "  ", divides)
             lines.append(f"{indent}}} else {{")
-            lines += block(rng, names, nesting + 1, indent + "  ")
+            lines += block(rng, names, nesting + 1, indent + "  ", divides)
             lines.append(f"{indent}}}")
     return lines
 
 
-def program(rng) -> str:
+def program(rng, divides: bool = False) -> str:
     """A program text; `rng` is a `random.Random` or `Draws`, of which it
-    uses `choice` and `randint`."""
+    uses `choice` and `randint`.  With `divides`, guards may divide under
+    `&&` and `||` too."""
     inputs = ["x", "y"][:rng.randint(1, 2)]
     names = inputs + ["t"]
     return "\n".join(
         [f"input {n}: int in [-3, 3];" for n in inputs]
         + ["fn main() {", f"  var t = {expression(rng, inputs, 1)};"]
-        + block(rng, names, 0, "  ")
+        + block(rng, names, 0, "  ", divides)
         + ["  output t;", "}", ""])
 
 

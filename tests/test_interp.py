@@ -35,13 +35,13 @@ def reference(lts: L.Lts, test, step_budget=I.DEFAULT_STEP_BUDGET):
             return I.TIMEOUT, tuple(output), steps, tuple(states)
         try:
             for _, gc, dst in lts.successors[loc]:
-                if T.eval_bool(gc.guard, env):
+                if C.eval_bool(gc.guard, env):
                     break
             else:
                 raise AssertionError(f"no enabled transition at location {loc}")
-            values = [T.eval_int(term, env) for _, term in gc.update]
+            values = [C.eval_int(term, env) for _, term in gc.update]
             if gc.emit is not None:
-                output.append(T.eval_int(gc.emit, env))
+                output.append(C.eval_int(gc.emit, env))
         except T.EvalError:
             return I.ERROR, tuple(output), steps + 1, tuple(states)
         env.update(zip((name for name, _ in gc.update), values))
@@ -156,11 +156,11 @@ class TestRun:
         for (snap_a, loc_a), (snap_b, loc_b) in zip(couples(tr), couples(tr)[1:]):
             env = dict(snap_a)
             matching = [t for t in succ[loc_a]
-                        if t[2] == loc_b and T.eval_bool(t[1].guard, env)]
+                        if t[2] == loc_b and C.eval_bool(t[1].guard, env)]
             assert matching, (loc_a, loc_b)
             _, gc, _ = matching[0]
             expect = dict(env)
-            expect.update({v: T.eval_int(e, env) for v, e in gc.update})
+            expect.update({v: C.eval_int(e, env) for v, e in gc.update})
             assert dict(snap_b) == expect
 
     def test_deterministic(self, fig1):
@@ -266,7 +266,7 @@ class TestDeepTerms:
         lts = _deep_output("(x + " * 80 + "x" + ")" * 80)
         emit = lts.transitions[0][1].emit
         tr = I.run_lts(lts, {"x": 3}, record_states=True)
-        assert tr.output == (243,) == (T.eval_int(emit, {"x": 3}),)
+        assert tr.output == (243,) == (C.eval_int(emit, {"x": 3}),)
         assert observed(tr) == reference(lts, {"x": 3})
 
     def test_every_mutant_of_one_deep_statement(self):

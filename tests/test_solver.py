@@ -30,8 +30,15 @@ def x_lt(k):
 
 
 class TestSimplify:
-    def test_contradiction_folds_to_false(self):
-        assert T.normalize_bool(And((x_lt(0), Cmp(">", Var("x"), Lit(0))))) == T.FALSE
+    def test_contradiction_is_left_to_the_solver(self):
+        # normalization only canonicalizes; the solver decides unsat
+        c = And((x_lt(0), Cmp(">", Var("x"), Lit(0))))
+        n = T.normalize_bool(c)
+        assert isinstance(n, And) and len(n.items) == 2
+        # both ways of deciding: truth sets, and the compiled loop nest
+        for doms in (H, BIG):
+            assert S.is_satisfiable(n, doms).status == S.UNSAT
+            assert S.is_satisfiable(c, doms).status == S.UNSAT
 
     def test_idempotent(self):
         c = Or((x_lt(0), Not(x_lt(0))))
@@ -61,7 +68,7 @@ class TestBounded:
         assert C.meaning(c, r.model)
 
     def test_missing_domain(self):
-        # the second query normalizes to false; it is not answered either
+        # the second query is contradictory; it is not answered either
         for c in (Cmp("<", Var("q"), Lit(0)),
                   And((Cmp("<", Var("q"), Lit(0)), Cmp(">", Var("q"), Lit(0))))):
             with pytest.raises(S.SolverFailure, match="q"):

@@ -5,16 +5,15 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mutkill import cli
 from mutkill import mutation as M
-from mutkill import solver as S
 from mutkill import terms as T
 from mutkill.record import Record
 from mutkill.terms import (And, Bin, BoolLit, Cmp, Lit, Neg, Not, Or, Var,
-                           eval_bool, eval_int, holds, negate, normalize_bool,
-                           normalize_int, render, subst)
+                           holds, negate, normalize_bool, normalize_int, render,
+                           subst)
 
 import conftest as C
+from conftest import eval_bool, eval_int
 
 
 names = st.sampled_from(["x", "y", "z"])
@@ -185,18 +184,6 @@ class TestNormalizeBool:
         c = Cmp("<", Var("x"), Lit(0))
         assert normalize_bool(Not(Not(c))) == normalize_bool(c)
 
-    def test_contradictory_conjunction(self):
-        lt = Cmp("<", Var("x"), Lit(0))
-        gt = Cmp(">", Var("x"), Lit(0))
-        assert normalize_bool(And((lt, gt))) == T.FALSE
-
-    def test_selector_conjunction_is_contradictory(self):
-        m = Var("mutId")
-        one = Cmp("==", m, Lit(1))
-        two = Cmp("==", m, Lit(2))
-        assert normalize_bool(And((one, two))) == T.FALSE
-        assert normalize_bool(And((one, Cmp("!=", m, Lit(1))))) == T.FALSE
-
     def test_cancelled_division_keeps_its_divisor_guard(self):
         # the comparison is false wherever evaluating x/y divides by zero,
         # even when x/y cancels out of the difference of its sides
@@ -225,23 +212,21 @@ class TestNormalizeBool:
 
 
 def pairwise_conjunction(children):
-    """`normalize_bool(And(children))` for normalized children, with every
-    pair of the flattened items checked for a contradiction."""
+    """`normalize_bool(And(children))` for normalized children: their
+    items, flattened, deduplicated and sorted."""
     flat = []
     for c in children:
         if c == T.FALSE:
             return T.FALSE
         if c != T.TRUE:
             flat.extend(c.items if isinstance(c, And) else (c,))
-    seen = list(dict.fromkeys(flat))
-    if any(T._contradicts(a, b) for i, a in enumerate(seen) for b in seen[i + 1:]):
-        return T.FALSE
-    return T.conj(sorted(seen, key=T._sort_key))
+    return T.conj(sorted(dict.fromkeys(flat), key=T._sort_key))
 
 
 def linear_atoms():
     """`k*x + m*y + c OP d` with small coefficients: over one pool of them,
-    contradictions are common, some only after dividing by a content."""
+    children share items, some of which normalize alike only after
+    dividing by a content."""
     side = st.builds(lambda k, m, c: Bin("+", Bin("+", Bin("*", Lit(k), Var("x")),
                                                    Bin("*", Lit(m), Var("y"))), Lit(c)),
                      st.integers(-2, 2), st.sampled_from((0, 0, 1, -1)), st.integers(-3, 3))
@@ -266,45 +251,14 @@ Y_NEG = Cmp("<", Var("y"), Lit(0))
 
 class TestConjunctions:
     @given(normalized_children())
-    # the two children share y < 0, and the pair that contradicts is one
-    # item of each, whose negations come back only after dividing by 2
+    # the two children share y < 0, and one item of each contradicts the
+    # other, which normalization leaves to the solver
     @example([normalize_bool(And((Y_NEG, TWICE_X_NONPOS))), normalize_bool(And((Y_NEG, X_POS)))])
-    # the contradiction is between the second and the third child
+    # the second and the third child contradict
     @example([normalize_bool(t) for t in (Y_NEG, X_POS, TWICE_X_NONPOS)])
     @settings(max_examples=300, deadline=None)
     def test_incremental_checks_equal_every_pair(self, children):
         assert normalize_bool(And(tuple(children))) == pairwise_conjunction(children)
-
-    def test_contradiction_does_not_depend_on_the_order(self):
-        # x > 0 negates to 0 - x >= 0, i.e. x - 1 < 0 after normalization,
-        # not to 2*x - 1 < 0; the check compares both negations
-        assert normalize_bool(And((X_POS, TWICE_X_NONPOS))) == T.FALSE
-        assert normalize_bool(And((TWICE_X_NONPOS, X_POS))) == T.FALSE
-
-    def test_countdown_gen_checks_the_new_guard_only(self, monkeypatch, tmp_path):
-        # countdown's gen under the benchmark's corpus configuration, from
-        # empty memos as in a fresh process: the engine normalizes no path
-        # and countdown's guards are single comparisons, so no conjunction
-        # of two items is normalized and no contradiction check is made
-        for module in (T, S):
-            for value in list(vars(module).values()):
-                if hasattr(value, "cache_clear"):
-                    value.cache_clear()
-        checks = []
-        contradicts = T._contradicts
-
-        def counting(a, b):
-            checks.append((a, b))
-            return contradicts(a, b)
-
-        monkeypatch.setattr(T, "_contradicts", counting)
-        manifest = cli.parse_config(
-            "MODE = semu\nPP = 1.0\nMAX_STATES = 1000\nMAX_DEPTH = 200\n"
-            "BUDGET_SECONDS = 600\nRNG_SEED = 1\n",
-            program=C.corpus_path("countdown"), out_dir=str(tmp_path))
-        cli.run_pipeline(manifest, stop="gen")
-        assert "states_created=1000\n" in (tmp_path / "stats.txt").read_text()
-        assert len(checks) == 0
 
 
 class TestTracerCounters:
