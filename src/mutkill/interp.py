@@ -82,13 +82,13 @@ def _check_domains(lts: Lts, test: Dict[str, int]) -> None:
 #             return 'error', out, steps + 1
 #         return ('terminal' if loc in (9,) else 'timeout'), out, steps
 #
-# A location's transitions are tried in order; the first enabled one
-# evaluates its update terms, then its emit, then assigns.  A straight-line
-# location, whose only transition is guarded by `true`, gets neither a test
-# nor an `else: raise`, and a transition with one update and no emit
-# assigns without a temporary: `v1 = (v1 + v0)` then `loc = 3`.  Stepping
-# does not pay for the longer form, since CPython compiles away an
-# `if (True):`, but compiling costs about 10 µs per generated line.  A
+# A location follows the shape that lowering gives it (see `lts`).  A branch
+# tests its first guard once and compiles to `if <guard>: loc = 4` /
+# `else: loc = 6`, the second guard being the first's complement.  Any
+# other location has one transition, guarded by `true`, that runs with no
+# test: it evaluates its update terms, then its emit, then assigns, and
+# with one update and no emit it assigns without a temporary: `v1 = (v1 +
+# v0)` then `loc = 3`.  Compiling costs about 10 µs per generated line.  A
 # terminal location returns `terminal`, also when it is reached at exactly
 # the budget.  An `elif` chain would cost a test per location per step, and
 # CPython's compiler recurses once per `elif`, so both the locations and a
@@ -137,27 +137,25 @@ def _kernel(lts: Lts, points: Dict[int, List[Tuple[int, Sequence[Transition]]]]
         lines += [f"{pad}{local[name]} = _t{i}" for i, (name, _) in enumerate(gc.update)]
         return lines + [f"{pad}loc = {dst}"]
 
-    def block(loc: int, outs: Sequence[Transition], pad: str) -> List[str]:
-        if len(outs) == 1 and outs[0][1].guard is T.TRUE:
+    def block(outs: Sequence[Transition], pad: str) -> List[str]:
+        if len(outs) == 1:
             return fire(outs[0][1], outs[0][2], pad)
-        lines: List[str] = []
-        for _, gc, dst in outs:
-            lines.append(f"{pad}{'elif' if lines else 'if'} {src.expr(gc.guard)}:")
-            lines += fire(gc, dst, pad + _INDENT)
-        stuck = f"raise AssertionError('no enabled transition at location {loc}')"
-        return lines + [f"{pad}else:", pad + _INDENT + stuck] if lines else [pad + stuck]
+        (_, gc, dst), (_, other, els) = outs
+        inner = pad + _INDENT
+        return ([f"{pad}if {src.expr(gc.guard)}:"] + fire(gc, dst, inner)
+                + [f"{pad}else:"] + fire(other, els, inner))
 
     def location(loc: int, pad: str) -> List[str]:
         if loc in lts.terminals:
             return [f"{pad}return {OK!r}, out, steps"]
         variants = points.get(loc)
         if not variants:
-            return block(loc, succ[loc], pad)
+            return block(succ[loc], pad)
         mutant = dict(variants)
         inner = pad + _INDENT
         return ([f"{pad}if mid in {set(mutant)!r}:"]
-                + _tree("mid", list(mutant), lambda k, p: block(loc, mutant[k], p), inner)
-                + [f"{pad}else:"] + block(loc, succ[loc], inner))
+                + _tree("mid", list(mutant), lambda k, p: block(mutant[k], p), inner)
+                + [f"{pad}else:"] + block(succ[loc], inner))
 
     loop = 2 * _INDENT
     body = [f"{local[n]} = test[{n!r}]" if n in inputs else f"{local[n]} = 0" for n in names]
@@ -293,11 +291,8 @@ def greedy_minimize(km: KillMatrix) -> List[int]:
     while uncovered:
         best = max(range(len(km.tests)),
                    key=lambda i: (len(kills_by_test[i] & uncovered), -i))
-        gain = kills_by_test[best] & uncovered
-        if not gain:
-            break
         chosen.append(best)
-        uncovered -= gain
+        uncovered -= kills_by_test[best]
     return chosen
 
 

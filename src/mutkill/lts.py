@@ -6,7 +6,9 @@ Every executable statement becomes exactly one control location:
 * assignments, outputs and calls get a single outgoing transition (guard
   true) carrying the variable update and/or an emitted output term;
 * if/while statements become branching locations with two outgoing
-  transitions whose guards are syntactic complements;
+  transitions that neither update nor emit, guarded by the condition and
+  by its `terms.negate`; mutants keep this shape, and the symbolic engine
+  and replay evaluate only the first guard;
 * one distinguished terminal location is appended per program exit (MiniImp
   programs have a single exit, the end of ``main``).
 

@@ -243,10 +243,10 @@ def apply_mutant(lts: Lts, mutant: Mutant) -> Lts:
 
 def _row(transition: Transition) -> tuple:
     """A transition's row of the normal form: its ends, the printed normal
-    forms of its guard, update terms and output term, and those of the
-    divisors of its update and output terms other than nonzero literals.
-    Normalization may erase a division (`0 * (x / x)` is 0), but the
-    transition still errors where the divisor is zero."""
+    forms of its guard, update terms and output term, and those of all
+    their divisors other than nonzero literals.  Normalization may erase a
+    division (`0 * (x / x)` is 0, `x < x && ...` false), but the transition
+    still errors where the divisor is zero."""
     src, gc, dst = transition
     guard = T.normalize_bool(gc.guard)
     # identity updates (v = v) are no-ops and must not mask duplicates
@@ -254,7 +254,7 @@ def _row(transition: Transition) -> tuple:
         (v, T._sort_key(norm)) for v, e in gc.update
         if (norm := T.normalize_int(e)) != Var(v)))
     emit = T._sort_key(T.normalize_int(gc.emit)) if gc.emit is not None else ""
-    exprs = [e for _, e in gc.update] + ([gc.emit] if gc.emit is not None else [])
+    exprs = [gc.guard, *(e for _, e in gc.update)] + ([gc.emit] if gc.emit is not None else [])
     divisors = {T._sort_key(d) for e in exprs for d in map(T.normalize_int, T.divisors(e))
                 if not (isinstance(d, Lit) and d.value != 0)}
     return (src, dst, T._sort_key(guard), update, emit, tuple(sorted(divisors)))

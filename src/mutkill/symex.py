@@ -10,6 +10,8 @@ Post-fork branching locations are counted against the checkpoint window;
 at checkpoints a configurable proportion of branches is kept and pruned
 branches may emit early tests from the prefix-difference constraint.  At
 terminal locations the full kill constraint (output disequality) is solved.
+A location's division errors are split off once, from the terms that it
+evaluates (see `lts`), each where evaluation reaches its divisor.
 
 Three modes share the machinery: `semu` (all of the above), `infection-only`
 (solve the state-difference constraint right at the mutation point and drop
@@ -284,31 +286,25 @@ def initial_state(lts: Lts, mut_id: int = 0) -> SymbolicState:
 
 
 @functools.cache
-def _may_be_zero(t: T.Term) -> Tuple[IntTerm, ...]:
-    """The divisors of `t` that get an error branch: all but those whose
+def _may_be_zero(d: IntTerm) -> bool:
+    """Whether the divisor `d` gets an error branch: all but one whose
     normal form is a nonzero literal and whose own term does not divide.
-    Those can never be zero, so they add no error state and nothing to the
-    path; their `d == 0` would cost a solver call that is always unsat."""
-    out = []
-    for d in T.divisors(t):
-        n = T.normalize_int(d)
-        if not isinstance(n, Lit) or n.value == 0 or T.has_division(d):
-            out.append(d)
-    return tuple(out)
+    That one can never be zero, so it adds no error state and nothing to
+    the path; its `d == 0` would cost a solver call that is always unsat."""
+    n = T.normalize_int(d)
+    return not isinstance(n, Lit) or n.value == 0 or T.has_division(d)
 
 
 def _take(s: SymbolicState, i: int, transition: Transition):
     """Taking `transition`, the i-th transition out of the location of `s`
-    in the program of the state's mutant: None when the guard is the literal
-    `false`, else the transition's label (guard, update, emit) with the
-    store substituted but not normalized, so that its divisors are the ones
-    a concrete run evaluates, and the successor's changed fields.  Whether
-    any other guard can hold is the solver's question."""
+    in the program of the state's mutant: the transition's label (guard,
+    update, emit) with the store substituted but not normalized, so that
+    its divisors are the ones a concrete run evaluates, and the
+    successor's changed fields.  Whether the guard can hold is the
+    solver's question."""
     _, gc, dst = transition
     store = s.store_map()
     guard = T.subst(gc.guard, store)
-    if guard is T.FALSE:
-        return None
     update = tuple((name, T.subst(term, store)) for name, term in gc.update)
     emit = T.subst(gc.emit, store) if gc.emit is not None else None
     for name, term in update:
@@ -324,17 +320,13 @@ def _take(s: SymbolicState, i: int, transition: Transition):
 
 
 def step(s: SymbolicState, i: int, transition: Transition
-         ) -> Optional[Tuple[SymbolicState, GuardedCommand]]:
+         ) -> Tuple[SymbolicState, GuardedCommand]:
     """The successor of `s` along `transition`, the i-th transition out of
     its location in the program of the state's mutant, together with the
     transition's label with the store substituted but not normalized, so
-    that its divisors are the ones a concrete run evaluates.  None when the
-    guard is the literal `false`; a successor whose path is unsatisfiable
-    is returned like any other."""
-    taken = _take(s, i, transition)
-    if taken is None:
-        return None
-    label, fields = taken
+    that its divisors are the ones a concrete run evaluates.  A successor
+    whose path is unsatisfiable is returned like any other."""
+    label, fields = _take(s, i, transition)
     return s.replace(**fields), GuardedCommand(*label)
 
 
@@ -428,41 +420,32 @@ class _Engine:
         """Successors of one live state; seed-incompatible branches pruned,
         division-by-zero branches finished as errors.  The solver alone
         decides feasibility: an error path it finds unsat adds no state, and
-        an unsat successor counts in `pruned_infeasible`."""
+        an unsat successor counts in `pruned_infeasible`.  The divisors of
+        the first transition's terms split off error paths `path ∧ earlier
+        nonzero ∧ reach ∧ d == 0`, once per normal form and reach, and each
+        arm adds every divisor's `¬reach ∨ d != 0`."""
         branching = s.loc in self.branch_locs
-        results: List[SymbolicState] = []
-        error_keys: Set[IntTerm] = set()
-        for i, transition in enumerate(self.meta.program(s.mut_id).successors[s.loc]):
-            taken = _take(s, i, transition)
-            if taken is None:
-                continue
-            (guard, update, emit), fields = taken
-            # division safety: split off error paths, guard the main path
-            guard_divs = _may_be_zero(guard)
-            divs = [*guard_divs, *(d for _, term in update for d in _may_be_zero(term))]
-            if emit is not None:
-                divs += _may_be_zero(emit)
-            nonzero = [Cmp("!=", d, Lit(0)) for d in divs]
-            for j, d in enumerate(divs):
-                key = T.normalize_int(d)
-                in_guard = j < len(guard_divs)
-                if in_guard and key in error_keys:
-                    continue  # complementary guard shares the same divisors
-                # a guard divisor errors before the guard is decided; a later
-                # one errors on the taken branch
-                err_pc = T.conj([s.path if in_guard else fields["path"]]
-                                + nonzero[:j] + [Cmp("==", d, Lit(0))])
-                if in_guard:
-                    error_keys.add(key)
-                res = self.sat(err_pc)
-                if res.is_sat:
+        taken = [_take(s, i, transition) for i, transition
+                 in enumerate(self.meta.program(s.mut_id).successors[s.loc])]
+        (guard, update, emit), fields = taken[0]
+        evaluated = [guard, *(term for _, term in update)] + ([emit] if emit is not None else [])
+        nonzero: List[BoolTerm] = []
+        queried: Set[tuple] = set()
+        for d, reach in (dr for term in evaluated for dr in T.reached_divisors(term)
+                         if _may_be_zero(dr[0])):
+            key = (T.normalize_int(d), reach)
+            if key not in queried:
+                queried.add(key)
+                err_pc = T.conj([s.path, *nonzero, *reach, Cmp("==", d, Lit(0))])
+                if self.sat(err_pc).is_sat:
                     self.stats.states_created += 1
-                    self.finish(s.replace(path=err_pc, trail=fields["trail"],
-                                          status="error"))
-            pc = T.conj([fields["path"]] + nonzero)
+                    self.finish(s.replace(path=err_pc, trail=fields["trail"], status="error"))
+            nonzero.append(T.disj([*map(T.negate, reach), Cmp("!=", d, Lit(0))]))
+        results: List[SymbolicState] = []
+        for (guard, _, _), fields in taken:
             # the conjuncts this step adds to the parent's path
             added = nonzero if fields["path"] is s.path else [guard, *nonzero]
-            fields["path"] = pc
+            fields["path"] = T.conj([fields["path"], *nonzero])
             if branching and s.mut_id:
                 fields["branch_count"] = s.branch_count + 1
             nxt = s.replace(**fields)

@@ -328,20 +328,8 @@ def subst(t: Term, mapping: Mapping[str, IntTerm]) -> Term:
     if t._vars.isdisjoint(mapping):
         return t
     if isinstance(t, Var):
-        return mapping.get(t.name, t)
-    if isinstance(t, Neg):
-        return Neg(subst(t.operand, mapping))
-    if isinstance(t, Bin):
-        return Bin(t.op, subst(t.left, mapping), subst(t.right, mapping))
-    if isinstance(t, Cmp):
-        return Cmp(t.op, subst(t.left, mapping), subst(t.right, mapping))
-    if isinstance(t, Not):
-        return Not(subst(t.operand, mapping))
-    if isinstance(t, And):
-        return And(tuple(subst(x, mapping) for x in t.items))
-    if isinstance(t, Or):
-        return Or(tuple(subst(x, mapping) for x in t.items))
-    raise TypeError(f"not a term: {t!r}")
+        return mapping[t.name]
+    return with_subterms(t, [subst(u, mapping) for u in _subterms(t)])
 
 
 def variables(t: Term) -> frozenset:
@@ -398,6 +386,24 @@ def divisors(t: Term) -> tuple:
     post-order: a divisor follows the divisors inside its dividend and
     inside itself, and items keep their order."""
     return _bottom_up(_divisors_of, t, _subterms_that_divide) if t._divides else ()
+
+
+@functools.cache
+def reached_divisors(t: Term) -> tuple:
+    """Each divisor of ``t`` in evaluation order (`divisors`), paired with
+    its reach: the conditions, read as a conjunction, under which
+    evaluating ``t`` gets to it.  Under `&&` an item is reached where the
+    items before it hold, under `||` where they fail; `!` passes its
+    operand's conditions through, and arithmetic adds none."""
+    if isinstance(t, (And, Or)) and t._divides:
+        out, before = [], ()
+        for x in t.items:
+            out += [(d, before + reach) for d, reach in reached_divisors(x)]
+            before += (x if isinstance(t, And) else negate(x),)
+        return tuple(out)
+    if isinstance(t, Not):
+        return reached_divisors(t.operand)
+    return tuple((d, ()) for d in divisors(t))
 
 
 def has_division(t: Term) -> bool:
@@ -482,8 +488,6 @@ class Source:
             return self._helper(t, ["try:", f"    return {infix}",
                                     "except EvalError:", "    return False"])
         if isinstance(t, (And, Or)):
-            if not t.items:
-                return repr(isinstance(t, And))
             joint = " and " if isinstance(t, And) else " or "
             return "(" + joint.join(self.expr(x, d) for x in t.items) + ")"
         raise TypeError(f"not a term: {t!r}")

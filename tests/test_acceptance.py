@@ -32,9 +32,8 @@ def _frontier_at(meta, mut_id, depth):
     prog = meta.program(mut_id)
     states = [X.initial_state(prog, mut_id)]
     for _ in range(depth):
-        stepped = (X.step(s, i, t) for s in states if s.loc not in prog.terminals
-                   for i, t in enumerate(prog.successors[s.loc]))
-        states = [r[0] for r in stepped if r is not None]
+        states = [X.step(s, i, t)[0] for s in states if s.loc not in prog.terminals
+                  for i, t in enumerate(prog.successors[s.loc])]
     return states
 
 

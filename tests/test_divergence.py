@@ -9,8 +9,8 @@ step.
 
 Run as a script with `src` on `PYTHONPATH`, `python tests/test_divergence.py
 SEED N` checks N programs of `test_generated`'s generator, drawn from
-`random.Random(SEED)` with division allowed under `&&` and `||`, and prints
-each divergent state, its program, and their numbers.
+`random.Random(SEED)`, and prints each divergent state, its program, and
+their numbers.
 """
 
 import math
@@ -19,6 +19,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import given
 
 from mutkill import interp as I
 from mutkill import solver as S
@@ -29,8 +30,8 @@ import test_generated as G
 
 CONFIG = X.Config(pp=1.0, max_states=200000, budget_seconds=math.inf, max_depth=60)
 
-# ROADMAP item 1: `expand` splits an error branch off `1 / x`, which replay
-# short-circuits past where x == 0
+# replay short-circuits past `1 / x` where x == 0, so that divisor's error
+# path requires x != 0
 SHORT_CIRCUIT = ("input x: int in [-2, 2];\n"
                  "fn main() { if (x == 0 || 1 / x > 0) { output 1; } else { output 2; } }")
 
@@ -77,9 +78,14 @@ def test_every_finished_state_agrees_with_replay(path):
         assert divergent_states(f.read()) == []
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a guard's divisors under && and ||")
 def test_short_circuited_divisor_agrees_with_replay():
     assert divergent_states(SHORT_CIRCUIT) == []
+
+
+@given(G.programs())
+@G.gate
+def test_generated_programs_agree_with_replay(text):
+    assert divergent_states(text) == [], text
 
 
 if __name__ == "__main__":
@@ -87,7 +93,7 @@ if __name__ == "__main__":
     rng = random.Random(seed)
     states = programs = 0
     for k in range(n):
-        text = G.program(rng, divides=True)
+        text = G.program(rng)
         found = divergent_states(text)
         if found:
             states += len(found)

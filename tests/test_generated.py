@@ -2,14 +2,16 @@
 
 Each program has one or two inputs in [-3, 3], a local `t` and `if`/`else`
 nested up to two deep; its expressions range over `+ - * / %`.  A guard is
-a comparison, the negation of one, or `&&` or `||` over two comparisons
-that do not divide.
+a comparison, the negation of one, or `&&` or `||` over two comparisons.
 Three properties must hold of each program:
 
 (a) no mutant that TCE calls equivalent is killable;
 (b) the members of a duplicate group give the same outcome on every input;
 (c) semu at PP=1.0, with budgets that do not bind, gives every killable
     kept mutant a test of its own that kills it.
+
+The program and each of its mutants also have the shape that
+`conftest.validate_lts` checks.
 
 Run as a script with `src` on `PYTHONPATH`, `python tests/test_generated.py
 SEED N` checks N programs drawn from `random.Random(SEED)` and prints the
@@ -29,6 +31,8 @@ from mutkill import mutation as M
 from mutkill import parser as P
 from mutkill import symex as X
 
+import conftest as C
+
 MAX_NESTING = 2
 
 
@@ -39,27 +43,21 @@ def expression(rng, names, depth: int = 2) -> str:
     return f"({left} {op} {expression(rng, names, depth - 1)})"
 
 
-def comparison(rng, names, divides: bool) -> str:
-    while True:
-        left, op = expression(rng, names, 1), rng.choice(("<", "<=", ">", ">=", "==", "!="))
-        text = f"{left} {op} {expression(rng, names, 1)}"
-        if divides or not ("/" in text or "%" in text):
-            return text
+def comparison(rng, names) -> str:
+    left, op = expression(rng, names, 1), rng.choice(("<", "<=", ">", ">=", "==", "!="))
+    return f"{left} {op} {expression(rng, names, 1)}"
 
 
-def guard(rng, names, divides: bool = False) -> str:
-    # `expand` splits an error branch off every divisor of a guard, which
-    # replay may short-circuit past under `&&` and `||`: only with `divides`
-    # may those guards divide
+def guard(rng, names) -> str:
     shape = rng.choice(("cmp", "cmp", "&&", "||", "!"))
     if shape == "cmp":
-        return comparison(rng, names, divides=True)
+        return comparison(rng, names)
     if shape == "!":
-        return f"!({comparison(rng, names, divides=True)})"
-    return f"{comparison(rng, names, divides)} {shape} {comparison(rng, names, divides)}"
+        return f"!({comparison(rng, names)})"
+    return f"{comparison(rng, names)} {shape} {comparison(rng, names)}"
 
 
-def block(rng, names, nesting: int, indent: str, divides: bool = False) -> list:
+def block(rng, names, nesting: int, indent: str) -> list:
     lines = []
     for _ in range(rng.randint(1, 3)):
         kind = rng.choice(("assign", "assign", "output", "if") if nesting < MAX_NESTING
@@ -69,24 +67,23 @@ def block(rng, names, nesting: int, indent: str, divides: bool = False) -> list:
         elif kind == "output":
             lines.append(f"{indent}output {expression(rng, names)};")
         else:
-            lines.append(f"{indent}if ({guard(rng, names, divides)}) {{")
-            lines += block(rng, names, nesting + 1, indent + "  ", divides)
+            lines.append(f"{indent}if ({guard(rng, names)}) {{")
+            lines += block(rng, names, nesting + 1, indent + "  ")
             lines.append(f"{indent}}} else {{")
-            lines += block(rng, names, nesting + 1, indent + "  ", divides)
+            lines += block(rng, names, nesting + 1, indent + "  ")
             lines.append(f"{indent}}}")
     return lines
 
 
-def program(rng, divides: bool = False) -> str:
+def program(rng) -> str:
     """A program text; `rng` is a `random.Random` or `Draws`, of which it
-    uses `choice` and `randint`.  With `divides`, guards may divide under
-    `&&` and `||` too."""
+    uses `choice` and `randint`."""
     inputs = ["x", "y"][:rng.randint(1, 2)]
     names = inputs + ["t"]
     return "\n".join(
         [f"input {n}: int in [-3, 3];" for n in inputs]
         + ["fn main() {", f"  var t = {expression(rng, inputs, 1)};"]
-        + block(rng, names, 0, "  ", divides)
+        + block(rng, names, 0, "  ")
         + ["  output t;", "}", ""])
 
 
@@ -160,6 +157,14 @@ def test_no_equivalent_mutant_is_killable(text):
 @replay_gate
 def test_duplicates_give_equal_outcomes(text):
     assert not unlike_duplicates(text), text
+
+
+@given(programs())
+@replay_gate
+def test_programs_and_mutants_have_the_lts_shape(text):
+    _, _, meta = build(text)
+    for k in (0, *meta.mutants):
+        C.validate_lts(meta.program(k))
 
 
 @given(programs())

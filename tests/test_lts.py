@@ -1,11 +1,36 @@
 import pytest
 
+from mutkill import interp as I
 from mutkill import lts as L
 from mutkill import parser as P
 from mutkill import solver as S
 from mutkill import terms as T
 
 import conftest as C
+from test_divergence import divergent_states
+from test_interp import observed, reference
+
+
+INLINED_TWICE = """input x: int in [-2, 2];
+
+fn helper(a) {
+  var t = a - x;
+  if (t > 0) {
+  } else {
+    output a / t;
+  }
+}
+
+fn nothing() {
+}
+
+fn main() {
+  call helper(x);
+  call helper(x + 1);
+  call nothing();
+  output x;
+}
+"""
 
 
 def lower(text: str, **kw) -> L.Lts:
@@ -56,6 +81,18 @@ class TestLowering:
         # inlined parameter binding locations carry the call kind
         kinds = [lts.info(loc).kind for loc in lts.locations]
         assert kinds.count("call") == 2
+
+    def test_locals_empty_blocks_and_empty_callees_lower(self):
+        # a callee's `var`, an empty then-block and a callee with an empty
+        # body, the callee inlined twice
+        lts = lower(INLINED_TWICE)
+        C.validate_lts(lts)
+        assert {"helper@1.t", "helper@2.t"} <= set(lts.variables)
+        assert [lts.info(loc).kind for loc in lts.locations].count("call") == 3
+        for test in I.all_inputs(lts):
+            traced = I.run_lts(lts, test, record_states=True)
+            assert observed(traced) == reference(lts, test), test
+        assert divergent_states(INLINED_TWICE) == []
 
     def test_inlining_depth_exceeded(self):
         src = ("input x: int in [0,1];\n"

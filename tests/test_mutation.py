@@ -204,6 +204,20 @@ class TestTce:
         meta = M.build_meta_mutant(lts, ms)
         assert dividing <= I.killable_mutants(meta, dividing, step_budget=100)
 
+    def test_a_guard_division_absorbed_by_normalization_is_not_equivalent(self):
+        # `x < x` absorbs the conjunction to `false`, but the mutant that
+        # divides by 0 errors at the branch on every input
+        lts = lower("input x: int in [-3, 3];\n"
+                    "fn main() { if (2 / 3 < 3 && x < x) { output 1; } else { output 2; } }")
+        ms = M.generate_mutants(lts, ["CRP"])
+        # the first `3` in pre-order is the divisor
+        zero = next(m for m in ms if m.operator == "CRP:3->0")
+        tce = M.tce_filter(lts, ms)
+        assert zero.id not in tce.equivalent
+        meta = M.build_meta_mutant(lts, ms)
+        assert I.killable_mutants(meta, tce.equivalent) == set()
+        assert I.run_concrete(meta, zero.id, {"x": 0}).status == I.ERROR
+
     def test_partition_is_total(self, fig1):
         _, mutants, tce, _ = fig1
         grouped = {i for g in tce.duplicate_groups for i in g}
