@@ -18,7 +18,7 @@ import itertools
 from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
 
 from . import terms as T
-from .lts import GuardedCommand, Lts, Transition
+from .lts import Branch, Lts, Move
 from .mutation import MetaMutant
 from .record import Record
 
@@ -73,7 +73,7 @@ def _check_domains(lts: Lts, test: Dict[str, int]) -> None:
 #                 if loc < 3:               # balanced tree over locations
 #                     if loc < 2:
 #                         if mid in {4}:    # only at a mutation point
-#                             <mutant 4's transitions at location 1>
+#                             <mutant 4's move at location 1>
 #                         else:
 #                             <the original's>
 #                 ...
@@ -82,15 +82,13 @@ def _check_domains(lts: Lts, test: Dict[str, int]) -> None:
 #             return 'error', out, steps + 1
 #         return ('terminal' if loc in (9,) else 'timeout'), out, steps
 #
-# A location follows the shape that lowering gives it (see `lts`).  A branch
-# tests its first guard once and compiles to `if <guard>: loc = 4` /
-# `else: loc = 6`, the second guard being the first's complement.  Any
-# other location has one transition, guarded by `true`, that runs with no
-# test: it evaluates its update terms, then its emit, then assigns, and
-# with one update and no emit it assigns without a temporary: `v1 = (v1 +
-# v0)` then `loc = 3`.  Compiling costs about 10 µs per generated line.  A
-# terminal location returns `terminal`, also when it is reached at exactly
-# the budget.  An `elif` chain would cost a test per location per step, and
+# A location compiles its move (see `lts`).  A branch tests its guard once
+# and compiles to `if <guard>: loc = 4` / `else: loc = 6`.  A step runs
+# with no test: it evaluates its update terms, then its emit, then
+# assigns, and with one update and no emit it assigns without a
+# temporary: `v1 = (v1 + v0)` then `loc = 3`.  Compiling costs about 10 µs
+# per generated line.  A terminal location returns `terminal`, also when it
+# is reached at exactly the budget.  An `elif` chain would cost a test per location per step, and
 # CPython's compiler recurses once per `elif`, so both the locations and a
 # point's mutant IDs are told apart by a balanced tree of `<` tests.  The
 # kill matrix compiles one schema over the mutants it replays, so the
@@ -112,50 +110,45 @@ def _tree(var: str, keys: Sequence[int], leaf: Callable, pad: str) -> List[str]:
             + [f"{pad}else:"] + _tree(var, keys[half:], leaf, inner))
 
 
-def _kernel(lts: Lts, points: Dict[int, List[Tuple[int, Sequence[Transition]]]]
+def _kernel(lts: Lts, points: Dict[int, List[Tuple[int, Move]]]
             ) -> Tuple[Tuple[str, ...], Callable]:
     """The sorted variable names of `lts` and `run(mid, budget, states, test)
     -> (status, output list, steps)`, in which `states`, a list or None,
     receives each step's values of those names and location.  At each
-    location of `points` (location -> [(mutant ID, its transitions there)],
-    IDs ascending) the mutant that `mid` selects takes its own transitions
-    instead of the original's."""
+    location of `points` (location -> [(mutant ID, its move there)], IDs
+    ascending) the mutant that `mid` selects makes its own move instead of
+    the original's."""
     names = tuple(sorted(lts.variables))
     local = {n: f"v{i}" for i, n in enumerate(names)}
     src = T.Source(local)
     inputs = dict(lts.inputs)
     snapshot = "(" + "".join(f"{local[n]}, " for n in names) + ")"
-    succ = lts.successors
 
-    def fire(gc: GuardedCommand, dst: int, pad: str) -> List[str]:
-        if len(gc.update) == 1 and gc.emit is None:
-            (name, term), = gc.update
-            return [f"{pad}{local[name]} = {src.expr(term)}", f"{pad}loc = {dst}"]
-        lines = [f"{pad}_t{i} = {src.expr(term)}" for i, (_, term) in enumerate(gc.update)]
-        if gc.emit is not None:
-            lines.append(f"{pad}out.append({src.expr(gc.emit)})")
-        lines += [f"{pad}{local[name]} = _t{i}" for i, (name, _) in enumerate(gc.update)]
-        return lines + [f"{pad}loc = {dst}"]
-
-    def block(outs: Sequence[Transition], pad: str) -> List[str]:
-        if len(outs) == 1:
-            return fire(outs[0][1], outs[0][2], pad)
-        (_, gc, dst), (_, other, els) = outs
-        inner = pad + _INDENT
-        return ([f"{pad}if {src.expr(gc.guard)}:"] + fire(gc, dst, inner)
-                + [f"{pad}else:"] + fire(other, els, inner))
+    def block(move: Move, pad: str) -> List[str]:
+        if isinstance(move, Branch):
+            inner = pad + _INDENT
+            return [f"{pad}if {src.expr(move.guard)}:", f"{inner}loc = {move.then}",
+                    f"{pad}else:", f"{inner}loc = {move.els}"]
+        if len(move.update) == 1 and move.emit is None:
+            (name, term), = move.update
+            return [f"{pad}{local[name]} = {src.expr(term)}", f"{pad}loc = {move.dst}"]
+        lines = [f"{pad}_t{i} = {src.expr(term)}" for i, (_, term) in enumerate(move.update)]
+        if move.emit is not None:
+            lines.append(f"{pad}out.append({src.expr(move.emit)})")
+        lines += [f"{pad}{local[name]} = _t{i}" for i, (name, _) in enumerate(move.update)]
+        return lines + [f"{pad}loc = {move.dst}"]
 
     def location(loc: int, pad: str) -> List[str]:
         if loc in lts.terminals:
             return [f"{pad}return {OK!r}, out, steps"]
         variants = points.get(loc)
         if not variants:
-            return block(succ[loc], pad)
+            return block(lts.move(loc), pad)
         mutant = dict(variants)
         inner = pad + _INDENT
         return ([f"{pad}if mid in {set(mutant)!r}:"]
                 + _tree("mid", list(mutant), lambda k, p: block(mutant[k], p), inner)
-                + [f"{pad}else:"] + block(succ[loc], inner))
+                + [f"{pad}else:"] + block(lts.move(loc), inner))
 
     loop = 2 * _INDENT
     body = [f"{local[n]} = test[{n!r}]" if n in inputs else f"{local[n]} = 0" for n in names]
@@ -181,11 +174,11 @@ def _bind(meta: MetaMutant, ids: Iterable[int]) -> None:
                   and "_run" not in vars(meta.program(k)))
     if not todo:
         return
-    points: Dict[int, List[Tuple[int, Sequence[Transition]]]] = {}
+    points: Dict[int, List[Tuple[int, Move]]] = {}
     for k in todo:
         if k:
-            loc = meta.mutants[k].loc
-            points.setdefault(loc, []).append((k, meta.program(k).successors[loc]))
+            m = meta.mutants[k]
+            points.setdefault(m.loc, []).append((k, m.replacement))
     names, run = _kernel(meta.base, points)
     for k in todo:
         vars(meta.program(k))["_run"] = names, functools.partial(run, k)

@@ -1,16 +1,16 @@
-"""Lowering of MiniImp programs to a guarded-command labeled transition
-system, plus the static distance-to-output metric.
+"""Lowering of MiniImp programs to a labeled transition system in which
+each location makes one move, plus the static distance-to-output metric.
 
 Every executable statement becomes exactly one control location:
 
-* assignments, outputs and calls get a single outgoing transition (guard
-  true) carrying the variable update and/or an emitted output term;
-* if/while statements become branching locations with two outgoing
-  transitions that neither update nor emit, guarded by the condition and
-  by its `terms.negate`; mutants keep this shape, and the symbolic engine
-  and replay evaluate only the first guard;
-* one distinguished terminal location is appended per program exit (MiniImp
-  programs have a single exit, the end of ``main``).
+* assignments, outputs and calls make a `Step`: the variable update and/or
+  an emitted output term, then one destination;
+* if/while statements make a `Branch` on their condition: control goes to
+  one of two destinations and nothing is updated or emitted; the else arm
+  is taken where the guard fails, a condition that only the symbolic
+  engine builds;
+* one distinguished terminal location, with no move, is appended per
+  program exit (MiniImp programs have a single exit, the end of ``main``).
 
 Location IDs are dense integers assigned in source order starting at 1; the
 terminal gets the highest ID.  Function calls are inlined with a bounded
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import parser as P
 from . import terms as T
@@ -37,20 +37,28 @@ class InliningDepthExceeded(LoweringError):
     pass
 
 
-class GuardedCommand(Record):
-    """A transition label [g]f, optionally emitting one output value.
+class Step(Record):
+    """The move of a location that is not a branch: ``update`` maps a
+    subset of the program variables to integer terms, as (name, term)
+    pairs (identity elsewhere); ``emit`` is the term appended to the output
+    stream, or None; control then goes to ``dst``."""
 
-    ``guard`` is a boolean term; ``update`` maps a subset of the program
-    variables to integer terms, as (name, term) pairs (identity elsewhere);
-    ``emit`` is the term appended to the output stream when the transition
-    fires, or None.
-    """
-
-    __slots__ = ("guard", "update", "emit")
-    _defaults = {"guard": T.TRUE, "update": (), "emit": None}
+    __slots__ = ("update", "emit", "dst")
 
 
-Transition = Tuple[int, GuardedCommand, int]
+class Branch(Record):
+    """The move of a branching location: control goes to ``then`` where
+    ``guard`` holds and to ``els`` where it fails."""
+
+    __slots__ = ("guard", "then", "els")
+
+
+Move = Union[Step, Branch]
+
+
+def targets(move: Move) -> Tuple[int, ...]:
+    """A move's destinations, a branch's `then` first."""
+    return (move.then, move.els) if isinstance(move, Branch) else (move.dst,)
 
 
 class LocInfo(Record):
@@ -60,27 +68,27 @@ class LocInfo(Record):
 
 class Lts(Record):
     """`variables` are all program variables, inputs included; `inputs`
-    pairs each input with its inclusive domain; `loc_info` pairs each
-    location with its LocInfo."""
+    pairs each input with its inclusive domain; `moves` pairs each
+    non-terminal location with its move, and `loc_info` each location
+    with its LocInfo."""
 
     # no slots: the cached properties below live in the instance's dict
     _fields = ("locations", "entry", "terminals", "variables", "inputs",
-               "transitions", "loc_info")
+               "moves", "loc_info")
 
     def info(self, loc: int) -> LocInfo:
         return self._loc_info[loc]
+
+    def move(self, loc: int) -> Move:
+        return self._moves[loc]
 
     @cached_property
     def _loc_info(self) -> Dict[int, LocInfo]:
         return dict(self.loc_info)
 
     @cached_property
-    def successors(self) -> Dict[int, List[Transition]]:
-        """Outgoing transitions per location, in transition order."""
-        out: Dict[int, List[Transition]] = {loc: [] for loc in self.locations}
-        for t in self.transitions:
-            out[t[0]].append(t)
-        return out
+    def _moves(self) -> Dict[int, Move]:
+        return dict(self.moves)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +102,7 @@ class _Lowerer:
         self.inline_depth = inline_depth
         self.next_loc = 1
         self.instance = 0
-        self.transitions: List[Transition] = []
+        self.moves: Dict[int, Move] = {}
         self.loc_info: Dict[int, LocInfo] = {}
         self.variables: List[str] = [d.name for d in ast.inputs]
 
@@ -108,17 +116,15 @@ class _Lowerer:
         if name not in self.variables:
             self.variables.append(name)
 
-    def emit(self, src: int, gc: GuardedCommand, dst: Optional[int]) -> int:
-        """Add a transition, whose destination None is patched later; its
-        index."""
-        self.transitions.append((src, gc, dst))
-        return len(self.transitions) - 1
+    def patch(self, pending: List[Tuple[int, str]], dst: int) -> None:
+        """Point each pending (location, field) destination to `dst`."""
+        for loc, field in pending:
+            self.moves[loc] = self.moves[loc].replace(**{field: dst})
 
-    def patch(self, indices: List[int], dst: int) -> None:
-        """Point the transitions at `indices` to `dst`."""
-        for i in indices:
-            src, gc, _ = self.transitions[i]
-            self.transitions[i] = (src, gc, dst)
+    def step(self, loc: int, update=(), emit=None) -> List[Tuple[int, str]]:
+        """Give `loc` a step whose destination is pending."""
+        self.moves[loc] = Step(update, emit, None)
+        return [(loc, "dst")]
 
     def lower(self) -> Lts:
         main = self.ast.function(self.ast.entry)
@@ -133,18 +139,17 @@ class _Lowerer:
             terminals=frozenset({terminal}),
             variables=tuple(self.variables),
             inputs=tuple((d.name, (d.lo, d.hi)) for d in self.ast.inputs),
-            transitions=tuple(self.transitions),
+            moves=tuple(sorted(self.moves.items())),
             loc_info=tuple(sorted(self.loc_info.items())),
         )
 
     def _lower_block(self, stmts, rename: Dict[str, Var], depth: int):
         """Lower a statement list.  Returns (entry location, or None if the
-        block has no executable statement; the indices of the transitions
-        to the block's successor, destination None until the caller patches
-        them)."""
+        block has no executable statement; the (location, field) pairs of
+        the destinations that lead to the block's successor, None until the
+        caller patches them)."""
         entry = None
-        # pending: transition indices whose destination is the next statement
-        pending: List[int] = []
+        pending: List[Tuple[int, str]] = []
         for s in stmts:
             first, last_pending = self._lower_stmt(s, rename, depth)
             if first is None:
@@ -156,46 +161,36 @@ class _Lowerer:
         return entry, pending
 
     def _lower_stmt(self, s, rename: Dict[str, Var], depth: int):
-        if isinstance(s, P.SVarDecl):
+        if isinstance(s, (P.SVarDecl, P.SAssign)):
             name = T.subst(Var(s.name), rename).name
             self.add_var(name)
-            if s.init is None:
+            expr = s.init if isinstance(s, P.SVarDecl) else s.expr
+            if expr is None:
                 return None, []
             loc = self.alloc(LocInfo("assign", s.pos))
-            gc = GuardedCommand(update=((name, T.subst(s.init, rename)),))
-            return loc, [self.emit(loc, gc, None)]
-        if isinstance(s, P.SAssign):
-            name = T.subst(Var(s.name), rename).name
-            self.add_var(name)
-            loc = self.alloc(LocInfo("assign", s.pos))
-            gc = GuardedCommand(update=((name, T.subst(s.expr, rename)),))
-            return loc, [self.emit(loc, gc, None)]
+            return loc, self.step(loc, update=((name, T.subst(expr, rename)),))
         if isinstance(s, P.SOutput):
             loc = self.alloc(LocInfo("output", s.pos))
-            gc = GuardedCommand(emit=T.subst(s.expr, rename))
-            return loc, [self.emit(loc, gc, None)]
+            return loc, self.step(loc, emit=T.subst(s.expr, rename))
         if isinstance(s, P.SIf):
             loc = self.alloc(LocInfo("branch", s.pos))
-            g = T.subst(s.cond, rename)
             then_entry, then_pending = self._lower_block(s.then, rename, depth)
             else_entry, else_pending = self._lower_block(s.els, rename, depth)
-            pending = list(then_pending) + list(else_pending)
-            i_then = self.emit(loc, GuardedCommand(guard=g), then_entry)
-            i_else = self.emit(loc, GuardedCommand(guard=T.negate(g)), else_entry)
+            self.moves[loc] = Branch(T.subst(s.cond, rename), then_entry, else_entry)
+            pending = then_pending + else_pending
             if then_entry is None:
-                pending.append(i_then)
+                pending.append((loc, "then"))
             if else_entry is None:
-                pending.append(i_else)
+                pending.append((loc, "els"))
             return loc, pending
         if isinstance(s, P.SWhile):
             loc = self.alloc(LocInfo("branch", s.pos))
-            g = T.subst(s.cond, rename)
             body_entry, body_pending = self._lower_block(s.body, rename, depth)
             # back edge: the body's fallthrough returns to the loop head
+            self.moves[loc] = Branch(T.subst(s.cond, rename),
+                                     body_entry if body_entry is not None else loc, None)
             self.patch(body_pending, loc)
-            self.emit(loc, GuardedCommand(guard=g), body_entry if body_entry is not None else loc)
-            i_exit = self.emit(loc, GuardedCommand(guard=T.negate(g)), None)
-            return loc, [i_exit]
+            return loc, [(loc, "els")]
         if isinstance(s, P.SCall):
             if depth >= self.inline_depth:
                 raise InliningDepthExceeded(
@@ -210,14 +205,12 @@ class _Lowerer:
             for v in inner.values():
                 self.add_var(v.name)
             loc = self.alloc(LocInfo("call", s.pos))
-            update = tuple(
-                (inner[p].name, T.subst(a, rename)) for p, a in zip(fn.params, s.args)
-            )
-            i_bind = self.emit(loc, GuardedCommand(update=update), None)
+            bind = self.step(loc, update=tuple(
+                (inner[p].name, T.subst(a, rename)) for p, a in zip(fn.params, s.args)))
             body_entry, body_pending = self._lower_block(fn.body, inner, depth + 1)
             if body_entry is None:
-                return loc, [i_bind]
-            self.patch([i_bind], body_entry)
+                return loc, bind
+            self.patch(bind, body_entry)
             return loc, body_pending
         raise LoweringError(f"unsupported statement: {s!r}")
 
@@ -254,12 +247,13 @@ def lower_text(text: str, origin: str = "<inline>", inline_depth: int = 8) -> Lt
 
 
 def distance_to_output(lts: Lts) -> Dict[int, Optional[int]]:
-    """Exact shortest distance (in transitions) from each location to any
+    """Exact shortest distance (in moves) from each location to any
     terminal, by reverse breadth-first traversal.  Locations that cannot
     reach a terminal map to None."""
     preds: Dict[int, List[int]] = {loc: [] for loc in lts.locations}
-    for src, _, dst in lts.transitions:
-        preds[dst].append(src)
+    for src, move in lts.moves:
+        for dst in targets(move):
+            preds[dst].append(src)
     dist: Dict[int, Optional[int]] = {loc: None for loc in lts.locations}
     queue = deque()
     for t in sorted(lts.terminals):

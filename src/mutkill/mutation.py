@@ -1,4 +1,4 @@
-"""Mutant generation as transition replacement, static equivalence filtering
+"""Mutant generation as move replacement, static equivalence filtering
 (normalization + serialization hashing), and meta-mutant construction.
 
 Supported operators:
@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import terms as T
-from .lts import GuardedCommand, Lts, Transition
+from .lts import Branch, Lts, Move, Step, targets
 from .record import Record
 from .terms import And, Bin, Cmp, Lit, Or, Var
 
@@ -39,9 +39,9 @@ class IdCollision(Exception):
 class Mutant(Record):
     """`operator` names the rewrite (e.g. "ROR:<-><="); `original` and
     `mutated` are the source fragment before and after it.  `loc` is the
-    mutation point: the mutant program is the original with the
-    transitions out of `loc` (both arms of a branch, the one transition
-    elsewhere) replaced by `replacement`."""
+    mutation point: the mutant program is the original with the move of
+    `loc` replaced by `replacement`, a move of the same kind to the same
+    destinations."""
 
     __slots__ = ("id", "operator", "loc", "pos", "original", "mutated", "replacement")
 
@@ -157,44 +157,39 @@ def _label(name: str, old, new) -> str:
     return f"{name}:{T.render(old)}->{T.render(new)}"
 
 
-def _straightline_variants(name: str, loc: int, gc: GuardedCommand, src: int, dst: int):
-    """Mutants of a single-transition location.  Yields (label, old_frag,
-    new_frag, replacement transitions)."""
+def _straightline_variants(name: str, step: Step):
+    """Mutants of a step.  Yields (label, old_frag, new_frag, replacement
+    step)."""
     if name in _TERM_REWRITERS:
         rw = _TERM_REWRITERS[name]
-        for i, (var, term) in enumerate(gc.update):
+        for i, (var, term) in enumerate(step.update):
             for new_term, old_n, new_n in _rewrites(term, rw):
-                upd = gc.update[:i] + ((var, new_term),) + gc.update[i + 1:]
+                upd = step.update[:i] + ((var, new_term),) + step.update[i + 1:]
                 yield (_label(name, old_n, new_n), T.render(old_n), T.render(new_n),
-                       ((src, gc.replace(update=upd), dst),))
-        if gc.emit is not None:
-            for new_term, old_n, new_n in _rewrites(gc.emit, rw):
+                       step.replace(update=upd))
+        if step.emit is not None:
+            for new_term, old_n, new_n in _rewrites(step.emit, rw):
                 yield (_label(name, old_n, new_n), T.render(old_n), T.render(new_n),
-                       ((src, gc.replace(emit=new_term), dst),))
+                       step.replace(emit=new_term))
     elif name == "RHS":
-        for i, (var, term) in enumerate(gc.update):
+        for i, (var, term) in enumerate(step.update):
             for delta in (Bin("+", term, Lit(1)), Bin("-", term, Lit(1))):
-                upd = gc.update[:i] + ((var, delta),) + gc.update[i + 1:]
+                upd = step.update[:i] + ((var, delta),) + step.update[i + 1:]
                 yield (_label("RHS", term, delta), T.render(term), T.render(delta),
-                       ((src, gc.replace(update=upd), dst),))
+                       step.replace(update=upd))
     elif name == "SDL":
-        if gc.update or gc.emit is not None:
-            old = T.render(gc.emit) if gc.emit is not None else T.render(gc.update[0][1])
-            yield ("SDL", old, "<deleted>",
-                   ((src, GuardedCommand(guard=gc.guard), dst),))
+        if step.update or step.emit is not None:
+            old = T.render(step.emit) if step.emit is not None else T.render(step.update[0][1])
+            yield "SDL", old, "<deleted>", step.replace(update=(), emit=None)
 
 
-def _branch_variants(name: str, loc: int, outs: Sequence[Transition]):
-    """Guard mutants of a two-way branch.  The positive guard is rewritten
-    and the complement recomputed, preserving determinism."""
+def _branch_variants(name: str, branch: Branch):
+    """Guard mutants of a branch: the guard rewritten, the arms kept."""
     if name not in _GUARD_REWRITERS:
         return
-    rw = _GUARD_REWRITERS[name]
-    (s1, gc1, d1), (s2, gc2, d2) = outs
-    for new_guard, old_n, new_n in _rewrites(gc1.guard, rw):
+    for new_guard, old_n, new_n in _rewrites(branch.guard, _GUARD_REWRITERS[name]):
         yield (_label(name, old_n, new_n), T.render(old_n), T.render(new_n),
-               ((s1, gc1.replace(guard=new_guard), d1),
-                (s2, gc2.replace(guard=T.negate(new_guard)), d2)))
+               branch.replace(guard=new_guard))
 
 
 def generate_mutants(lts: Lts, operators) -> List[Mutant]:
@@ -204,22 +199,17 @@ def generate_mutants(lts: Lts, operators) -> List[Mutant]:
     for op in ops:
         if op not in SUPPORTED_OPERATORS:
             raise UnknownOperator(f"unsupported operator {op!r}")
-    succ = lts.successors
     out: List[Mutant] = []
     next_id = 1
-    for loc in lts.locations:
-        if loc in lts.terminals:
-            continue
+    for loc, move in lts.moves:
         info = lts.info(loc)
-        outs = succ[loc]
         for name in ops:
             if info.kind == "branch":
-                variants = _branch_variants(name, loc, outs)
+                variants = _branch_variants(name, move)
             elif name == "SDL" and info.kind not in ("assign", "output"):
                 continue  # deleting a call binding would not be a statement deletion
             else:
-                src, gc, dst = outs[0]
-                variants = _straightline_variants(name, loc, gc, src, dst)
+                variants = _straightline_variants(name, move)
             for label, old_frag, new_frag, repl in variants:
                 out.append(Mutant(
                     id=next_id, operator=label, loc=loc, pos=info.pos,
@@ -230,10 +220,10 @@ def generate_mutants(lts: Lts, operators) -> List[Mutant]:
 
 
 def apply_mutant(lts: Lts, mutant: Mutant) -> Lts:
-    """The standalone mutant program: the transitions out of the mutation
-    point swapped for the replacements, everything else shared."""
-    kept = [t for t in lts.transitions if t[0] != mutant.loc]
-    return lts.replace(transitions=tuple(kept) + mutant.replacement)
+    """The standalone mutant program: the move of the mutation point
+    swapped for the replacement, everything else shared."""
+    return lts.replace(moves=tuple((loc, mutant.replacement if loc == mutant.loc else move)
+                                   for loc, move in lts.moves))
 
 
 # ---------------------------------------------------------------------------
@@ -241,42 +231,43 @@ def apply_mutant(lts: Lts, mutant: Mutant) -> Lts:
 # ---------------------------------------------------------------------------
 
 
-def _row(transition: Transition) -> tuple:
-    """A transition's row of the normal form: its ends, the printed normal
-    forms of its guard, update terms and output term, and those of all
-    their divisors other than nonzero literals.  Normalization may erase a
-    division (`0 * (x / x)` is 0, `x < x && ...` false), but the transition
-    still errors where the divisor is zero."""
-    src, gc, dst = transition
-    guard = T.normalize_bool(gc.guard)
-    # identity updates (v = v) are no-ops and must not mask duplicates
-    update = tuple(sorted(
-        (v, T._sort_key(norm)) for v, e in gc.update
-        if (norm := T.normalize_int(e)) != Var(v)))
-    emit = T._sort_key(T.normalize_int(gc.emit)) if gc.emit is not None else ""
-    exprs = [gc.guard, *(e for _, e in gc.update)] + ([gc.emit] if gc.emit is not None else [])
-    divisors = {T._sort_key(d) for e in exprs for d in map(T.normalize_int, T.divisors(e))
-                if not (isinstance(d, Lit) and d.value != 0)}
-    return (src, dst, T._sort_key(guard), update, emit, tuple(sorted(divisors)))
+def _row(loc: int, move: Move) -> str:
+    """A location's printed row of the normal form: the location, its
+    targets, the normal forms of a branch's guard or of a step's update and
+    output terms, and those of the divisors that evaluation may reach,
+    other than nonzero literals.  Normalization may erase a division
+    (`0 * (x / x)` is 0, `x < x && ...` false), but the move still errors
+    where such a divisor is zero; one whose reach normalizes to `false` is
+    never evaluated."""
+    if isinstance(move, Branch):
+        exprs, forms = [move.guard], (T._sort_key(T.normalize_bool(move.guard)),)
+    else:
+        exprs = [e for _, e in move.update] + ([move.emit] if move.emit is not None else [])
+        # identity updates (v = v) are no-ops and must not mask duplicates
+        forms = (tuple(sorted((v, T._sort_key(norm)) for v, e in move.update
+                              if (norm := T.normalize_int(e)) != Var(v))),
+                 T._sort_key(T.normalize_int(move.emit)) if move.emit is not None else "")
+    divisors = {T._sort_key(n) for e in exprs for d, reach in T.reached_divisors(e)
+                if T.normalize_bool(T.conj(reach)) is not T.FALSE
+                and not (isinstance(n := T.normalize_int(d), Lit) and n.value != 0)}
+    return repr((loc, targets(move), *forms, tuple(sorted(divisors))))
 
 
-def _normal_form(lts: Lts, printed: Optional[Dict[Transition, tuple]] = None) -> str:
+def _normal_form(lts: Lts, printed: Optional[Dict[Tuple[int, Move], str]] = None) -> str:
     """Canonical serialization after algebraic normalization of every guard,
-    update term, and output term: the sorted rows of the transitions, as
-    `repr` prints the list.  `printed` memoizes each transition's row and
-    its `repr`."""
+    update term, and output term: the rows of the locations, in location
+    order, as `repr` prints the list.  `printed` memoizes each location's
+    row."""
     printed = {} if printed is None else printed
-    for t in lts.transitions:
-        if t not in printed:
-            row = _row(t)
-            printed[t] = row, repr(row)
-    rows = sorted(map(printed.get, lts.transitions))
-    return "[" + ", ".join([text for _, text in rows]) + "]"
+    for pair in lts.moves:
+        if pair not in printed:
+            printed[pair] = _row(*pair)
+    return "[" + ", ".join([printed[pair] for pair in lts.moves]) + "]"
 
 
 def tce_filter(lts: Lts, mutants: Sequence[Mutant]) -> TceReport:
-    # a transition that the original and mutants share is printed once
-    printed: Dict[Transition, tuple] = {}
+    # a move that the original and mutants share is printed once
+    printed: Dict[Tuple[int, Move], str] = {}
     original = _normal_form(lts, printed)
     forms = {m.id: _normal_form(apply_mutant(lts, m), printed) for m in mutants}
     equivalent = tuple(sorted(i for i, f in forms.items() if f == original))

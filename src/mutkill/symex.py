@@ -3,15 +3,16 @@
 The engine explores states in lock step by depth, each state on its own
 mutant's program (`MetaMutant.program`).  Original states fork
 a mutant copy on first arrival at each targeted mutation point; the mutant
-copy is expanded right after the original, takes the mutated transition and
+copy is expanded right after the original, makes the mutated move and
 must pass an infection check (its state provably differs from one of the
 original's successors) to stay alive.
 Post-fork branching locations are counted against the checkpoint window;
 at checkpoints a configurable proportion of branches is kept and pruned
 branches may emit early tests from the prefix-difference constraint.  At
 terminal locations the full kill constraint (output disequality) is solved.
-A location's division errors are split off once, from the terms that it
-evaluates (see `lts`), each where evaluation reaches its divisor.
+A location's division errors are split off once, from the terms that its
+move evaluates, each where evaluation reaches its divisor; a branch's else
+arm adds `terms.negate` of the guard to its path.
 
 Three modes share the machinery: `semu` (all of the above), `infection-only`
 (solve the state-difference constraint right at the mutation point and drop
@@ -29,7 +30,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 from . import solver as S
 from . import terms as T
 from .interp import _check_domains, run_lts
-from .lts import GuardedCommand, Lts, Transition, distance_to_output
+from .lts import Branch, Lts, Move, distance_to_output
 from .mutation import MetaMutant
 from .record import Record
 from .terms import BoolTerm, Cmp, IntTerm, Lit, Var
@@ -87,12 +88,12 @@ class Config(Record):
 class SymbolicState(Record):
     """`path` is over the input symbols; `store` binds every program
     variable, in name order; `out` is the symbolic output trace so far;
-    `mut_id` 0 is the original.  `trail` holds the taken-transition
-    indices, for prefix pairing, and its length is the state's `depth`;
-    `branch_count` the post-fork branching locations traversed.  In semu
-    mode a mutant state is kept or pruned at every checkpoint that it
-    reaches, so a live one has passed `branch_count // (CW + 1)`
-    checkpoints.
+    `mut_id` 0 is the original.  `trail` holds the arms taken (0 for a
+    step or a branch's then arm, 1 for an else arm), for prefix pairing,
+    and its length is the state's `depth`; `branch_count` the post-fork
+    branching locations traversed.  In semu mode a mutant state is kept or
+    pruned at every checkpoint that it reaches, so a live one has passed
+    `branch_count // (CW + 1)` checkpoints.
     In seeded mode, `compatible_seeds` holds the indices of the seeds whose
     runs the state follows; it is empty once released, or when not
     following seeds.  `forked` holds the mutant IDs already forked on this
@@ -106,7 +107,7 @@ class SymbolicState(Record):
 
     @property
     def depth(self) -> int:
-        """The number of transitions taken: the prefix length."""
+        """The number of moves made: the prefix length."""
         return len(self.trail)
 
     def store_map(self) -> Dict[str, IntTerm]:
@@ -295,39 +296,38 @@ def _may_be_zero(d: IntTerm) -> bool:
     return not isinstance(n, Lit) or n.value == 0 or T.has_division(d)
 
 
-def _take(s: SymbolicState, i: int, transition: Transition):
-    """Taking `transition`, the i-th transition out of the location of `s`
-    in the program of the state's mutant: the transition's label (guard,
-    update, emit) with the store substituted but not normalized, so that
-    its divisors are the ones a concrete run evaluates, and the
-    successor's changed fields.  Whether the guard can hold is the
-    solver's question."""
-    _, gc, dst = transition
+def _take(s: SymbolicState, move: Move):
+    """Making `move`, the move of the location of `s` in the program of the
+    state's mutant: the terms that the location evaluates, and per arm the
+    guard that the arm adds to the path (None for a step) and the
+    successor's changed fields.  Terms have the store substituted but are
+    not normalized, so that their divisors are the ones a concrete run
+    evaluates; whether an arm's guard can hold is the solver's question."""
     store = s.store_map()
-    guard = T.subst(gc.guard, store)
-    update = tuple((name, T.subst(term, store)) for name, term in gc.update)
-    emit = T.subst(gc.emit, store) if gc.emit is not None else None
+    if isinstance(move, Branch):
+        guard = T.subst(move.guard, store)
+        arms = (guard, move.then), (T.subst(T.negate(move.guard), store), move.els)
+        return [guard], [(g, {"path": T.conj([s.path, g]), "loc": dst, "trail": s.trail + (i,)})
+                         for i, (g, dst) in enumerate(arms)]
+    update = tuple((name, T.subst(term, store)) for name, term in move.update)
+    emit = T.subst(move.emit, store) if move.emit is not None else None
     for name, term in update:
         store[name] = T.normalize_int(term)
     fields = {
-        # the guard as taken, left out when it is the literal `true`
-        "path": T.conj([s.path] + ([] if guard is T.TRUE else [guard])),
+        "path": s.path,
         "store": tuple(sorted(store.items())) if update else s.store,
         "out": s.out + (T.normalize_int(emit),) if emit is not None else s.out,
-        "loc": dst, "trail": s.trail + (i,),
+        "loc": move.dst, "trail": s.trail + (0,),
     }
-    return (guard, update, emit), fields
+    return [term for _, term in update] + ([emit] if emit is not None else []), [(None, fields)]
 
 
-def step(s: SymbolicState, i: int, transition: Transition
-         ) -> Tuple[SymbolicState, GuardedCommand]:
-    """The successor of `s` along `transition`, the i-th transition out of
-    its location in the program of the state's mutant, together with the
-    transition's label with the store substituted but not normalized, so
-    that its divisors are the ones a concrete run evaluates.  A successor
-    whose path is unsatisfiable is returned like any other."""
-    label, fields = _take(s, i, transition)
-    return s.replace(**fields), GuardedCommand(*label)
+def step(s: SymbolicState, move: Move) -> List[Tuple[SymbolicState, Optional[BoolTerm]]]:
+    """The successors of `s` by `move`, the move of its location in the
+    program of the state's mutant, each with the guard that its arm adds
+    (None for a step), substituted but not normalized.  A successor whose
+    path is unsatisfiable is returned like any other."""
+    return [(s.replace(**fields), guard) for guard, fields in _take(s, move)[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +340,7 @@ class _Engine:
                  seeds: Sequence[Dict[str, int]], cfg: Config):
         self.meta = meta
         # static facts (terminals, branches, inputs, distances) are the same
-        # in every mutant's program: mutants never move a transition's ends
+        # in every mutant's program: a mutant's move has the same targets
         self.base = meta.base
         self.targets = set(targets)
         self.seeds = list(seeds)
@@ -421,32 +421,32 @@ class _Engine:
         division-by-zero branches finished as errors.  The solver alone
         decides feasibility: an error path it finds unsat adds no state, and
         an unsat successor counts in `pruned_infeasible`.  The divisors of
-        the first transition's terms split off error paths `path ∧ earlier
-        nonzero ∧ reach ∧ d == 0`, once per normal form and reach, and each
-        arm adds every divisor's `¬reach ∨ d != 0`."""
-        branching = s.loc in self.branch_locs
-        taken = [_take(s, i, transition) for i, transition
-                 in enumerate(self.meta.program(s.mut_id).successors[s.loc])]
-        (guard, update, emit), fields = taken[0]
-        evaluated = [guard, *(term for _, term in update)] + ([emit] if emit is not None else [])
+        the terms that the move evaluates split off error paths `path ∧
+        earlier nonzero ∧ reach ∧ d == 0`, and each arm adds every
+        divisor's `¬reach ∨ d != 0`.  A divisor whose normal form was split
+        off under a reach that its own includes gets neither: the earlier
+        conjunct implies both."""
+        evaluated, arms = _take(s, self.meta.program(s.mut_id).move(s.loc))
+        trail = arms[0][1]["trail"]
         nonzero: List[BoolTerm] = []
-        queried: Set[tuple] = set()
+        queried: Dict[IntTerm, List[frozenset]] = {}
         for d, reach in (dr for term in evaluated for dr in T.reached_divisors(term)
                          if _may_be_zero(dr[0])):
-            key = (T.normalize_int(d), reach)
-            if key not in queried:
-                queried.add(key)
-                err_pc = T.conj([s.path, *nonzero, *reach, Cmp("==", d, Lit(0))])
-                if self.sat(err_pc).is_sat:
-                    self.stats.states_created += 1
-                    self.finish(s.replace(path=err_pc, trail=fields["trail"], status="error"))
+            reaches = queried.setdefault(T.normalize_int(d), [])
+            if any(r <= set(reach) for r in reaches):
+                continue
+            reaches.append(frozenset(reach))
+            err_pc = T.conj([s.path, *nonzero, *reach, Cmp("==", d, Lit(0))])
+            if self.sat(err_pc).is_sat:
+                self.stats.states_created += 1
+                self.finish(s.replace(path=err_pc, trail=trail, status="error"))
             nonzero.append(T.disj([*map(T.negate, reach), Cmp("!=", d, Lit(0))]))
         results: List[SymbolicState] = []
-        for (guard, _, _), fields in taken:
+        for guard, fields in arms:
             # the conjuncts this step adds to the parent's path
-            added = nonzero if fields["path"] is s.path else [guard, *nonzero]
+            added = nonzero if guard is None else [guard, *nonzero]
             fields["path"] = T.conj([fields["path"], *nonzero])
-            if branching and s.mut_id:
+            if guard is not None and s.mut_id:
                 fields["branch_count"] = s.branch_count + 1
             nxt = s.replace(**fields)
             # seeded mode: release / follow / prune

@@ -86,47 +86,40 @@ def validate_lts(lts: L.Lts) -> None:
         raise LtsInvariantError("entry location missing")
     if not lts.terminals <= locset:
         raise LtsInvariantError("terminal location missing")
-    succ = lts.successors
+    moves = dict(lts.moves)
+    if len(moves) != len(lts.moves):
+        raise LtsInvariantError("a location has more than one move")
     varset = set(lts.variables)
+    for loc, move in lts.moves:
+        if isinstance(move, L.Branch) != (lts.info(loc).kind == "branch"):
+            raise LtsInvariantError(f"location {loc} of kind {lts.info(loc).kind} "
+                                    f"moves as a {type(move).__name__}")
+        if not set(L.targets(move)) <= locset:
+            raise LtsInvariantError(f"a target of {loc} is not a location")
+        if isinstance(move, L.Branch):
+            used = T.variables(move.guard)
+        else:
+            used = T.variables(move.emit) if move.emit is not None else frozenset()
+            for name, term in move.update:
+                used |= {name} | T.variables(term)
+            if len(move.update) != len(dict(move.update)):
+                raise LtsInvariantError(f"double assignment at {loc}")
+        if not used <= varset:
+            raise LtsInvariantError(f"unknown variables at {loc}: {sorted(used - varset)}")
     # reachability from entry
     seen = {lts.entry}
     queue = deque([lts.entry])
     while queue:
         loc = queue.popleft()
-        for _, _, dst in succ[loc]:
+        for dst in L.targets(moves[loc]) if loc in moves else ():
             if dst not in seen:
                 seen.add(dst)
                 queue.append(dst)
     if seen != locset:
         raise LtsInvariantError(f"unreachable locations: {sorted(locset - seen)}")
-    for loc in lts.locations:
-        outs = succ[loc]
-        if loc in lts.terminals:
-            if outs:
-                raise LtsInvariantError(f"terminal {loc} has outgoing transitions")
-            continue
-        # the shape that the engine and replay rely on: a branch tests one
-        # guard and goes to one of two arms, any other location steps
-        if lts.info(loc).kind == "branch":
-            if len(outs) != 2 or outs[1][1].guard is not T.negate(outs[0][1].guard):
-                raise LtsInvariantError(f"branch {loc} is not two complementary arms")
-            if any(gc.update or gc.emit is not None for _, gc, _ in outs):
-                raise LtsInvariantError(f"an arm of branch {loc} updates or emits")
-        elif len(outs) != 1 or outs[0][1].guard is not T.TRUE:
-            raise LtsInvariantError(f"location {loc} is not one transition guarded by true")
-        for _, gc, dst in outs:
-            if dst not in locset:
-                raise LtsInvariantError(f"transition target {dst} not a location")
-            used = T.variables(gc.guard)
-            for name, term in gc.update:
-                used |= {name} | T.variables(term)
-            if gc.emit is not None:
-                used |= T.variables(gc.emit)
-            if not used <= varset:
-                raise LtsInvariantError(f"unknown variables at {loc}: {sorted(used - varset)}")
-            names = [name for name, _ in gc.update]
-            if len(names) != len(set(names)):
-                raise LtsInvariantError(f"double assignment at {loc}")
+    if set(moves) != locset - lts.terminals:
+        raise LtsInvariantError(f"moving locations {sorted(moves)} are not the "
+                                f"non-terminal ones {sorted(locset - lts.terminals)}")
 
 
 def corpus_path(name: str) -> str:
@@ -172,7 +165,6 @@ def enumerate_terminals(meta: M.MetaMutant, mut_id: int, max_depth: int,
     the oracle of exhaustive path analyses.  `through` restricts to paths
     visiting that location."""
     lts = meta.program(mut_id)
-    succ = lts.successors
     frontier = [(X.initial_state(lts, mut_id), through in (None, lts.entry))]
     done = []
     while frontier:
@@ -184,8 +176,8 @@ def enumerate_terminals(meta: M.MetaMutant, mut_id: int, max_depth: int,
                 continue
             if s.depth >= max_depth:
                 continue
-            for i, transition in enumerate(succ[s.loc]):
-                nxt.append((X.step(s, i, transition)[0], visited or transition[2] == through))
+            nxt += [(kid, visited or kid.loc == through)
+                    for kid, _ in X.step(s, lts.move(s.loc))]
         frontier = nxt
     return done
 

@@ -27,13 +27,13 @@ def _verdict(n: int, ok: bool, detail: str = ""):
 
 
 def _frontier_at(meta, mut_id, depth):
-    """Symbolic states after exactly `depth` transitions of the mutant's
-    program (no pruning)."""
+    """Symbolic states after exactly `depth` moves of the mutant's program
+    (no pruning)."""
     prog = meta.program(mut_id)
     states = [X.initial_state(prog, mut_id)]
     for _ in range(depth):
-        states = [X.step(s, i, t)[0] for s in states if s.loc not in prog.terminals
-                  for i, t in enumerate(prog.successors[s.loc])]
+        states = [kid for s in states if s.loc not in prog.terminals
+                  for kid, _ in X.step(s, prog.move(s.loc))]
     return states
 
 

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given
 
 from mutkill import interp as I
+from mutkill import lts as L
 from mutkill import solver as S
 from mutkill import symex as X
 
@@ -46,11 +47,11 @@ def divergence(meta, s):
         return "its path is unsat"
     model = {name: lo for name, (lo, _) in prog.inputs}
     model.update(res.model)
-    # an error state's last transition is the one whose evaluation errs:
-    # replay stops at its source
+    # an error state's last move is the one whose evaluation errs: replay
+    # stops at its location
     route = [prog.entry]
     for i in s.trail[:-1] if s.status == "error" else s.trail:
-        route.append(prog.successors[route[-1]][i][2])
+        route.append(L.targets(prog.move(route[-1]))[i])
     trace = I.run_lts(prog, model, record_states=True)
     replayed = [loc for _, loc in trace.states]
     if (trace.status, replayed) != (s.status, route):

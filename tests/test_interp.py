@@ -22,7 +22,7 @@ def couples(trace: I.Trace):
 
 def reference(lts: L.Lts, test, step_budget=I.DEFAULT_STEP_BUDGET):
     """(status, output, steps, states) of a run that evaluates each
-    transition's terms with `eval_bool`/`eval_int`, one step at a time."""
+    move's terms with `eval_bool`/`eval_int`, one step at a time."""
     names = tuple(sorted(lts.variables))
     env = dict.fromkeys(names, 0)
     env.update(test)
@@ -33,18 +33,18 @@ def reference(lts: L.Lts, test, step_budget=I.DEFAULT_STEP_BUDGET):
     while loc not in lts.terminals:
         if steps >= step_budget:
             return I.TIMEOUT, tuple(output), steps, tuple(states)
+        move = lts.move(loc)
         try:
-            for _, gc, dst in lts.successors[loc]:
-                if C.eval_bool(gc.guard, env):
-                    break
+            if isinstance(move, L.Branch):
+                dst = move.then if C.eval_bool(move.guard, env) else move.els
             else:
-                raise AssertionError(f"no enabled transition at location {loc}")
-            values = [C.eval_int(term, env) for _, term in gc.update]
-            if gc.emit is not None:
-                output.append(C.eval_int(gc.emit, env))
+                values = [C.eval_int(term, env) for _, term in move.update]
+                if move.emit is not None:
+                    output.append(C.eval_int(move.emit, env))
+                env.update(zip((name for name, _ in move.update), values))
+                dst = move.dst
         except T.EvalError:
             return I.ERROR, tuple(output), steps + 1, tuple(states)
-        env.update(zip((name for name, _ in gc.update), values))
         loc = dst
         steps += 1
         states.append((tuple(env[n] for n in names), loc))
@@ -150,17 +150,17 @@ class TestRun:
     @pytest.mark.parametrize("name", C.ALL_PROGRAMS)
     def test_trace_respects_transition_relation(self, name):
         lts = C.load_lts(name)
-        succ = lts.successors
         test = {n: lo for n, (lo, hi) in lts.inputs}
         tr = I.run_lts(lts, test, step_budget=2000, record_states=True)
         for (snap_a, loc_a), (snap_b, loc_b) in zip(couples(tr), couples(tr)[1:]):
-            env = dict(snap_a)
-            matching = [t for t in succ[loc_a]
-                        if t[2] == loc_b and C.eval_bool(t[1].guard, env)]
-            assert matching, (loc_a, loc_b)
-            _, gc, _ = matching[0]
+            env, move = dict(snap_a), lts.move(loc_a)
             expect = dict(env)
-            expect.update({v: C.eval_int(e, env) for v, e in gc.update})
+            if isinstance(move, L.Branch):
+                arm = move.then if C.eval_bool(move.guard, env) else move.els
+                assert loc_b == arm, (loc_a, loc_b)
+            else:
+                assert loc_b == move.dst, (loc_a, loc_b)
+                expect.update({v: C.eval_int(e, env) for v, e in move.update})
             assert dict(snap_b) == expect
 
     def test_deterministic(self, fig1):
@@ -169,11 +169,12 @@ class TestRun:
             assert I.run_lts(lts, {"x": x}) == I.run_lts(lts, {"x": x})
 
 
-def _lts(transitions, terminal, inputs=(("x", (-2, 2)), ("y", (-2, 2)))):
-    """A hand-built program over x, y and z from location 1."""
+def _lts(moves, terminal, inputs=(("x", (-2, 2)), ("y", (-2, 2)))):
+    """A hand-built program over x, y and z from location 1, with `moves`
+    listed as (location, move) pairs."""
     return L.Lts(locations=tuple(range(1, terminal + 1)), entry=1,
                  terminals=frozenset({terminal}), variables=("x", "y", "z"),
-                 inputs=inputs, transitions=tuple(transitions), loc_info=())
+                 inputs=inputs, moves=tuple(moves), loc_info=())
 
 
 guards, ints = bool_terms(division=True), int_terms(division=True)
@@ -183,21 +184,18 @@ targets = st.lists(st.sampled_from(("x", "y", "z")), unique=True, max_size=2)
 
 @st.composite
 def small_programs(draw):
-    """Up to four non-terminal locations, each to any location, of the
-    shapes that lowering gives: a branch, whose arms are guarded by a guard
-    and its complement, or a step, one transition guarded by `true`."""
+    """Up to four non-terminal locations, each making a branch or a step to
+    any locations."""
     terminal = draw(st.integers(2, 5))
-    transitions = []
+    dsts = st.integers(1, terminal)
+    moves = []
     for loc in range(1, terminal):
         if draw(st.booleans()):
-            g = draw(guards)
-            transitions += [(loc, L.GuardedCommand(g), draw(st.integers(1, terminal))),
-                            (loc, L.GuardedCommand(T.negate(g)), draw(st.integers(1, terminal)))]
+            moves.append((loc, L.Branch(draw(guards), draw(dsts), draw(dsts))))
         else:
-            gc = L.GuardedCommand(T.TRUE, tuple((v, draw(ints)) for v in draw(targets)),
-                                  draw(emits))
-            transitions.append((loc, gc, draw(st.integers(1, terminal))))
-    return _lts(transitions, terminal)
+            update = tuple((v, draw(ints)) for v in draw(targets))
+            moves.append((loc, L.Step(update, draw(emits), draw(dsts))))
+    return _lts(moves, terminal)
 
 
 small_tests = st.fixed_dictionaries({"x": st.integers(-2, 2), "y": st.integers(-2, 2)})
@@ -217,9 +215,8 @@ class TestKernel:
 
         def branch(g):
             # output 1 where g holds, else 7
-            return _lts([(1, L.GuardedCommand(g), 2), (1, L.GuardedCommand(T.negate(g)), 3),
-                         (2, L.GuardedCommand(T.TRUE, (), T.Lit(1)), 4),
-                         (3, L.GuardedCommand(T.TRUE, (), T.Lit(7)), 4)], 4)
+            return _lts([(1, L.Branch(g, 2, 3)), (2, L.Step((), T.Lit(1), 4)),
+                         (3, L.Step((), T.Lit(7), 4))], 4)
 
         guarded = branch(T.And((T.Cmp("!=", T.Var("y"), T.Lit(0)), div)))
         assert I.run_lts(guarded, {"x": 1, "y": 0}).output == (7,)
@@ -227,9 +224,9 @@ class TestKernel:
         assert (tr.status, tr.steps) == (I.ERROR, 1)
 
     def test_update_then_emit_then_assign(self):
-        swap = L.GuardedCommand(T.TRUE, (("x", T.Var("y")), ("y", T.Var("x"))),
-                                T.Bin("-", T.Var("x"), T.Var("y")))
-        tr = I.run_lts(_lts([(1, swap, 2)], 2), {"x": 2, "y": -1}, record_states=True)
+        swap = L.Step((("x", T.Var("y")), ("y", T.Var("x"))),
+                      T.Bin("-", T.Var("x"), T.Var("y")), 2)
+        tr = I.run_lts(_lts([(1, swap)], 2), {"x": 2, "y": -1}, record_states=True)
         assert tr.output == (3,)
         assert tr.states[-1] == ((-1, 2, 0), 2)
 
@@ -257,7 +254,7 @@ class TestDeepTerms:
         # 80 levels: deeper than one generated function nests, and within
         # what the recursive-descent parser accepts
         lts = _deep_output("(x + " * 80 + "x" + ")" * 80)
-        emit = lts.transitions[0][1].emit
+        emit = lts.move(1).emit
         tr = I.run_lts(lts, {"x": 3}, record_states=True)
         assert tr.output == (243,) == (C.eval_int(emit, {"x": 3}),)
         assert observed(tr) == reference(lts, {"x": 3})
@@ -329,9 +326,9 @@ class TestSchema:
             [(11996,), (11996,), ()]
 
     def test_straight_line_location_takes_two_lines(self, monkeypatch):
-        # a location whose only transition is guarded by `true` and makes
-        # one update is `v = ...` and `loc = ...`; the balanced tree that
-        # selects it adds one `if loc < k:` and one `else:` per inner node
+        # a step that makes one update and emits nothing is `v = ...` and
+        # `loc = ...`; the balanced tree that selects it adds one
+        # `if loc < k:` and one `else:` per inner node
         text = ("input x: int in [0, 3];\nfn main() {\n  var y;\n"
                 + "  y = y + x;\n" * 6000 + "  output y;\n}\n")
         lts = L.lower_text(text)

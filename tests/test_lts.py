@@ -41,18 +41,18 @@ class TestLowering:
     def test_straight_line(self):
         lts = lower("input x: int in [0,1];\nfn main() { output x; }")
         assert len(lts.locations) == 2
-        assert len(lts.transitions) == 1
+        assert len(lts.moves) == 1
         assert lts.info(1).kind == "output"
         assert lts.info(2).kind == "terminal"
 
     def test_if_has_complementary_guards(self):
         lts = lower("input x: int in [-4,3];\n"
                     "fn main() { if (x < 0) { output 0; } else { output 1; } }")
-        outs = lts.successors[1]
-        assert len(outs) == 2
-        g1, g2 = outs[0][1].guard, outs[1][1].guard
+        branch = lts.move(1)
+        assert branch == L.Branch(T.Cmp("<", T.Var("x"), T.Lit(0)), 2, 3)
+        # the else arm is taken where the guard fails
+        g1, g2 = branch.guard, T.negate(branch.guard)
         assert not S.is_satisfiable(T.conj([g1, g2]), lts.inputs).is_sat
-        assert T.normalize_bool(g2) == T.normalize_bool(T.negate(g1))
 
     def test_golden_port_has_12_locations(self):
         lts = C.load_lts("fig1")
@@ -73,8 +73,8 @@ class TestLowering:
         lts = lower("input n: int in [0,3];\n"
                     "fn main() { while (n > 0) { n = n - 1; } output n; }")
         # loop head 1, body 2, output 3, terminal 4; body returns to head
-        body_out = lts.successors[2]
-        assert body_out == [(2, body_out[0][1], 1)]
+        assert lts.move(2).dst == 1
+        assert L.targets(lts.move(1)) == (2, 3)
 
     def test_call_inlining(self):
         lts = C.load_lts("callfn")
@@ -107,8 +107,8 @@ class TestLowering:
         # the front end makes no recursive pass over a sum, so its length is
         # not bounded by the recursion limit
         text = "input x: int in [0,3];\nfn main() { output %s; }" % " + ".join(["x"] * 600)
-        (_, gc, _), = L.lower_text(text).transitions
-        assert C.eval_int(gc.emit, {"x": 2}) == 1200
+        (_, step), = L.lower_text(text).moves
+        assert C.eval_int(step.emit, {"x": 2}) == 1200
 
 
 class TestValidator:
@@ -125,12 +125,24 @@ class TestValidator:
             C.validate_lts(broken)
 
     def test_detects_overlapping_guards(self):
+        # one location listed with two moves
         lts = C.load_lts("abs")
-        src, gc, dst = lts.transitions[0]
-        broken = lts.replace(
-            transitions=lts.transitions + ((src, gc, dst),))
-        with pytest.raises(C.LtsInvariantError):
+        loc, move = lts.moves[0]
+        broken = lts.replace(moves=lts.moves + ((loc, move),))
+        with pytest.raises(C.LtsInvariantError, match="more than one move"):
             C.validate_lts(broken)
+
+    def test_detects_a_missing_or_mismatched_move(self):
+        lts = C.load_lts("abs")
+        (loc, branch), = [(loc, m) for loc, m in lts.moves if isinstance(m, L.Branch)]
+        # the then arm's output location, left without a move
+        without = lts.replace(moves=tuple(p for p in lts.moves if p[0] != branch.then))
+        with pytest.raises(C.LtsInvariantError, match="non-terminal"):
+            C.validate_lts(without)
+        stepping = lts.replace(moves=tuple((at, L.Step((), None, branch.then) if at == loc else m)
+                                           for at, m in lts.moves))
+        with pytest.raises(C.LtsInvariantError, match="of kind branch moves as a Step"):
+            C.validate_lts(stepping)
 
 
 class TestDistance:
@@ -160,7 +172,7 @@ class TestDistance:
         for loc in lts.locations:
             if loc in lts.terminals:
                 continue
-            succ = [dist[dst] for _, _, dst in lts.successors[loc]]
+            succ = [dist[dst] for dst in L.targets(lts.move(loc))]
             finite = [d for d in succ if d is not None]
             if dist[loc] is None:
                 assert not finite

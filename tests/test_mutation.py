@@ -1,5 +1,18 @@
+"""Mutant generation, application, TCE and the meta-mutant.
+
+`python3 tests/test_mutation.py` prints the SHA-256 of the concatenated
+`tce.tsv` and `mutants.tsv` texts over `conftest.every_program()` and over
+900 programs of `test_generated`'s generator (`random.Random(1..3)`, 300
+each), so that two trees' mutants and TCE verdicts compare by one command.
+"""
+
+import hashlib
 import os
-from collections import Counter
+import random
+import sys
+
+if __name__ == "__main__":
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,12 +20,12 @@ from hypothesis import given, settings, strategies as st
 from mutkill import interp as I
 from mutkill import mutation as M
 from mutkill import parser as P
-from mutkill import solver as S
 from mutkill import lts as L
 from mutkill import terms as T
 from mutkill.terms import And, Bin, BoolLit, Cmp, Lit, Neg, Not, Or, Var
 
 import conftest as C
+import test_generated as G
 
 
 def lower(text: str) -> L.Lts:
@@ -44,18 +57,17 @@ class TestGeneration:
                     "fn main() { x = x + 1; output x; }")
         ms = M.generate_mutants(lts, ["SDL"])
         assert [m.loc for m in ms] == [1, 2]
-        # the deleted statement keeps its transition but does nothing
+        # the deleted statement keeps its step but does nothing
         for m in ms:
-            (src, gc, dst), = m.replacement
-            assert gc.update == () and gc.emit is None
+            assert m.replacement == L.Step((), None, m.loc + 1)
 
     def test_branch_mutants_replace_both_arms(self):
         lts = lower("input x: int in [-2,1];\n"
                     "fn main() { if (x < 0) { output 0; } else { output 1; } }")
         m = next(m for m in M.generate_mutants(lts, ["ROR"]))
-        assert len(m.replacement) == 2
-        g_pos, g_neg = m.replacement[0][1].guard, m.replacement[1][1].guard
-        assert not S.is_satisfiable(T.conj([g_pos, g_neg]), lts.inputs).is_sat
+        # the one move of the branch, its arms kept: the else arm is taken
+        # where the rewritten guard fails
+        assert m.replacement == lts.move(1).replace(guard=T.Cmp("<=", T.Var("x"), T.Lit(0)))
 
     def test_lcr_swaps_and_and_or(self):
         with open(C.LOGIC, encoding="utf-8") as f:
@@ -67,14 +79,13 @@ class TestGeneration:
             (6, "LCR:!(x / y > 0) && (x != 0 || y < 0)->!(x / y > 0) || (x != 0 || y < 0)"),
             (6, "LCR:x != 0 || y < 0->x != 0 && y < 0"),
         ]
-        # the rewritten guard takes the branch's first arm, its negation the other
-        guards = [T.render(m.replacement[0][1].guard) for m in ms]
+        # each rewrites the branch's guard and keeps its arms
+        guards = [T.render(m.replacement.guard) for m in ms]
         assert guards == ["x > 0 || y > 0", "x < -1 && !(y == 0)",
                           "!(x / y > 0) || (x != 0 || y < 0)",
                           "!(x / y > 0) && (x != 0 && y < 0)"]
         for m in ms:
-            (_, pos, _), (_, neg, _) = m.replacement
-            assert neg.guard is T.negate(pos.guard)
+            assert L.targets(m.replacement) == L.targets(lts.move(m.loc))
 
     def test_ids_dense_from_one(self):
         _, mutants, _, _ = C.build("fig1")
@@ -163,11 +174,11 @@ class TestApply:
         for path in C.every_program():
             with open(path, encoding="utf-8") as f:
                 lts = L.lower_text(f.read(), path)
-            ends = Counter((src, dst) for src, _, dst in lts.transitions)
+            ends = [(loc, L.targets(move)) for loc, move in lts.moves]
             for m in M.generate_mutants(lts, M.SUPPORTED_OPERATORS):
                 mutated = M.apply_mutant(lts, m)
-                assert mutated == lts.replace(transitions=mutated.transitions)
-                assert Counter((src, dst) for src, _, dst in mutated.transitions) == ends
+                assert mutated == lts.replace(moves=mutated.moves)
+                assert [(loc, L.targets(move)) for loc, move in mutated.moves] == ends
                 C.validate_lts(mutated)
 
 
@@ -217,6 +228,31 @@ class TestTce:
         meta = M.build_meta_mutant(lts, ms)
         assert I.killable_mutants(meta, tce.equivalent) == set()
         assert I.run_concrete(meta, zero.id, {"x": 0}).status == I.ERROR
+
+    def test_a_divisor_that_evaluation_never_reaches_is_not_listed(self):
+        # `x < x` is false, so `&&` never evaluates `2 / 3`: dividing by 0
+        # there changes nothing
+        lts = lower("input x: int in [-3, 3];\n"
+                    "fn main() { if (x < x && 2 / 3 < 3) { output 1; } else { output 2; } }")
+        ms = M.generate_mutants(lts, ["CRP"])
+        # the first `3` in pre-order is the divisor
+        zero = next(m for m in ms if m.operator == "CRP:3->0")
+        tce = M.tce_filter(lts, ms)
+        assert zero.id in tce.equivalent
+        meta = M.build_meta_mutant(lts, ms)
+        assert I.killable_mutants(meta, tce.equivalent) == set()
+
+    def test_a_rewritten_guard_with_the_same_normal_form_is_equivalent(self):
+        # `3 * t > t` and `4 * t > t` both normalize to `-t < 0`, their
+        # negations to different forms: only the guard is compared
+        lts = lower("input t: int in [-3, 3];\n"
+                    "fn main() { if (3 * t > t) { output 1; } else { output 2; } }")
+        ms = M.generate_mutants(lts, M.SUPPORTED_OPERATORS)
+        four = next(m for m in ms if m.operator == "CRP:3->4")
+        tce = M.tce_filter(lts, ms)
+        assert four.id in tce.equivalent
+        meta = M.build_meta_mutant(lts, ms)
+        assert I.killable_mutants(meta, tce.equivalent) == set()
 
     def test_partition_is_total(self, fig1):
         _, mutants, tce, _ = fig1
@@ -311,7 +347,7 @@ class TestPrograms:
     @pytest.mark.parametrize("name", C.ALL_PROGRAMS)
     def test_program_zero_is_the_base_program(self, name):
         meta = C.build(name)[3]
-        assert meta.program(0).transitions == meta.base.transitions
+        assert meta.program(0).moves == meta.base.moves
 
     @pytest.mark.parametrize("name", C.ALL_PROGRAMS)
     def test_programs_are_selector_free(self, name):
@@ -355,3 +391,25 @@ class TestReports:
             assert v == "equivalent" or v == "surviving" or v.startswith("duplicate(")
         for e in tce.equivalent:
             assert verdicts[str(e)] == "equivalent"
+
+
+def digests(texts) -> str:
+    """The SHA-256 of the concatenated `tce.tsv` and `mutants.tsv` texts of
+    the programs `texts`, every operator applied."""
+    h = hashlib.sha256()
+    for text in texts:
+        lts = L.lower_text(text)
+        mutants = M.generate_mutants(lts, M.SUPPORTED_OPERATORS)
+        h.update(M.tce_tsv(M.tce_filter(lts, mutants), mutants).encode())
+        h.update(M.mutants_tsv(mutants).encode())
+    return h.hexdigest()
+
+
+if __name__ == "__main__":
+    def read(path):
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+
+    print("programs", digests(map(read, C.every_program())))
+    rngs = [random.Random(seed) for seed in (1, 2, 3)]
+    print("generated", digests(G.program(rng) for rng in rngs for _ in range(300)))

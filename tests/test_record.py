@@ -26,81 +26,81 @@ ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 # SHA-256 of repr(L.lower_text(text)), of repr(M.generate_mutants(lts,
 # M.SUPPORTED_OPERATORS)) and of repr(P.parse_text(text)) per program,
-# captured from the frozen dataclasses these records replace; the mutants'
-# digests were re-pinned when `Mutant` lost its `removed` field, each to the
-# digest of the earlier repr with `removed=...` left out
+# captured from the frozen dataclasses these records replace; the LTS and
+# mutant digests were re-pinned when the LTS came to store one move per
+# location (`Lts.moves`, a mutant's `replacement` one move)
 REPR_DIGESTS = {
     "bench/programs/classify.mimp": (
-        "1dd7b0b18df0b5f93674b41f136d850f594187bf2d2d7295911bb6f91c5754a3",
-        "2dc084e1c658f9139cf4586145ce0c4c89de683db6ba96b421c2542a40f1a246",
+        "9349de8fd9ab63e0f942459d4aef190c36d362dd83e2e1e189bdd2d4b203a3a7",
+        "f9e57ecc79766d09d5d78b139855710f9fa551b45bb7c93e5f9122a9d0c052bf",
         "b68ee0c3f6687625ef267e1e856d8f82be6a57eaf181be6f2d7ed2b25c47256f"),
     "bench/programs/divmod.mimp": (
-        "f2056cc949f062b27d02a31cf678aa236968f3668cf2304c11133e854d3afd7b",
-        "1b743e523d23ea5c09a2ac2421444872f1b6c98a767676a4b3d4afe645cf670b",
+        "b32cf3a6d94d889a04a14ee0d9b8784fef95726625f7078370f00d76f26a7f16",
+        "18c1673eea0b2573ffdd3870af9979aaad6dc0e6fc71ee14532d1732d3c4c81a",
         "8a1ebbf6539805cb7cbab26dc8c260b1acc97f3c585ab3c662f253151937b1e1"),
     "bench/programs/linear.mimp": (
-        "f3f9c17bd6eafc6b25024f4ea02567966e7e74263ebebc56f0ba3a2abf088628",
-        "8f461503814e6c7f4a9490c6b3e2f6ae0bb6dce51552455581a36de36a3036ce",
+        "c33c6ee8b80b4308b98daa01c4b7ce616fcd8397dabb9710a3f7c1986685e10f",
+        "1c2c56da9429907981c39eaa4dc3d9ba3fda23953c87c6195edf8b36d664dcd7",
         "bb97de77fa4b949e778f4a6b98cf4edb2a9abd12c45ed20b9dc10552d26a77ce"),
     "bench/programs/max2.mimp": (
-        "ec4f5194ce148113baaccc34c88d5f017ee4ca6c92090f2aabb0184ab877ad31",
-        "c55f3f022554683d50a10ef14f90ecb72c36bea7b7d934757816d5f5d6a82145",
+        "97a925bb07b21bc4ae651801e084f542552d6a7ef9d56271d207418d6b81b57e",
+        "3ca1cada6027037d859ca63d565e61649039d5205b939076279298da3f21e4e8",
         "b7fb6af8c7af5632c9c38bbd9e20244f3411b0bf5fadc67287149482ff03d7c4"),
     "corpus/abs.mimp": (
-        "114ef3e0a720e61ba5b8df17679b9d44f9bb956b0dd6d6f64b7fe07cdcfcf38a",
-        "847abe67945ce30ae9ae25b594c7b8c8b69cb67198a863f3a62663f68e0b1209",
+        "4af4f27025974b969cacef8c8917aaa3164d3545ae69b60419ab2c6618080b76",
+        "05f2e28508004fc51fa6fa6b93f2353bc8db18c3a1c927223f2905a75cd1609d",
         "8397b6f718a561b4369b516ee379de8fad06a71592b6cd6666761ca1e62fbf43"),
     "corpus/callfn.mimp": (
-        "2ed7e7cf81190ddf09559fb43cc8f906480c9c810c12de4a36209309dc3d6e1d",
-        "ec065c692e8c1736b0cb1faec920bd39ed40321804fd6f3a200175ffcc79db47",
+        "2e46a5b431ceef4790e216b4a23cd8a3cb10a1f3b4c47247c7a474abd90934aa",
+        "9717a90e6230cf617fe1a3cc82abc22421065f847dee747f46111acfb192ef6e",
         "586013db370ed39c8ca4b458caf2f78aeced012fcff33287e8a532fdfa39df2d"),
     "corpus/clamp.mimp": (
-        "6d36a606efeb1007937824c80d41fb2309ec305f786b1e3e4b49d5a3f4458396",
-        "1aaa437cfd9b0fbd810cffd9250ed936ff6ead8ac873bc52cc0ad239cd091de0",
+        "0e7ea6d123ce076eac0296f5db60439714e93444a2db07da9faf5841d3c23a8c",
+        "a9d00a0cb4cdd4988e3ede0602bfedf34efc528e1950f54885a86818c63a0b34",
         "a7300ab67ea6880739e9b991e56ad6643fbda93e1cde7eb063eef5a12f0f085c"),
     "corpus/classify.mimp": (
-        "c1b05359a04bd1a39debe13c4999e5db4db593f4d9eeb25df9bdaa9c5f47b40f",
-        "d938ef9f0b7bda09a7400fba4cdde71a2d16d29de5f9fa0e0ddc081b7d5b5f32",
+        "93d6d2a16bd0f5386d93b8ecf992a7811d043a945564bd69760ca22a553d0579",
+        "3df0d1168150db34cf8f84c8d195be6d796c8619dc7312155c043753c87c4637",
         "20a8d1fde1ecbff48a4585d708ac83957816560f7e3e8aa2276d088cb987eb23"),
     "corpus/countdown.mimp": (
-        "2cd3a17f5f418c1eaeffc2d1d72d8ff66922451c396057ac3f4f32b560ab5e17",
-        "48f962ee34ffe8afecbb700c67f676ad7aaa6b13a0b239728e15c4540364608d",
+        "94102253fc17e43ac36656e0a6214b3318956ab598aa204dc546f073552f5c60",
+        "7277724b240247ead1706fb2a78be664b510bbf09df6eeb483e69ba1d14c8fb0",
         "5aaf43e4e68753848a9b773f6f1b5c5ec5bcf08604a192627215cb75fa899c8e"),
     "corpus/divmod.mimp": (
-        "dcfebff8ed6cf985b4f2e2233cd11fcfc84f0eefa43360c3da8a31d194175773",
-        "1b743e523d23ea5c09a2ac2421444872f1b6c98a767676a4b3d4afe645cf670b",
+        "1ca9a2b648e629df0b9b7b0387ad64a0ad9fc2fa6e803c0fdf706dabd1189d50",
+        "18c1673eea0b2573ffdd3870af9979aaad6dc0e6fc71ee14532d1732d3c4c81a",
         "7b7dab9b652c73fae51075afb2662bea5d8dcaac17ea0154c61034a623601408"),
     "corpus/fig1.mimp": (
-        "75dacdb1b63570869681498f6721bb2bb404205618b737aa73fabf6aef018dd0",
-        "d4d7a83eb1ad073f3fd79e3150f05a30be24369d086fe9f61708a6a1d71097ee",
+        "6b8946961db29dbe67e32e1be5b479b6c3ce5a567d7af7491507320d231f9216",
+        "b93b8af2bfb30586907b6c08a13fff70dcae8a5d386f1eb21a70cfe5c57b3ca3",
         "121f004f1acff409025a62a424de8fb93cf8843bc1d67053912f399e491a8bca"),
     "corpus/mask.mimp": (
-        "1f4f8015569a88ef65555df4bca129533b4b623f5b5ab06267c5fd85e2404bfd",
-        "28b326a66b26cc34a4f246861fe1454a8c837987c4c453784a8a731ea108bbb0",
+        "ed303e475a81026972a4c96bb5f9d5271fa9c686d9ae204a8bcd3c17c3fbeaed",
+        "bd46dc6e46a5a9401d696dc1c6eb6b7eb05a1cbbe42af80c80e70973a8b6d2e5",
         "5ad46a656774ba49df38cfc3c7a1a3b906cbf1ff1773cb242323ddcd17ec9e8b"),
     "corpus/max2.mimp": (
-        "a279532b3905ce6c4770fc97a53ef0e6261104f25daa1f0459306a36e0b2e498",
-        "48ed3852fd2991c282b6200fa13831a67462f6baf48c1ea197ec3f1197c27a56",
+        "4def63061ae16b7c29777f077cbf4b24f32e3f5b4476908792bd6b33230c88cf",
+        "71b397ee8395c9ee7cf2723bcb0a8cacd287043e7a936e2087824168c01cfa3a",
         "348c921e9f8626e1408f92f33a62452a45357d3becceb201897cc3ac95e322d0"),
     "corpus/parity.mimp": (
-        "bde236de1af227b7e85d8536748ce8a81a89afc56538ac709e9eefbe4b68fa32",
-        "4c0f4c366424fe51d13aa6e9635dcb077648644640a5b2c659ad77c97e2329da",
+        "9a794cde29d69315b23a49d7a979814081c1c430b880558b072988bb1dd38f4a",
+        "26749a6e0c705ee8308b93f2b1c19845f05512b2808baf32b90f356d8cf0c169",
         "e4ba60c7e6797412af92bda51010a322eb42336a4f86ae1ce9e3a23c8b20ff39"),
     "corpus/poly.mimp": (
-        "fd30ac2432621dfa71bc4ce646e546b3557a2bc5efcf782551dcf8d8f57ffa68",
-        "8b4ca63fc323f22135a144d4e42ef9cc871c79e0f9cceed1171755eed96d491e",
+        "d96dcbe8982344771e4e86381e6a0458f8bc72a76a2e19ace865f74eab9f6158",
+        "c306ab691a1ca06ff2ac0102cfe37b1d3691ee2d106651ddc38b757f22d20987",
         "d61d562cea18289a88f1f14216afeacd6036713badf2941df5a77d5cf4b0187d"),
     "corpus/sign.mimp": (
-        "39e6049fad03439cead6d8095dea62496da44bfe02e2760843b5b99f8ba145f4",
-        "bdf1143e8212be00b53f85ba7f081947c59521823cf6c11ced34e70ba188c9ba",
+        "0012cb372aedef960a0f020fa5b556e1a49236ece2bd2acd8c945c88c087458c",
+        "f784ade345e47ce95e6a8c3dcafab650d760a4860f05270542ee53b28f49df9e",
         "8a1ee7264de1cde410eebf69061f1821251b9573f9bc1b5e8710ac9f5222b3d4"),
     "corpus/sumloop.mimp": (
-        "09d32a7decd4d2855faddbf5737f1b87dc8c7753fe66059a20fedb2c1de1d410",
-        "075fd5b1e6790c2bcf700b1f7a7f1427297959847de3bad62f9623fb1ea976c0",
+        "14ab8492d3658afb9e80e075ae1e97db329f0ccfc4f8447adc8d765fdb15cbbd",
+        "dd177edea5e56a908b87ccda71fd307a53fe52ce29b52c0eda26988cbb3680b3",
         "2e41be5ba248dd6606ad621503938907b3db5ff804798b8a1775120f211a0e0d"),
     "tests/logic.mimp": (
-        "a9e8bb05f74f099e881224952bd698f19ace7e4383a4a9ceeb1f147257325fde",
-        "fda9f06b51e99fb39c72f4447634a4c9e4357ddf5162073b6f80204e0da02e10",
+        "db82a6d0a6cb2c8620ba7e49f979a5cc9dce49054c68a0968b7bab763d8efd00",
+        "591f81486fbbe85b1b89de2d2489a0189327c0fc4c779e115da17c02535c58e8",
         "a0b29d68bbeb37aa12128a557a50889107530b616333cd6667e2942749826ec8"),
 }
 
@@ -138,9 +138,9 @@ def test_defaults_print_as_before():
 
 # one record of every class, and a field to replace with another value
 x = Var("x")
-GC = L.GuardedCommand(Cmp("<", x, Lit(0)), (("y", x),), None)
+STEP = L.Step((("y", x),), None, 2)
 LTS = L.lower_text("input x: int in [-2, 2];\nfn main() { output x; }")
-MUTANT = M.Mutant(1, "CRP:0->1", 1, (4, 3), "0", "1", ())
+MUTANT = M.Mutant(1, "CRP:0->1", 1, (4, 3), "0", "1", STEP)
 SAMPLES = [
     (P.SourceProgram("fn main() { }"), "origin", "f.mimp"),
     (P._Token("name", "x", (1, 1)), "text", "y"),
@@ -153,7 +153,8 @@ SAMPLES = [
     (P.InputDecl("x", -8, 7, (1, 1)), "hi", 8),
     (P.FnDef("main", (), (), (1, 1)), "params", ("a",)),
     (P.Ast((), ()), "entry", "start"),
-    (GC, "emit", x),
+    (STEP, "emit", x),
+    (L.Branch(Cmp("<", x, Lit(0)), 2, 3), "els", 4),
     (L.LocInfo("branch", (4, 3)), "pos", (5, 3)),
     (LTS, "entry", 2),
     (MUTANT, "loc", 2),
@@ -239,9 +240,9 @@ class TestPerClass:
 
     def test_cached_properties_stay_out_of_the_fields(self):
         lts = LTS.replace()
-        assert lts.successors and "successors" in vars(lts)
+        assert lts.move(lts.entry) and "_moves" in vars(lts)
         assert lts == LTS and hash(lts) == hash(LTS) and repr(lts) == repr(LTS)
-        assert "successors" not in vars(lts.replace(entry=2))
+        assert "_moves" not in vars(lts.replace(entry=2))
         meta = M.build_meta_mutant(LTS, [])
         assert meta.program(0) is LTS and meta.mutation_points == {}
 
@@ -255,7 +256,6 @@ class TestPerClass:
         with pytest.raises(TypeError):
             L.LocInfo("branch")
         assert cli.RunManifest("p", "o").config == X.Config()
-        assert L.GuardedCommand() == L.GuardedCommand(T.TRUE, (), None)
 
     def test_replace_names_only_fields(self):
         state = X.initial_state(LTS)
@@ -278,11 +278,12 @@ class TestPerClass:
 
     def test_replace_leaves_the_cached_properties_behind(self):
         lts = LTS.replace()
-        assert lts.successors[lts.entry]
-        emptied = lts.replace(transitions=())
-        assert "successors" not in vars(emptied)
-        assert emptied.successors == {loc: [] for loc in LTS.locations}
-        assert lts.successors == LTS.successors
+        assert lts.move(lts.entry)
+        emptied = lts.replace(moves=())
+        assert "_moves" not in vars(emptied)
+        with pytest.raises(KeyError):
+            emptied.move(LTS.entry)
+        assert lts.move(lts.entry) == LTS.move(LTS.entry)
 
     def test_exploration_stats_are_mutable_and_own_their_containers(self):
         a, b = X.ExplorationStats(), X.ExplorationStats()

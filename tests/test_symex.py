@@ -285,6 +285,10 @@ UNSAT_GUARD = ("input x: int in [0, 3];\n"
 # x = 0 kills them
 ERRING_DIVISOR = "input x: int in [-2, 2];\nfn main() { var y = 1 / (x * 8); output y; }"
 
+# the guard divides by `y` twice, the second time where `x / y > 0` holds
+TWICE_DIVIDED = ("input x: int in [-3, 3];\ninput y: int in [-3, 3];\n"
+                 "fn main() { if (x / y > 0 && x / y < 2) { output 1; } else { output 2; } }")
+
 
 def gen(out_dir, program: str, config: str) -> tuple:
     """`mutkill gen` on a corpus program, or on the program file at the
@@ -449,13 +453,12 @@ class TestEngine:
 
     def test_a_guard_false_in_normal_form_is_pruned_by_the_solver(self, tmp_path):
         lts = L.lower_to_lts(P.parse_text(UNSAT_GUARD))
-        (assign,) = lts.successors[lts.entry]
-        s, _ = X.step(X.initial_state(lts), 0, assign)
-        stepped = [X.step(s, i, t) for i, t in enumerate(lts.successors[s.loc])]
+        [(s, _)] = X.step(X.initial_state(lts), lts.move(lts.entry))
+        stepped = X.step(s, lts.move(s.loc))
         # both arms are stepped; the solver finds `x < x` unsat
         domains = lts.inputs
-        assert [(T.normalize_bool(gc.guard), S.is_satisfiable(nxt.path, domains).is_sat)
-                for nxt, gc in stepped] == [(T.FALSE, False), (T.TRUE, True)]
+        assert [(T.normalize_bool(guard), S.is_satisfiable(nxt.path, domains).is_sat)
+                for nxt, guard in stepped] == [(T.FALSE, False), (T.TRUE, True)]
         program = tmp_path / "unsat_guard.mimp"
         program.write_text(UNSAT_GUARD)
         tests, stats = gen(tmp_path / "out", str(program), "")
@@ -483,6 +486,26 @@ class TestEngine:
             for model in by_mutant[m]:
                 assert I.run_concrete(meta, 0, model).outcome() \
                     != I.run_concrete(meta, m, model).outcome()
+
+    def test_a_divisor_split_off_under_a_weaker_reach_is_not_queried_again(self, monkeypatch):
+        # once `y == 0` is split off, `y != 0` holds wherever evaluation
+        # reaches the second `y`: its error query would be unsat
+        queries = []
+        sat = X._Engine.sat
+
+        def spy(engine, c):
+            queries.append(c)
+            return sat(engine, c)
+
+        monkeypatch.setattr(X._Engine, "sat", spy)
+        lts = L.lower_to_lts(P.parse_text(TWICE_DIVIDED))
+        mutants = M.generate_mutants(lts, M.SUPPORTED_OPERATORS)
+        meta = M.build_meta_mutant(lts, mutants)
+        run(meta, M.tce_filter(lts, mutants).kept(), pp=1.0)
+        zero, nonzero = Cmp("==", Var("y"), Lit(0)), Cmp("!=", Var("y"), Lit(0))
+        errors = [c for c in queries if isinstance(c, T.And) and c.items[-1] is zero]
+        assert errors
+        assert [c for c in errors if nonzero in c.items] == []
 
     def test_stats_text_contains_counters(self, fig1):
         _, mutants, _, meta = fig1
